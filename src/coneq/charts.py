@@ -23,6 +23,9 @@ from .core import (
     ConePoint,
     CVector,
     Signature,
+    _as_vector,
+    _check_same_signature,
+    _gram,
     basis_vector,
     form_eval,
     make_rng,
@@ -34,7 +37,7 @@ from .errors import (
     UnsupportedChartError,
     UnsupportedSignatureError,
 )
-from .quotients import ProjRep, Split, canonicalize_phase
+from .quotients import ProjRep, Split, _pivot_index, canonicalize_phase
 
 __all__ = [
     "ChartFrame",
@@ -98,23 +101,29 @@ def _independent_subset(cands: list[CVector], count: int) -> list[CVector]:
     )
 
 
+def _middles(x: ConePoint, u: CVector) -> list[CVector]:
+    """Eta-orthonormal basis (positive block first) of the orthogonal
+    complement of the hyperbolic plane span{x, u}."""
+    sig = x.signature
+    n = sig.n
+    if n == 2:
+        return []
+    # Witt pair e_1 = x/2 + u, e_n = x/2 - u as columns; each standard basis
+    # vector e_j loses its projection f(e_j, e_1) e_1 - f(e_j, e_n) e_n.
+    witt = np.column_stack([0.5 * x.components + u.components,
+                            0.5 * x.components - u.components])
+    pairings = _gram(np.eye(n), witt, sig)
+    cands = np.eye(n) - (witt * np.array([1.0, -1.0])) @ pairings.T
+    raw = _independent_subset([CVector(c, sig) for c in cands.T], n - 2)
+    return orthonormalize_indefinite(raw, (sig.p - 1, sig.q - 1))
+
+
 def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
     """Basis [e_1, m_2, ..., m_{n-1}, e_n] with e_1 + e_n = x, where e_1,
     e_n span a hyperbolic plane and the m_j are eta-orthonormal (positive
     block first) and orthogonal to it."""
-    sig = x.signature
-    n = sig.n
     u = hyperbolic_partner(x)
-    e1 = 0.5 * x.vector + u
-    en = 0.5 * x.vector - u
-    cands = []
-    for j in range(n):
-        v = basis_vector(sig, j)
-        w = v - form_eval(v, e1) * e1 + form_eval(v, en) * en
-        cands.append(w)
-    raw = _independent_subset(cands, n - 2) if n > 2 else []
-    mids = orthonormalize_indefinite(raw, (sig.p - 1, sig.q - 1))
-    return [e1] + mids + [en]
+    return [0.5 * x.vector + u] + _middles(x, u) + [0.5 * x.vector - u]
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,18 +142,24 @@ class ChartFrame:
             raise UnsupportedChartError(
                 f"need {sig.n - 2} middle vectors, got {len(self.mu_basis)}"
             )
-        xv = self.x.vector
-        checks = [abs(form_eval(self.u, self.u)),
-                  abs(form_eval(self.u, xv) - 1.0)]
-        mu_eta = [1.0] * (sig.p - 1) + [-1.0] * (sig.q - 1)
-        for i, m in enumerate(self.mu_basis):
-            checks.append(abs(form_eval(m, xv)))
-            checks.append(abs(form_eval(m, self.u)))
-            for k, m2 in enumerate(self.mu_basis):
-                want = mu_eta[i] if i == k else 0.0
-                checks.append(abs(form_eval(m, m2) - want))
-        worst = max(checks)
-        if worst > DEFAULT_TOL:
+        for v in (self.u, *self.mu_basis):
+            _check_same_signature(v, self.x)
+        # Columns u, m_2, ..., m_{n-1}, which the chart maps multiply by.
+        cols = np.column_stack([self.u.components]
+                               + [m.components for m in self.mu_basis])
+        object.__setattr__(self, "_columns", cols)
+        # f(u, x) = 1, f(m_j, m_k) = eta, all other pairings vanish; each
+        # deviation is taken relative to its norm product, so that the
+        # check does not depend on the scale of x.
+        target = np.zeros((sig.n - 1, sig.n), dtype=np.complex128)
+        target[0, 0] = 1.0
+        target[1:, 2:] = np.diag(sig.eta[1:-1])
+        against = np.column_stack([self.x.components, cols])
+        norms = np.linalg.norm(against, axis=0)
+        deviation = (np.abs(_gram(cols, against, sig) - target)
+                     / np.outer(norms[1:], norms))
+        worst = float(np.max(deviation))
+        if not worst <= DEFAULT_TOL:
             raise UnsupportedChartError(
                 f"chart identities fail by {worst:.3e}"
             )
@@ -171,15 +186,18 @@ class ChartFrame:
 
 
 def make_chart(x: ConePoint, v_hint: CVector | None = None) -> ChartFrame:
-    """Witt extension of x packaged as a chart frame."""
-    sig = x.signature
-    u = hyperbolic_partner(x, v_hint)
-    if sig.n > 2:
-        basis = extend_to_witt_basis(x)
-        mids = tuple(basis[1:-1])
-    else:
-        mids = ()
-    return ChartFrame(x, u, mids)
+    """Witt extension of x, with partner hyperbolic_partner(x, v_hint),
+    packaged as a chart frame.
+
+    The frame is built at x * 2^-k with ||x * 2^-k|| in [1/2, 1), so that
+    the identities are checked at unit scale whatever the scale of x; u is
+    scaled back by 2^-k, which is exact.
+    """
+    scale = 2.0 ** -np.frexp(x.vector.norm())[1]
+    # Power-of-two scaling leaves the isotropy residual unchanged.
+    unit = ConePoint(x.vector * scale, tol=max(x.isotropy_residual, DEFAULT_TOL))
+    u = hyperbolic_partner(unit, v_hint)
+    return ChartFrame(x, u * scale, tuple(_middles(unit, u)))
 
 
 def _coords_to_vector(chart: ChartFrame, y_coords) -> CVector:
@@ -189,10 +207,7 @@ def _coords_to_vector(chart: ChartFrame, y_coords) -> CVector:
         raise ValueError(
             f"expected {sig.n - 2} chart coordinates, got {coords.shape[0]}"
         )
-    y = CVector(np.zeros(sig.n, dtype=np.complex128), sig)
-    for c, m in zip(coords, chart.mu_basis):
-        y = y + complex(c) * m
-    return y
+    return CVector(chart._columns[:, 1:] @ coords, sig)
 
 
 def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
@@ -224,16 +239,6 @@ def is_perp(a, b, tol: float = DEFAULT_TOL) -> bool:
     return abs(form_eval(av, bv)) <= tol * av.norm() * bv.norm()
 
 
-def _as_vector(obj) -> CVector:
-    if isinstance(obj, CVector):
-        return obj
-    if isinstance(obj, ConePoint):
-        return obj.vector
-    if isinstance(obj, ProjRep):
-        return obj.point.vector
-    return obj.point.vector  # RayRep
-
-
 @dataclass(frozen=True)
 class InAperp:
     """Sentinel result: the requested class is orthogonal to the chart
@@ -244,6 +249,13 @@ class InAperp:
 
 
 IN_APERP = InAperp()
+
+
+def _frame_coords(chart: ChartFrame, v: CVector) -> tuple[complex, np.ndarray]:
+    """f(v, u) and the coordinates eta_j f(v, m_j) of v along mu_basis."""
+    sig = chart.signature
+    pairings = _gram(v.components, chart._columns, sig)
+    return complex(pairings[0]), sig.eta[1:-1] * pairings[1:]
 
 
 def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
@@ -259,15 +271,8 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     pairing = form_eval(bv, xv)
     if abs(pairing) <= tol * bv.norm() * xv.norm():
         return IN_APERP
-    z = bv * (1.0 / pairing)
-    beta = form_eval(z, chart.u)
-    y = np.array(
-        [form_eval(z, m) / form_eval(m, m).real for m in chart.mu_basis],
-        dtype=np.complex128,
-    )
-    fyy = float(
-        sum(form_eval(m, m).real * abs(c) ** 2 for c, m in zip(y, chart.mu_basis))
-    )
+    beta, y = _frame_coords(chart, bv * (1.0 / pairing))
+    fyy = float(np.sum(chart.signature.eta[1:-1] * np.abs(y) ** 2))
     drift = abs(beta.real + 0.5 * fyy)
     if drift > 1e-6 * max(1.0, abs(beta), abs(fyy)):
         raise InternalContractError(
@@ -312,38 +317,31 @@ def aperp_classify(chart: ChartFrame, b, tol: float = DEFAULT_TOL) -> AperpClass
         raise NotInAperpError(
             "point is not orthogonal to the chart center at tolerance"
         )
-    e1 = chart.witt_plus()
-    en = chart.witt_minus()
-    c1 = form_eval(bv, e1)
-    cn = -form_eval(bv, en)
-    alpha = 0.5 * (c1 + cn)
-    m = np.array(
-        [form_eval(bv, mu) / form_eval(mu, mu).real for mu in chart.mu_basis],
-        dtype=np.complex128,
-    )
+    alpha, m = _frame_coords(chart, bv)
     total = np.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(m) ** 2)))
     if total == 0.0:
         raise NotInAperpError("zero coordinates in the boundary chart")
-    if np.linalg.norm(m) <= tol * total:
-        p1 = chart.signature.p - 1
-        return AperpClass("Apex", 1.0 + 0.0j, m[:p1] * 0.0, m[p1:] * 0.0)
     p1 = chart.signature.p - 1
+    if np.linalg.norm(m) <= tol * total:
+        return AperpClass("Apex", 1.0 + 0.0j, m[:p1] * 0.0, m[p1:] * 0.0)
     s_plus = float(np.linalg.norm(m[:p1]) ** 2)
     s_minus = float(np.linalg.norm(m[p1:]) ** 2)
     s = np.sqrt((s_plus + s_minus) / 2.0)
     m = m / s
     alpha = alpha / s
-    pivot = _phase_pivot(m)
+    pivot = _pivot_index(m)
     gauge = m[pivot] / abs(m[pivot])
     m = m * np.conj(gauge)
     alpha = alpha * np.conj(gauge)
     return AperpClass("Generic", complex(alpha), m[:p1], m[p1:])
 
 
-def _phase_pivot(values: np.ndarray) -> int:
-    mags = np.abs(values)
-    top = float(np.max(mags))
-    return int(np.nonzero(mags >= top * (1.0 - 1e-12))[0][0])
+def _boundary_point(chart: ChartFrame, alpha: complex, mp, mm) -> ConePoint:
+    """alpha x + sum_j m_j mu_j, with the negative block mm rescaled to the
+    norm of the positive block mp so that the point is isotropic."""
+    mm = mm * (np.linalg.norm(mp) / np.linalg.norm(mm))
+    mids = chart._columns[:, 1:] @ np.concatenate([mp, mm])
+    return ConePoint(CVector(alpha * chart.x.components + mids, chart.signature))
 
 
 def sample_aperp_point(chart: ChartFrame, seed: int,
@@ -367,11 +365,7 @@ def sample_aperp_point(chart: ChartFrame, seed: int,
     while np.linalg.norm(mp) < 1e-3 or np.linalg.norm(mm) < 1e-3:
         mp = rng.standard_normal(p1) + 1j * rng.standard_normal(p1)
         mm = rng.standard_normal(q1) + 1j * rng.standard_normal(q1)
-    mm = mm * (np.linalg.norm(mp) / np.linalg.norm(mm))
-    vec = alpha * chart.x.vector
-    for c, mu in zip(np.concatenate([mp, mm]), chart.mu_basis):
-        vec = vec + complex(c) * mu
-    return ConePoint(vec)
+    return _boundary_point(chart, alpha, mp, mm)
 
 
 def aperp_dimension_estimate(chart: ChartFrame, seed: int = 0,
@@ -396,12 +390,7 @@ def aperp_dimension_estimate(chart: ChartFrame, seed: int = 0,
     def embed(params: np.ndarray) -> np.ndarray:
         alpha = params[0] + 1j * params[1]
         m = params[2::2] + 1j * params[3::2]
-        mp, mm = m[:p1], m[p1:]
-        mm = mm * (np.linalg.norm(mp) / np.linalg.norm(mm))
-        vec = alpha * chart.x.vector
-        for c, mu in zip(np.concatenate([mp, mm]), chart.mu_basis):
-            vec = vec + complex(c) * mu
-        rep = canonicalize_phase(ConePoint(vec))
+        rep = canonicalize_phase(_boundary_point(chart, alpha, m[:p1], m[p1:]))
         return np.concatenate([rep.components.real, rep.components.imag])
 
     base = rng.standard_normal(dim)

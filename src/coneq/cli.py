@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -263,6 +264,22 @@ def _cmd_torus(args) -> int:
 # --------------------------------------------------------------- parser
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
+    return value
+
+
+def _tolerance(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(
+            f"expected a finite number >= 0, got {text}"
+        )
+    return value
+
+
 def _add_common(parser, *, sig=True, seed=True, trials=True, tol=True):
     if sig:
         parser.add_argument("--sig", help="signature p,q (e.g. 2,2)")
@@ -270,9 +287,9 @@ def _add_common(parser, *, sig=True, seed=True, trials=True, tol=True):
         parser.add_argument("--seed", type=int, default=None,
                             help="seed (default: CONEQ_SEED or 0)")
     if trials:
-        parser.add_argument("--trials", type=int, default=None)
+        parser.add_argument("--trials", type=_positive_int, default=None)
     if tol:
-        parser.add_argument("--tol", type=float, default=None)
+        parser.add_argument("--tol", type=_tolerance, default=None)
     parser.add_argument("--out", default=None, help="write output to a file")
 
 
@@ -335,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     dm.set_defaults(func=_cmd_aperp, sig_required=True)
 
     sp = sub.add_parser("torus", help="signature (1,1) torus tables")
-    sp.add_argument("--steps", type=int, default=16)
+    sp.add_argument("--steps", type=_positive_int, default=16)
     sp.add_argument("--format", choices=["csv", "json"], default="csv")
     _add_common(sp, sig=False, tol=False)
     sp.set_defaults(func=_cmd_torus)

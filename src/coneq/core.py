@@ -166,9 +166,28 @@ def form_eval(u: CVector, v: CVector) -> complex:
     )
 
 
+def _gram(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
+    """Matrix [f(a_i, b_j)] for vectors stacked as the columns of a and b.
+
+    A one-dimensional a is a single vector; the result is then the row
+    [f(a, b_j)].
+    """
+    return a.T @ (sig.eta[:, None] * b.conj())
+
+
+def _as_vector(obj) -> CVector:
+    """The CVector behind a vector, a cone point, or a ray or projective
+    representative."""
+    if isinstance(obj, CVector):
+        return obj
+    if isinstance(obj, ConePoint):
+        return obj.vector
+    return obj.point.vector
+
+
 def is_isotropic(x, tol: float = DEFAULT_TOL) -> bool:
     """Whether |f(x, x)| <= tol * ||x||^2 for nonzero x."""
-    vec = x.vector if isinstance(x, ConePoint) else x
+    vec = _as_vector(x)
     nrm2 = float(np.sum(np.abs(vec.components) ** 2))
     if nrm2 == 0.0:
         raise DegenerateInputError("isotropy is undefined for the zero vector")
@@ -209,9 +228,7 @@ class ConePoint:
 
 
 def _pseudo_unitarity_residual(matrix: np.ndarray, sig: Signature) -> float:
-    eta = sig.eta
-    gram = matrix.conj().T @ (eta[:, None] * matrix)
-    return float(np.max(np.abs(gram - np.diag(eta))))
+    return float(np.max(np.abs(_gram(matrix, matrix, sig) - np.diag(sig.eta))))
 
 
 @dataclass(frozen=True, eq=False)

@@ -19,6 +19,7 @@ from .core import (
     DEFAULT_TOL,
     ConePoint,
     CVector,
+    _gram,
     form_eval,
 )
 from .errors import (
@@ -164,13 +165,25 @@ def tangency_residual(x: ConePoint, vec: CVector) -> float:
     return abs(form_eval(vec, x.vector).real) / denom
 
 
-def _check_tangent(x: ConePoint, vectors, tol: float):
-    for k, v in enumerate(vectors):
-        res = tangency_residual(x, v)
-        if res > tol:
-            raise TangencyError(
-                f"basis vector {k} has tangency residual {res:.3e} at x"
-            )
+def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...]]:
+    """Gram [Re f(v_i, v_j)] and labels of a tangent frame at x, by default
+    the adapted quotient frame; raises TangencyError off the tangent space."""
+    if basis is None:
+        fr = adapted_frame(x)
+        basis, labels = fr.quotient_basis, fr.quotient_labels
+    basis = tuple(basis)
+    if labels is None:
+        labels = tuple(f"v{i}" for i in range(len(basis)))
+    cols = np.column_stack([v.components for v in basis])
+    along_x = np.abs(_gram(x.components, cols, x.signature).real)
+    denom = np.linalg.norm(cols, axis=0) * x.vector.norm()
+    res = np.divide(along_x, denom, out=np.zeros_like(along_x), where=denom > 0)
+    bad = np.flatnonzero(res > TANGENCY_TOL)
+    if bad.size:
+        raise TangencyError(
+            f"basis vector {bad[0]} has tangency residual {res[bad[0]]:.3e} at x"
+        )
+    return _gram(cols, cols, x.signature).real, labels
 
 
 def induced_metric(x: ConePoint, frame: str = "adapted", *,
@@ -185,28 +198,17 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
     overrides the named frame, e.g. to evaluate at a transported frame or
     over the full tangent basis.
     """
-    if basis is None:
-        if frame == "adapted":
-            fr = adapted_frame(x)
-            basis = fr.quotient_basis
-            labels = fr.quotient_labels
-        elif frame == "epsilon":
-            if x.signature.n != 2:
-                raise UnsupportedFrameError(
-                    "epsilon frame exists only in signature (1,1)"
-                )
-            witt = extend_to_witt_basis(x)
-            basis = (1j * witt[0], 1j * witt[1])
-            labels = ("eps1", "eps2")
-        else:
-            raise ValueError(f"unknown frame {frame!r}")
-    basis = tuple(basis)
-    if labels is None:
-        labels = tuple(f"v{i}" for i in range(len(basis)))
-    _check_tangent(x, basis, TANGENCY_TOL)
-    entries = np.array(
-        [[form_eval(a, b).real for b in basis] for a in basis], dtype=float
-    )
+    if basis is None and frame == "epsilon":
+        if x.signature.n != 2:
+            raise UnsupportedFrameError(
+                "epsilon frame exists only in signature (1,1)"
+            )
+        witt = extend_to_witt_basis(x)
+        basis = (1j * witt[0], 1j * witt[1])
+        labels = ("eps1", "eps2")
+    elif basis is None and frame != "adapted":
+        raise ValueError(f"unknown frame {frame!r}")
+    entries, labels = _frame_gram(x, basis, labels)
     return MetricMatrix.from_entries(entries, labels, tol)
 
 
@@ -232,17 +234,7 @@ def cotangent_metric_qtilde(x: ConePoint, *, basis=None, labels=None,
     n = 2; the rank threshold is pinned to the largest singular value of
     the full inverse before restriction.
     """
-    if basis is None:
-        fr = adapted_frame(x)
-        basis = fr.quotient_basis
-        labels = fr.quotient_labels
-    basis = tuple(basis)
-    if labels is None:
-        labels = tuple(f"v{i}" for i in range(len(basis)))
-    _check_tangent(x, basis, TANGENCY_TOL)
-    gram = np.array(
-        [[form_eval(a, b).real for b in basis] for a in basis], dtype=float
-    )
+    gram, labels = _frame_gram(x, basis, labels)
     try:
         inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:

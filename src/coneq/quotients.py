@@ -21,8 +21,11 @@ from .core import (
     ConePoint,
     CVector,
     Signature,
+    _as_vector,
+    _check_same_signature,
+    _gram,
+    _pseudo_unitarity_residual,
     basis_vector,
-    form_eval,
     sample_pseudo_unitary,
 )
 from .errors import (
@@ -66,10 +69,9 @@ class Split:
         sig = self.basis[0].signature
         if len(self.basis) != sig.n:
             raise ValueError(f"need {sig.n} basis vectors, got {len(self.basis)}")
-        gram = np.array(
-            [[form_eval(u, v) for v in self.basis] for u in self.basis]
-        )
-        residual = float(np.max(np.abs(gram - np.diag(sig.eta))))
+        for v in self.basis:
+            _check_same_signature(v, self.basis[0])
+        residual = _pseudo_unitarity_residual(self.matrix, sig)
         if residual > DEFAULT_TOL:
             raise NotIsometryError(
                 f"basis Gram deviates from eta by {residual:.3e}"
@@ -88,14 +90,9 @@ class Split:
 
     def coefficients(self, v: CVector) -> np.ndarray:
         """Coordinates of v in this basis: c_j = eta_j * f(v, b_j)."""
-        if v.signature != self.signature:
-            raise SignatureMismatchError(
-                f"signature mismatch: {v.signature} vs {self.signature}"
-            )
+        _check_same_signature(v, self.basis[0])
         sig = self.signature
-        return np.array(
-            [sig.eta[j] * form_eval(v, self.basis[j]) for j in range(sig.n)]
-        )
+        return sig.eta * _gram(v.components, self.matrix, sig)
 
     def from_coefficients(self, coeffs) -> CVector:
         return CVector(self.matrix @ np.asarray(coeffs, dtype=np.complex128),
@@ -129,15 +126,13 @@ def split_decompose(
 
     For isotropic x the two block norms agree and both equal R.
     """
-    vec = x.vector if isinstance(x, ConePoint) else x
+    vec = _as_vector(x)
     if split is None:
         split = standard_split(vec.signature)
     coeffs = split.coefficients(vec)
     p = split.signature.p
-    cp = np.concatenate([coeffs[:p], np.zeros(split.signature.q)])
-    cm = np.concatenate([np.zeros(p), coeffs[p:]])
-    x_plus = split.from_coefficients(cp)
-    x_minus = split.from_coefficients(cm)
+    x_plus = CVector(split.matrix[:, :p] @ coeffs[:p], vec.signature)
+    x_minus = CVector(split.matrix[:, p:] @ coeffs[p:], vec.signature)
     r = float(np.sqrt((np.linalg.norm(coeffs[:p]) ** 2
                        + np.linalg.norm(coeffs[p:]) ** 2) / 2.0))
     if r <= tol * vec.norm():
@@ -278,9 +273,7 @@ def proj_equivalent(x, y, tol: float = DEFAULT_TOL, split: Split | None = None) 
 def torus_coords(x) -> tuple[float, float]:
     """Angles (phi1, phi2) in [0, 2*pi) of a signature-(1,1) ray
     representative, one per coordinate of the canonical scaling."""
-    vec = x.point.vector if isinstance(x, (RayRep, ProjRep)) else (
-        x.vector if isinstance(x, ConePoint) else x
-    )
+    vec = _as_vector(x)
     if vec.signature != Signature(1, 1):
         raise UnsupportedSignatureError(
             f"torus coordinates need signature (1,1), got {vec.signature}"

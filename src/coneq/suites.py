@@ -19,6 +19,7 @@ from .core import (
     ConePoint,
     CVector,
     Signature,
+    _gram,
     form_eval,
     make_rng,
     orthonormalize_indefinite,
@@ -75,6 +76,10 @@ def _random_vector(sig: Signature, rng) -> CVector:
     return CVector(
         rng.standard_normal(sig.n) + 1j * rng.standard_normal(sig.n), sig
     )
+
+
+def _columns(vectors) -> np.ndarray:
+    return np.column_stack([v.components for v in vectors])
 
 
 def _trial_rng(seed, sig, trial, *extra):
@@ -156,17 +161,11 @@ def _suite_orthonormalize(sig, trials, seed, tol):
         columns = sorted(rng.choice(n, size=count, replace=False).tolist())
         tp = sum(1 for j in columns if j < sig.p)
         tq = count - tp
-        vectors = [CVector(u.matrix[:, j], sig) for j in columns]
         mix = np.eye(count) + 0.3 * rng.standard_normal((count, count))
-        mixed = [
-            sum((complex(mix[i, j]) * vectors[i] for i in range(count)),
-                start=CVector(np.zeros(n), sig))
-            for j in range(count)
-        ]
-        out = orthonormalize_indefinite(mixed, (tp, tq))
-        gram = np.array([[form_eval(a, b) for b in out] for a in out])
+        mixed = [CVector(c, sig) for c in (u.matrix[:, columns] @ mix).T]
+        out = _columns(orthonormalize_indefinite(mixed, (tp, tq)))
         want = np.diag([1.0] * tp + [-1.0] * tq)
-        res = float(np.max(np.abs(gram - want)))
+        res = float(np.max(np.abs(_gram(out, out, sig) - want)))
         return res <= tol, res, {"target": [tp, tq]}
 
     return _loop(trials, body)
@@ -312,16 +311,10 @@ def _suite_radical(sig, trials, seed, tol):
         x = sample_cone_point(sig, int(rng.integers(0, 2**32)))
         frame = metrics.adapted_frame(x)
         xv = x.vector
-        res = 0.0
-        for z in frame.tangent_basis:
-            res = max(
-                res, abs(form_eval(xv, z).real) / (xv.norm() * z.norm())
-            )
-        coeffs = rng.standard_normal(len(frame.tangent_basis))
-        z = sum(
-            (complex(c) * v for c, v in zip(coeffs, frame.tangent_basis)),
-            start=CVector(np.zeros(sig.n), sig),
-        )
+        tangent = _columns(frame.tangent_basis)
+        res = float(np.max(np.abs(_gram(x.components, tangent, sig).real)
+                           / (xv.norm() * np.linalg.norm(tangent, axis=0))))
+        z = CVector(tangent @ rng.standard_normal(tangent.shape[1]), sig)
         res = max(res, abs(form_eval(xv, z).real) / (xv.norm() * max(z.norm(), 1e-12)))
         g = metrics.induced_metric(x, basis=frame.quotient_basis,
                                    labels=frame.quotient_labels)
@@ -349,12 +342,10 @@ def _suite_lift_independence(sig, trials, seed, tol):
         rng = _trial_rng(seed, sig, k)
         x = sample_cone_point(sig, int(rng.integers(0, 2**32)))
         frame = metrics.adapted_frame(x)
-        basis = frame.quotient_basis
-        cv, cw = rng.standard_normal(len(basis)), rng.standard_normal(len(basis))
-        v = sum((complex(c) * b for c, b in zip(cv, basis)),
-                start=CVector(np.zeros(sig.n), sig))
-        w = sum((complex(c) * b for c, b in zip(cw, basis)),
-                start=CVector(np.zeros(sig.n), sig))
+        basis = _columns(frame.quotient_basis)
+        cv, cw = rng.standard_normal((2, basis.shape[1]))
+        v = CVector(basis @ cv, sig)
+        w = CVector(basis @ cw, sig)
         s, t = rng.standard_normal(2)
         base = form_eval(v, w).real
         shifted = form_eval(v + complex(s) * x.vector, w + complex(t) * x.vector).real
@@ -392,7 +383,6 @@ def _suite_cometric_rank(sig, trials, seed, tol):
             res = float(np.max(np.abs(co.entries)))
             ok = ok and res <= 1e-10
         else:
-            frame = metrics.adapted_frame(x)
             mids_eta = [1.0] * (2 * (sig.p - 1)) + [-1.0] * (2 * (sig.q - 1))
             inclusion = np.vstack(
                 [np.zeros(2 * n - 4), np.eye(2 * n - 4)]
@@ -412,25 +402,24 @@ def _suite_skew_form(sig, trials, seed, tol):
             sample_cone_point(sig, int(rng.integers(0, 2**32)))
         ).point
         frame = metrics.adapted_frame(x)
-        coeffs = rng.standard_normal((2, len(frame.tangent_basis)))
-        zero = CVector(np.zeros(sig.n), sig)
-        va = sum((complex(c) * b for c, b in zip(coeffs[0], frame.tangent_basis)),
-                 start=zero)
-        vb = sum((complex(c) * b for c, b in zip(coeffs[1], frame.tangent_basis)),
-                 start=zero)
+        tangent = _columns(frame.tangent_basis)
+        coeffs = rng.standard_normal((2, tangent.shape[1]))
+        va = CVector(tangent @ coeffs[0], sig)
+        vb = CVector(tangent @ coeffs[1], sig)
         anti = abs(
             metrics.skew_form(x, va, vb) + metrics.skew_form(x, vb, va)
         ) / max(1.0, abs(form_eval(va, vb)))
-        e1 = frame.witt_basis[0]
+        e1, en = frame.witt_basis[0], frame.witt_basis[-1]
         pinned = abs(abs(metrics.skew_form(x, x.vector, 1j * e1)) - 1.0)
         best = 0.0
         for y in frame.tangent_basis:
             best = max(
                 best, abs(metrics.skew_form(x, x.vector, y * (1.0 / y.norm())))
             )
-        res = max(anti, pinned)
-        ok = res <= tol and best >= 0.5
-        return ok, res, {"max_pairing": best}
+        # x pairs only with f3 = i(e_1 - e_n) in the tangent basis, where
+        # |Im f(x, f3)| = f(e_1, e_1) - f(e_n, e_n) = 2.
+        res = max(anti, pinned, abs(best - 2.0 / (e1 - en).norm()))
+        return res <= tol, res, {"max_pairing": best}
 
     return _loop(trials, body)
 
@@ -444,13 +433,11 @@ def _suite_witt_extension(sig, trials, seed, tol):
     def body(k):
         rng = _trial_rng(seed, sig, k)
         x = sample_cone_point(sig, int(rng.integers(0, 2**32)))
-        basis = charts.extend_to_witt_basis(x)
-        gram = np.array([[form_eval(a, b) for b in basis] for a in basis])
-        res = float(np.max(np.abs(gram - eta)))
-        rebuilt = basis[0] + basis[-1]
+        basis = _columns(charts.extend_to_witt_basis(x))
+        res = float(np.max(np.abs(_gram(basis, basis, sig) - eta)))
+        rebuilt = basis[:, 0] + basis[:, -1]
         res_x = (
-            float(np.linalg.norm(rebuilt.components - x.components))
-            / x.vector.norm()
+            float(np.linalg.norm(rebuilt - x.components)) / x.vector.norm()
         )
         ok = res <= tol and res_x <= 1e-12
         return ok, max(res, res_x), {"x_residual": res_x}

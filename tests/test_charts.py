@@ -120,6 +120,37 @@ class TestChartFrame:
         with pytest.raises(UnsupportedChartError):
             ChartFrame(x, hyperbolic_partner(x), good_mids[:1])
 
+    def test_hint_sets_the_partner(self):
+        x = sample_cone_point(SIG22, 3)
+        hint = basis_vector(SIG22, 1) + 0.3 * basis_vector(SIG22, 2)
+        chart = make_chart(x, v_hint=hint)
+        np.testing.assert_array_equal(
+            chart.u.components, hyperbolic_partner(x, hint).components
+        )
+
+    def test_scale_covariant(self):
+        x = sample_cone_point(Signature(3, 3), 5)
+        base = make_chart(x)
+        for k in range(-8, 9):
+            scaled = ConePoint(10.0**k * x.vector)
+            chart = make_chart(scaled)
+            np.testing.assert_array_equal(
+                chart.u.components, hyperbolic_partner(scaled).components
+            )
+            for m, m0 in zip(chart.mu_basis, base.mu_basis):
+                np.testing.assert_allclose(m.components, m0.components,
+                                           atol=1e-12)
+
+    def test_perturbed_middle_rejected_at_every_scale(self):
+        x = sample_cone_point(Signature(3, 3), 5)
+        base = make_chart(x)
+        mids = list(base.mu_basis)
+        mids[0] = mids[0] * (1.0 + 1e-6)
+        for k in range(-8, 9):
+            with pytest.raises(UnsupportedChartError):
+                ChartFrame(ConePoint(10.0**k * x.vector), base.u * 10.0**-k,
+                           mids)
+
     def test_transported_center(self):
         chart = make_chart(sample_cone_point(Signature(2, 3), 20))
         assert chart.signature == Signature(2, 3)

@@ -307,3 +307,23 @@ class TestUsage:
         )
         assert code == 2
         assert "expected 4 numbers" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--sig", "1,1", "--trials", "0"),
+        ("sample", "--sig", "1,1", "--trials", "-1"),
+        ("verify", "--suite", "hermitian", "--sig", "1,1", "--trials", "0"),
+        ("oracle", "--trials", "0"),
+        ("torus", "--trials", "0"),
+        ("torus", "--steps", "0"),
+        ("verify", "--suite", "hermitian", "--sig", "1,1", "--tol", "nan"),
+        ("verify", "--suite", "hermitian", "--sig", "1,1", "--tol", "inf"),
+        ("verify", "--suite", "hermitian", "--sig", "1,1", "--tol", "-0.5"),
+        ("chart", "inverse", "--sig", "2,2", "--b", "0,2,1,0,0,0,-1,2",
+         "--tol", "nan"),
+    ])
+    def test_out_of_range_counts_and_tolerances(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error:" in err
+        assert "Traceback" not in err

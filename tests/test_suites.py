@@ -30,6 +30,12 @@ def test_single_signature_report():
     assert rep.counterexample is None
 
 
+def test_skew_form_pairing_identity():
+    # The seed where max_pairing is 0.486 < 0.5 on valid data.
+    rep = run_suite("skew-form", Signature(3, 3), seed=322345719)[0]
+    assert (rep.passes, rep.failures) == (rep.trials, 0)
+
+
 def test_default_battery_expansion():
     reports = run_suite("cross-section", trials=5)
     assert [rep.signature for rep in reports] == \
