@@ -213,13 +213,14 @@ def _coords_to_vector(chart: ChartFrame, y_coords) -> CVector:
 def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     """Isotropic representative y + u + (-f(y,y)/2 + r i) x of the chart
     point (r, y); certified with f(kappa0, kappa0) = 0 and f(x, kappa0) = 1
-    at tolerance 1e-10."""
+    at tolerance 1e-10, relative to ||kappa0||^2 and to ||x|| ||kappa0||
+    (at least 1 by Cauchy-Schwarz), since the rounding grows like |y|^2."""
     y = _coords_to_vector(chart, y_coords)
     beta = complex(-0.5 * form_eval(y, y).real, float(r))
     vec = y + chart.u + beta * chart.x.vector
     out = ConePoint(vec, tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
-    if abs(pairing - 1.0) > 1e-10:
+    if abs(pairing - 1.0) > 1e-10 * chart.x.vector.norm() * vec.norm():
         raise InternalContractError(
             f"chart normalization f(x, kappa0) = {pairing:.15g} != 1"
         )

@@ -20,7 +20,8 @@ import sys
 import numpy as np
 
 from . import charts, metrics, quotients, suites
-from .core import ConePoint, CVector, Signature, basis_vector, sample_cone_point
+from .core import (DEFAULT_TOL, ConePoint, CVector, Signature, basis_vector,
+                   sample_cone_point)
 from .errors import QuadricError
 
 EXIT_OK = 0
@@ -92,6 +93,10 @@ def _chart_from_args(args, sig: Signature) -> charts.ChartFrame:
     if center is None:
         return _standard_chart(sig)
     return charts.make_chart(ConePoint(CVector(_parse_components(center, sig), sig)))
+
+
+def _tol(args) -> float:
+    return DEFAULT_TOL if args.tol is None else args.tol
 
 
 def _pairs(values) -> list[list[float]]:
@@ -176,7 +181,7 @@ def _cmd_chart(args) -> int:
                    f"chart forward at r={args.r}: residual {point.isotropy_residual:.3e}")
         return EXIT_OK
     b = ConePoint(CVector(_parse_components(args.b, sig), sig))
-    result = charts.chart_inverse(chart, b, tol=args.tol if args.tol else 1e-9)
+    result = charts.chart_inverse(chart, b, tol=_tol(args))
     if result is charts.IN_APERP:
         _emit_json(args, {"result": "InAperp"}, "point is orthogonal to the chart center")
         return EXIT_OK
@@ -212,7 +217,7 @@ def _cmd_aperp(args) -> int:
     chart = _chart_from_args(args, sig)
     if args.mode == "classify":
         b = ConePoint(CVector(_parse_components(args.b, sig), sig))
-        cls = charts.aperp_classify(chart, b)
+        cls = charts.aperp_classify(chart, b, tol=_tol(args))
         _emit_json(args, cls.to_json(), f"boundary class: {cls.kind}")
         return EXIT_OK
     seed = _resolve_seed(args)

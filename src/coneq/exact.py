@@ -270,25 +270,15 @@ class RationalChart:
             raise UnsupportedChartError(
                 f"need {sig.n - 2} middle vectors, got {len(self.mu_basis)}"
             )
-        ok = (
-            exact_form_eval(self.x, self.x).is_zero()
-            and exact_form_eval(self.u, self.u).is_zero()
-            and exact_form_eval(self.u, self.x) == QGaussian.one()
-        )
-        if ok:
-            for i, m in enumerate(self.mu_basis):
-                if not exact_form_eval(m, self.x).is_zero():
-                    ok = False
-                if not exact_form_eval(m, self.u).is_zero():
-                    ok = False
-                for k, m2 in enumerate(self.mu_basis):
-                    want = QGaussian.zero()
-                    if i == k:
-                        sign = 1 if i < sig.p - 1 else -1
-                        want = _coerce(sign)
-                    if exact_form_eval(m, m2) != want:
-                        ok = False
-        if not ok:
+        # f(x, x) = 0 and, as in ChartFrame, the Gram of [u, m...] against
+        # [x, u, m...]: f(u, x) = 1, f(m_j, m_k) = eta, all else zero.
+        rows = (self.u, *self.mu_basis)
+        gram = [[exact_form_eval(a, b) for b in (self.x, *rows)] for a in rows]
+        target = [[QGaussian.zero()] * sig.n for _ in rows]
+        target[0][0] = QGaussian.one()
+        for i in range(1, sig.n - 1):
+            target[i][i + 1] = _coerce(int(sig.eta[i]))
+        if not exact_form_eval(self.x, self.x).is_zero() or gram != target:
             raise UnsupportedChartError(
                 "chart data do not satisfy the chart identities exactly"
             )

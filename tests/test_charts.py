@@ -189,6 +189,15 @@ class TestKappa:
             assert out.isotropy_residual <= 1e-10
             assert abs(form_eval(chart.x.vector, out.vector) - 1.0) <= 1e-10
 
+    def test_certified_at_every_scale(self):
+        # The rounding of f(x, kappa0) grows like |y|^2; the certificate is
+        # relative to ||x|| ||kappa0||, so it holds from |y| = 1e-8 to 1e8.
+        chart = make_chart(sample_cone_point(Signature(3, 3), 5))
+        y = np.array([1.0, 1j, 0.5, -1.0])
+        for k in range(-8, 9):
+            out = kappa0(chart, 0.5, 10.0**k * y)
+            assert out.isotropy_residual <= 1e-10
+
     def test_wrong_coordinate_count(self):
         with pytest.raises(ValueError):
             kappa0(make_chart(null22()), 1.0, [1.0])

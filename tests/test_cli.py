@@ -147,6 +147,15 @@ class TestChart:
         assert code == 0
         assert payload == {"result": "InAperp"}
 
+    def test_inverse_zero_tolerance_is_honoured(self, capsys):
+        # At --tol 0 the point is not on the boundary, as at --tol 1e-300;
+        # the default 1e-9 would flag it InAperp.
+        argv = ("chart", "inverse", "--sig", "1,1", "--b", "1,0,0.9999999999,0")
+        zero = run_cli(capsys, *argv, "--tol", "0")
+        tiny = run_cli(capsys, *argv, "--tol", "1e-300")
+        assert zero == tiny
+        assert "InAperp" not in zero[1]
+
     def test_custom_center(self, capsys):
         code, payload, _ = run_json(
             capsys, "chart", "forward", "--sig", "2,2",
@@ -240,6 +249,16 @@ class TestAperp:
         )
         assert code == 2
         assert "NotInAperpError" in err
+
+    def test_classify_honours_tolerance(self, capsys):
+        argv = ("aperp", "classify", "--sig", "2,2",
+                "--b", "0.5,0,3000,0,3000,0,-0.5,0")
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert "NotInAperpError" in err
+        code, payload, _ = run_json(capsys, *argv, "--tol", "1e-3")
+        assert code == 0
+        assert payload["kind"] == "Generic"
 
     def test_dimension_estimate(self, capsys):
         code, payload, _ = run_json(

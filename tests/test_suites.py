@@ -1,6 +1,14 @@
 import pytest
 
-from coneq import SUITES, Signature, run_many, run_suite, suite_names
+from coneq import (
+    SUITES,
+    NotIsotropicError,
+    Signature,
+    run_many,
+    run_suite,
+    suite_names,
+)
+from coneq.suites import SuiteDef
 
 SIG22 = Signature(2, 2)
 
@@ -49,11 +57,43 @@ def test_global_suites_ignore_signature():
     assert reports[0].ok
 
 
-def test_deterministic_across_runs():
-    first = run_suite("kappa-roundtrip", SIG22, trials=10, seed=2)[0]
-    second = run_suite("kappa-roundtrip", SIG22, trials=10, seed=2)[0]
-    assert first.worst_residual == second.worst_residual
-    assert first.passes == second.passes
+@pytest.mark.parametrize("name", suite_names())
+def test_deterministic_across_runs(name):
+    first = run_suite(name, SIG22, trials=5, seed=2)[0].to_json()
+    second = run_suite(name, SIG22, trials=5, seed=2)[0].to_json()
+    del first["elapsed_seconds"], second["elapsed_seconds"]
+    assert first == second
+
+
+def test_raising_trial_fails_only_itself(monkeypatch):
+    calls = []
+
+    def trial(sig, rng, tol):
+        calls.append(sig)
+        if len(calls) == 2:
+            raise NotIsotropicError("planted")
+        return True, 0.0, {}
+
+    monkeypatch.setitem(SUITES, "raises-once",
+                        SuiteDef(trial, 4, 0.0, "trial 1 raises"))
+    rep = run_suite("raises-once", SIG22)[0]
+    assert (rep.passes, rep.failures, len(calls)) == (3, 1, 4)
+    assert rep.worst_residual == float("inf")
+    assert rep.counterexample == {"trial": 1, "residual": float("inf"),
+                                  "error": "NotIsotropicError",
+                                  "message": "planted"}
+
+
+def test_failing_setup_fails_every_trial(monkeypatch):
+    def setup(sig):
+        raise NotIsotropicError("planted")
+
+    monkeypatch.setitem(SUITES, "bad-setup",
+                        SuiteDef(None, 4, 0.0, "setup raises", setup=setup))
+    rep = run_suite("bad-setup", SIG22)[0]
+    assert (rep.passes, rep.failures) == (0, 4)
+    assert rep.counterexample == {"error": "NotIsotropicError",
+                                  "message": "planted"}
 
 
 def test_failure_reports_counterexample():
