@@ -26,10 +26,10 @@ from .core import (
     _as_vector,
     _check_same_signature,
     _gram,
+    _orthonormal_columns,
     basis_vector,
     form_eval,
     make_rng,
-    orthonormalize_indefinite,
 )
 from .errors import (
     InternalContractError,
@@ -79,23 +79,25 @@ def hyperbolic_partner(x: ConePoint, v_hint: CVector | None = None) -> CVector:
     return vp - (0.5 * form_eval(vp, vp)) * vec
 
 
-def _independent_subset(cands: list[CVector], count: int) -> list[CVector]:
-    """Greedy norm-descending choice of `count` linearly independent vectors,
-    tested by Euclidean residual against the already chosen ones."""
-    order = sorted(range(len(cands)), key=lambda j: -cands[j].norm())
-    scale = cands[order[0]].norm() if cands else 0.0
+def _independent_subset(cands: np.ndarray, count: int) -> np.ndarray:
+    """Greedy norm-descending choice of `count` linearly independent columns
+    of cands, tested by Euclidean residual against the already chosen ones."""
+    norms = np.linalg.norm(cands, axis=0)
+    order = np.argsort(-norms, kind="stable")
+    scale = norms[order[0]]
     for threshold in (1e-8, 1e-12):
-        shadow: list[np.ndarray] = []
-        picked: list[CVector] = []
-        for j in order:
-            v = cands[j].components.copy()
-            for c in shadow:
-                v -= np.vdot(c, v) * c
-            if np.linalg.norm(v) > threshold * scale:
-                shadow.append(v / np.linalg.norm(v))
-                picked.append(cands[j])
+        # Residuals of the candidates in visiting order; each pick removes
+        # its unit direction from every later candidate.
+        rest = cands[:, order]
+        picked: list[int] = []
+        for k, j in enumerate(order):
+            nrm = np.linalg.norm(rest[:, k])
+            if nrm > threshold * scale:
+                c = rest[:, k] / nrm
+                rest[:, k + 1:] -= c[:, None] * (c.conj() @ rest[:, k + 1:])
+                picked.append(j)
             if len(picked) == count:
-                return picked
+                return cands[:, picked]
     raise InternalContractError(
         f"could not find {count} independent middle vectors"
     )
@@ -114,8 +116,9 @@ def _middles(x: ConePoint, u: CVector) -> list[CVector]:
                             0.5 * x.components - u.components])
     pairings = _gram(np.eye(n), witt, sig)
     cands = np.eye(n) - (witt * np.array([1.0, -1.0])) @ pairings.T
-    raw = _independent_subset([CVector(c, sig) for c in cands.T], n - 2)
-    return orthonormalize_indefinite(raw, (sig.p - 1, sig.q - 1))
+    raw = _independent_subset(cands, n - 2)
+    mids = _orthonormal_columns(raw, sig, sig.p - 1)
+    return [CVector(c, sig) for c in mids.T]
 
 
 def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
@@ -265,19 +268,23 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
 
     y is returned as the coefficient vector along mu_basis.  The recovered
     data satisfy Re f(b', u) = -f(y, y)/2 for the rescaled representative
-    b' with f(b', x) = 1; that identity is re-verified.
+    b' with f(b', x) = 1; that identity is re-verified relative to
+    ||b'||^2, since the deviation Re f(b', u) + f(y, y)/2 equals
+    f(b', b')/2 and so grows like ||b'||^2.
     """
     bv = _as_vector(b)
     xv = chart.x.vector
     pairing = form_eval(bv, xv)
     if abs(pairing) <= tol * bv.norm() * xv.norm():
         return IN_APERP
-    beta, y = _frame_coords(chart, bv * (1.0 / pairing))
+    bp = bv * (1.0 / pairing)
+    beta, y = _frame_coords(chart, bp)
     fyy = float(np.sum(chart.signature.eta[1:-1] * np.abs(y) ** 2))
-    drift = abs(beta.real + 0.5 * fyy)
-    if drift > 1e-6 * max(1.0, abs(beta), abs(fyy)):
+    drift = abs(beta.real + 0.5 * fyy) / bp.norm() ** 2
+    if drift > 1e-6:
         raise InternalContractError(
-            f"recovered Re(beta) deviates from -f(y,y)/2 by {drift:.3e}"
+            f"recovered Re(beta) deviates from -f(y,y)/2 by {drift:.3e} "
+            "relative to ||b'||^2"
         )
     return float(beta.imag), y
 

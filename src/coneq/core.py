@@ -169,10 +169,11 @@ def form_eval(u: CVector, v: CVector) -> complex:
 def _gram(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
     """Matrix [f(a_i, b_j)] for vectors stacked as the columns of a and b.
 
-    A one-dimensional a is a single vector; the result is then the row
-    [f(a, b_j)].
+    A one-dimensional a or b is a single vector: the result is then the row
+    [f(a, b_j)] or the column [f(a_i, b)], or f(a, b) when both are.
     """
-    return a.T @ (sig.eta[:, None] * b.conj())
+    eta = sig.eta if b.ndim == 1 else sig.eta[:, None]
+    return a.T @ (eta * b.conj())
 
 
 def _as_vector(obj) -> CVector:
@@ -305,76 +306,84 @@ def orthonormalize_indefinite(vectors, target, tol: float = 1e-10) -> list[CVect
         tp, tq = int(target[0]), int(target[1])
         if tp < 0 or tq < 0:
             raise ValueError("target counts must be non-negative")
-    work = list(vectors)
-    if len(work) != tp + tq:
+    vectors = list(vectors)
+    if len(vectors) != tp + tq:
         raise ValueError(
-            f"need exactly {tp + tq} vectors for target ({tp},{tq}), got {len(work)}"
+            f"need exactly {tp + tq} vectors for target ({tp},{tq}), got {len(vectors)}"
         )
-    if not work:
+    if not vectors:
         return []
-    sig = work[0].signature
-    scale = max(v.norm() for v in work)
+    sig = vectors[0].signature
+    for v in vectors[1:]:
+        _check_same_signature(vectors[0], v)
+    cols = np.column_stack([v.components for v in vectors])
+    return [CVector(c, sig) for c in _orthonormal_columns(cols, sig, tp, tol).T]
+
+
+def _self_products(cols: np.ndarray, sig: Signature) -> np.ndarray:
+    """[f(c_j, c_j)] for the columns c_j, as reals."""
+    return sig.eta @ (np.abs(cols) ** 2)
+
+
+def _orthonormal_columns(cols: np.ndarray, sig: Signature, tp: int,
+                         tol: float = 1e-10) -> np.ndarray:
+    """orthonormalize_indefinite on the (n, k) columns of cols, for a span
+    with tp positive directions; returns the basis as columns."""
+    tq = cols.shape[1] - tp
+    scale = float(np.max(np.linalg.norm(cols, axis=0)))
     if scale == 0.0:
         raise DegenerateSubspaceError("all input vectors are zero")
-
-    plus: list[CVector] = []
-    minus: list[CVector] = []
-    # Two passes of projection per extraction keep the Gram residual near
-    # machine precision even for nearly dependent inputs.
-    while work:
-        self_products = [form_eval(v, v).real for v in work]
-        pivot = int(np.argmax([abs(s) for s in self_products]))
-        while abs(self_products[pivot]) <= tol * scale**2:
-            work = _recombine_isotropic(work, tol, scale)
-            self_products = [form_eval(v, v).real for v in work]
-            pivot = int(np.argmax([abs(s) for s in self_products]))
-        s = self_products[pivot]
-        v = work.pop(pivot) * (1.0 / np.sqrt(abs(s)))
-        (plus if s > 0 else minus).append(v)
-        sign = 1.0 if s > 0 else -1.0
-        work = [w - (sign * form_eval(w, v)) * v for w in work]
+    floor = tol * scale**2
+    plus: list[np.ndarray] = []
+    minus: list[np.ndarray] = []
+    while cols.shape[1]:
+        s = _self_products(cols, sig)
+        pivot = int(np.argmax(np.abs(s)))
+        while abs(s[pivot]) <= floor:
+            cols = _recombine_isotropic(cols, sig, floor)
+            s = _self_products(cols, sig)
+            pivot = int(np.argmax(np.abs(s)))
+        sign = 1.0 if s[pivot] > 0 else -1.0
+        v = cols[:, pivot] * (1.0 / np.sqrt(abs(s[pivot])))
+        (plus if sign > 0 else minus).append(v)
+        cols = np.delete(cols, pivot, axis=1)
+        cols = cols - v[:, None] * (sign * _gram(cols, v, sig))
     if len(plus) != tp or len(minus) != tq:
         raise DegenerateSubspaceError(
             f"span has signature ({len(plus)},{len(minus)}), expected ({tp},{tq})"
         )
-    return _reorthogonalize(plus + minus, tp)
+    # A second projection pass keeps the Gram residual near machine
+    # precision even for nearly dependent inputs.
+    return _reorthogonalize(np.column_stack(plus + minus), tp, sig)
 
 
-def _recombine_isotropic(work, tol, scale):
-    """Replace one of a cross-paired set of isotropic vectors so a
+def _recombine_isotropic(cols: np.ndarray, sig: Signature, floor: float) -> np.ndarray:
+    """Replace one of a cross-paired set of isotropic columns so a
     Gram-Schmidt pivot exists; error out if the span is degenerate."""
-    best = None
-    best_val = 0.0
-    for i in range(len(work)):
-        for j in range(i + 1, len(work)):
-            val = abs(form_eval(work[i], work[j]))
-            if val > best_val:
-                best_val = val
-                best = (i, j)
-    if best is None or best_val <= tol * scale**2:
+    # Pairs i < j in row-major order, so ties go to the first pair.
+    ii, jj = np.triu_indices(cols.shape[1], 1)
+    cross = np.abs(_gram(cols, cols, sig))[ii, jj]
+    if not cross.size or cross.max() <= floor:
         raise DegenerateSubspaceError(
             "form vanishes on the span at tolerance; no orthonormal basis exists"
         )
-    i, j = best
-    a, b = work[i], work[j]
-    cand1 = a + b
-    cand2 = a + 1j * b
-    pick = cand1 if abs(form_eval(cand1, cand1)) >= abs(form_eval(cand2, cand2)) else cand2
-    out = list(work)
-    out[i] = pick
+    best = int(np.argmax(cross))
+    i, j = ii[best], jj[best]
+    cands = cols[:, [i]] + cols[:, [j]] * np.array([1.0, 1j])
+    s = np.abs(_self_products(cands, sig))
+    out = cols.copy()
+    out[:, i] = cands[:, 0] if s[0] >= s[1] else cands[:, 1]
     return out
 
 
-def _reorthogonalize(basis, tp):
-    """One sweep of exact-sign Gram-Schmidt against already-final vectors."""
-    out: list[CVector] = []
-    signs = [1.0] * tp + [-1.0] * (len(basis) - tp)
-    for v, sign_v in zip(basis, signs):
-        w = v
-        for u, sign_u in zip(out, signs):
-            w = w - (sign_u * form_eval(w, u)) * u
-        s = form_eval(w, w).real
-        out.append(w * (1.0 / np.sqrt(abs(s))))
+def _reorthogonalize(basis: np.ndarray, tp: int, sig: Signature) -> np.ndarray:
+    """One sweep of exact-sign Gram-Schmidt against already-final columns."""
+    signs = np.where(np.arange(basis.shape[1]) < tp, 1.0, -1.0)
+    out = np.empty_like(basis)
+    for k in range(basis.shape[1]):
+        done = out[:, :k]
+        w = basis[:, k] - done @ (signs[:k] * _gram(basis[:, k], done, sig))
+        out[:, k] = w * (1.0 / np.sqrt(abs(_self_products(w, sig))))
     return out
 
 

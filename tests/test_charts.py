@@ -248,6 +248,24 @@ class TestChartInverse:
     def test_sentinel_json(self):
         assert IN_APERP.to_json() == {"result": "InAperp"}
 
+    def test_near_boundary_points_are_inverted(self):
+        # Far out in the chart, f(b', b')/2 = Re(beta) + f(y,y)/2 rounds to
+        # about eps ||b'||^2 while beta grows only like ||b'||, so the
+        # identity is judged relative to ||b'||^2.  r itself is conditioned
+        # like eps r^2.
+        for sig in (SIG22, Signature(3, 3)):
+            chart = make_chart(sample_cone_point(sig, 5))
+            y = np.full(sig.n - 2, 1.0 + 1.0j)
+            for r in (1e10, 1e11, 1e12, 1e13):
+                r_back, _ = chart_inverse(chart, kappa0(chart, r, y), tol=0.0)
+                assert abs(r_back - r) <= 1e-14 * r**2
+        x = ConePoint(vec(SIG22, 1, 1, 1, 1))
+        chart = make_chart(x)
+        b = ConePoint(x.vector + 1e-10 * chart.u)
+        r_back, y_back = chart_inverse(chart, b, tol=0.0)
+        assert r_back == 0.0
+        assert np.max(np.abs(y_back)) <= 1e-5  # rounding at ||b'|| ~ 1e10
+
 
 class TestIsPerp:
     def test_self_perp_on_cone(self):

@@ -156,6 +156,15 @@ class TestChart:
         assert zero == tiny
         assert "InAperp" not in zero[1]
 
+    def test_inverse_near_boundary_point(self, capsys):
+        # The isotropy residual of b is 1e-10, inside the default 1e-9.
+        code, payload, _ = run_json(
+            capsys, "chart", "inverse", "--sig", "1,1",
+            "--b", "1,0,0.9999999999,0", "--tol", "0",
+        )
+        assert code == 0
+        assert payload == {"result": "chart", "r": 0.0, "y": []}
+
     def test_custom_center(self, capsys):
         code, payload, _ = run_json(
             capsys, "chart", "forward", "--sig", "2,2",

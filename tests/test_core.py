@@ -22,7 +22,7 @@ from coneq import (
     sample_pseudo_unitary,
     verify_isometry,
 )
-from coneq.core import _expm
+from coneq.core import _expm, _gram
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -135,6 +135,27 @@ class TestFormEval:
         assert abs(lhs2 - rhs2) <= 1e-9 * max(1.0, abs(rhs2))
 
 
+    def test_gram_accepts_vectors_in_either_slot(self):
+        sig = Signature(2, 3)
+        rng = make_rng(3)
+        a = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        b = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+
+        def f(u, v):
+            return form_eval(CVector(u, sig), CVector(v, sig))
+
+        cases = [
+            (a, b, [[f(ai, bj) for bj in b.T] for ai in a.T]),
+            (a, b[:, 0], [f(ai, b[:, 0]) for ai in a.T]),
+            (a[:, 0], b, [f(a[:, 0], bj) for bj in b.T]),
+            (a[:, 0], b[:, 0], f(a[:, 0], b[:, 0])),
+        ]
+        for left, right, want in cases:
+            got = _gram(left, right, sig)
+            assert got.shape == np.shape(want)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 class TestIsotropy:
     def test_positive_vector_not_isotropic(self):
         assert not is_isotropic(vec(SIG11, 1, 0))
@@ -238,6 +259,53 @@ class TestOrthonormalize:
             out = orthonormalize_indefinite(mixed, sig)
             gram = np.array([[form_eval(a, b) for b in out] for a in out])
             np.testing.assert_allclose(gram, np.diag(sig.eta), atol=1e-9)
+
+
+    def test_signature_mismatch(self):
+        vectors = [basis_vector(Signature(1, 3), 0), basis_vector(SIG22, 2)]
+        with pytest.raises(SignatureMismatchError):
+            orthonormalize_indefinite(vectors, (1, 1))
+
+    @pytest.mark.parametrize("p", [2, 3, 5])
+    def test_isotropic_pairs_recombine_exactly(self, p):
+        sig = Signature(p, p)
+        vectors = [basis_vector(sig, j) + s * basis_vector(sig, p + j)
+                   for j in range(p) for s in (1.0, -1.0)]
+        out = orthonormalize_indefinite(vectors, sig)
+        gram = np.array([[form_eval(a, b) for b in out] for a in out])
+        np.testing.assert_array_equal(gram, np.diag(sig.eta))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
+           st.booleans())
+    def test_pseudo_unitary_mixed_spans(self, p, q, seed, isotropic):
+        # The image under a pseudo-unitary U of either the isotropic pairs
+        # e_j +- e_{p+j}, which reach the recombination step, or a span of
+        # standard basis vectors mixed within itself.
+        sig = Signature(p, q)
+        rng = make_rng(seed)
+        u = sample_pseudo_unitary(sig, seed).matrix
+        if isotropic:
+            k = min(p, q)
+            pairs = np.zeros((sig.n, 2 * k))
+            for j in range(k):
+                pairs[j, 2 * j : 2 * j + 2] = 1.0
+                pairs[p + j, 2 * j : 2 * j + 2] = (1.0, -1.0)
+            span, tp, tq = u @ pairs, k, k
+        else:
+            k = int(rng.integers(1, sig.n + 1))
+            columns = np.sort(rng.choice(sig.n, size=k, replace=False))
+            tp = int(np.sum(columns < p))
+            tq = k - tp
+            span = u[:, columns] @ (np.eye(k) + 0.3 * rng.standard_normal((k, k)))
+        out = orthonormalize_indefinite([CVector(c, sig) for c in span.T], (tp, tq))
+        cols = np.column_stack([v.components for v in out])
+        # Positive block first: the target Gram lists +1 before -1.
+        want = np.diag([1.0] * tp + [-1.0] * tq)
+        assert np.max(np.abs(_gram(cols, cols, sig) - want)) <= 1e-12
+        coef = np.linalg.lstsq(cols, span, rcond=None)[0]
+        resid = np.linalg.norm(cols @ coef - span, axis=0) / np.linalg.norm(span, axis=0)
+        assert np.max(resid) <= 1e-10
 
 
 class TestRng:
