@@ -72,8 +72,11 @@ def _resolve_seed(args) -> int:
 def _emit(args, text: str, summary: str) -> None:
     out = getattr(args, "out", None)
     if out:
-        with open(out, "w") as handle:
-            handle.write(text)
+        try:
+            with open(out, "w") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise UsageError(f"could not write --out {out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
     print(summary, file=sys.stderr)

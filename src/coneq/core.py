@@ -208,7 +208,7 @@ class ConePoint:
         if nrm2 == 0.0:
             raise DegenerateInputError("cone points must be nonzero")
         residual = abs(form_eval(self.vector, self.vector)) / nrm2
-        if residual > tol:
+        if not residual <= tol:
             raise NotIsotropicError(
                 f"|f(x,x)|/||x||^2 = {residual:.3e} exceeds tol {tol:.3e}"
             )
@@ -248,7 +248,7 @@ class GroupElement:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         residual = _pseudo_unitarity_residual(mat, self.signature)
-        if residual > tol:
+        if not residual <= tol:
             raise NotIsometryError(
                 f"||U^H eta U - eta||_max = {residual:.3e} exceeds tol {tol:.3e}"
             )

@@ -12,7 +12,7 @@ positive real axis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -72,7 +72,7 @@ class Split:
         for v in self.basis:
             _check_same_signature(v, self.basis[0])
         residual = _pseudo_unitarity_residual(self.matrix, sig)
-        if residual > DEFAULT_TOL:
+        if not residual <= DEFAULT_TOL:
             raise NotIsometryError(
                 f"basis Gram deviates from eta by {residual:.3e}"
             )
@@ -106,8 +106,12 @@ class Split:
         }
 
 
+@cache
 def standard_split(sig: Signature) -> Split:
-    """The split along the standard coordinate axes."""
+    """The split along the standard coordinate axes.
+
+    Built and verified once per signature; every caller shares the result,
+    which is immutable (read-only basis and matrix arrays)."""
     return Split(tuple(basis_vector(sig, j) for j in range(sig.n)), label="standard")
 
 
@@ -129,15 +133,23 @@ def split_decompose(
     vec = _as_vector(x)
     if split is None:
         split = standard_split(vec.signature)
-    coeffs = split.coefficients(vec)
+    coeffs, r = _ray_scale(vec, split, tol)
     p = split.signature.p
     x_plus = CVector(split.matrix[:, :p] @ coeffs[:p], vec.signature)
     x_minus = CVector(split.matrix[:, p:] @ coeffs[p:], vec.signature)
+    return x_plus, x_minus, r
+
+
+def _ray_scale(vec: CVector, split: Split, tol: float) -> tuple[np.ndarray, float]:
+    """Split coefficients c of vec and the scale R = sqrt((|c+|^2 + |c-|^2)/2);
+    raises DegenerateInputError when R <= tol * ||vec||."""
+    coeffs = split.coefficients(vec)
+    p = split.signature.p
     r = float(np.sqrt((np.linalg.norm(coeffs[:p]) ** 2
                        + np.linalg.norm(coeffs[p:]) ** 2) / 2.0))
     if r <= tol * vec.norm():
         raise DegenerateInputError("scale R collapsed below tolerance")
-    return x_plus, x_minus, r
+    return coeffs, r
 
 
 @dataclass(frozen=True, eq=False)
@@ -150,7 +162,8 @@ class RayRep:
     minus_norm: float
 
     def __post_init__(self):
-        if abs(self.plus_norm - 1.0) > 1e-9 or abs(self.minus_norm - 1.0) > 1e-9:
+        if not (abs(self.plus_norm - 1.0) <= 1e-9
+                and abs(self.minus_norm - 1.0) <= 1e-9):
             raise DegenerateInputError(
                 "ray representative blocks must have unit norm"
             )
@@ -222,7 +235,7 @@ def canonicalize_ray(x, split: Split | None = None) -> RayRep:
     point = x if isinstance(x, ConePoint) else ConePoint(x)
     if split is None:
         split = standard_split(point.signature)
-    _, _, r = split_decompose(point, split)
+    _, r = _ray_scale(point.vector, split, DEFAULT_TOL)
     scaled = ConePoint(point.vector * (1.0 / r))
     # Block norms in the split's own (f-orthonormal) coordinates; these are
     # the f-norms of the two blocks and are what the cross-section pins to 1.

@@ -329,6 +329,29 @@ class TestUsage:
     def test_help_exits_cleanly(self, capsys):
         assert main(["--help"]) == 0
 
+    def test_unwritable_out_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_cli(
+            capsys, "sample", "--sig", "1,1", "--out", str(target)
+        )
+        assert code == 2
+        assert out == ""
+        assert "error:" in err and "--out" in err
+        assert "Traceback" not in err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ("metric", "--sig", "1,1", "--x", "nan,0,nan,0"),
+        ("chart", "inverse", "--sig", "2,2", "--b", "nan,0,0,0,0,0,nan,0"),
+        ("cometric", "--sig", "1,1", "--x", "inf,0,inf,0"),
+    ])
+    def test_non_finite_point_rejected(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "error: NotIsotropicError" in err
+        assert "Traceback" not in err
+
     def test_malformed_components(self, capsys):
         code, _, err = run_cli(
             capsys, "metric", "--sig", "1,1", "--x", "1,0,1"

@@ -13,6 +13,7 @@ from coneq import (
     NotIsotropicError,
     Signature,
     SignatureMismatchError,
+    Split,
     basis_vector,
     form_eval,
     is_isotropic,
@@ -197,6 +198,26 @@ class TestConePoint:
             ConePoint(v, tol=1e-12)
         pt = ConePoint(v, tol=1e-6)
         assert pt.isotropy_residual < 1e-7
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_cone_point_rejected(self, bad):
+        with pytest.raises(NotIsotropicError):
+            ConePoint(vec(SIG11, bad, bad))
+        with pytest.raises(NotIsotropicError):
+            ConePoint(vec(SIG22, 1, bad, 1, 0))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_split_rejected(self, bad):
+        with pytest.raises(NotIsometryError):
+            Split((vec(SIG11, bad, 0), vec(SIG11, 0, 1)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_group_element_rejected(self, bad):
+        with pytest.raises(NotIsometryError):
+            GroupElement(np.array([[bad, 0.0], [0.0, 1.0]]), SIG11)
+        assert not verify_isometry(np.array([[bad, 0.0], [0.0, 1.0]]), SIG11)
 
 
 class TestOrthonormalize:

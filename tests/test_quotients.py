@@ -1,9 +1,13 @@
+import dataclasses
+import itertools
+
 import numpy as np
 import pytest
 
 from coneq import (
     ConePoint,
     CVector,
+    DegenerateInputError,
     NotIsometryError,
     ProjRep,
     RayRep,
@@ -71,6 +75,44 @@ class TestSplit:
         assert len(data["basis"]) == 2
 
 
+SIGNATURES = [Signature(p, q) for p, q in itertools.product(range(1, 6), repeat=2)]
+
+
+class TestSharedStandardSplit:
+    def test_built_once_per_signature(self):
+        assert standard_split(SIG22) is standard_split(Signature(2, 2))
+        assert standard_split(SIG22) is not standard_split(SIG11)
+
+    def test_shared_split_is_read_only(self):
+        s = standard_split(Signature(2, 3))
+        assert not s.matrix.flags.writeable
+        assert all(not v.components.flags.writeable for v in s.basis)
+        with pytest.raises(ValueError):
+            s.matrix[0, 0] = 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.label = "other"
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+    def test_matches_a_freshly_built_split(self, sig):
+        fresh = Split(tuple(basis_vector(sig, j) for j in range(sig.n)))
+        for seed in range(3):
+            x = sample_cone_point(sig, seed)
+            a, b = canonicalize_ray(x), canonicalize_ray(x, fresh)
+            assert np.array_equal(a.components, b.components)
+            assert a.plus_norm == b.plus_norm and a.minus_norm == b.minus_norm
+            a, b = canonicalize_phase(x), canonicalize_phase(x, fresh)
+            assert np.array_equal(a.components, b.components)
+            assert a.pivot_index == b.pivot_index
+            shared, built = split_decompose(x), split_decompose(x, fresh)
+            assert np.array_equal(shared[0].components, built[0].components)
+            assert np.array_equal(shared[1].components, built[1].components)
+            assert shared[2] == built[2]
+            c = x.components
+            r = np.sqrt((np.linalg.norm(c[: sig.p]) ** 2
+                         + np.linalg.norm(c[sig.p :]) ** 2) / 2.0)
+            assert shared[2] == float(r)
+
+
 class TestSplitDecompose:
     def test_pinned_example(self):
         x_plus, x_minus, r = split_decompose(vec(SIG11, 2, 2))
@@ -136,6 +178,14 @@ class TestCanonicalizeRay:
         point = ConePoint(vec(SIG11, 2, 2))
         with pytest.raises(Exception):
             RayRep(point, standard_split(SIG11), 2.0, 2.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rep_constructor_rejects_non_finite_norms(self, bad):
+        point = ConePoint(vec(SIG11, 1, 1))
+        with pytest.raises(DegenerateInputError):
+            RayRep(point, standard_split(SIG11), bad, 1.0)
+        with pytest.raises(DegenerateInputError):
+            RayRep(point, standard_split(SIG11), 1.0, bad)
 
     def test_json(self):
         ray = canonicalize_ray(vec(SIG11, 1, 1))
