@@ -22,7 +22,7 @@ import numpy as np
 from . import charts, metrics, quotients, suites
 from .core import (DEFAULT_TOL, ConePoint, CVector, Signature, basis_vector,
                    sample_cone_point)
-from .errors import QuadricError
+from .errors import NotIsotropicError, QuadricError
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,15 +43,21 @@ def _parse_sig(text: str) -> Signature:
         raise UsageError(f"--sig expects 'p,q' with p,q >= 1, got {text!r}") from exc
 
 
-def _parse_reals(text: str) -> np.ndarray:
+def _parse_reals(text: str, non_finite=UsageError) -> np.ndarray:
+    """Comma-separated reals.  A nan or inf raises ``non_finite`` here,
+    before numpy arithmetic on it can print a RuntimeWarning."""
     try:
-        return np.array([float(v) for v in text.split(",") if v != ""])
+        values = np.array([float(v) for v in text.split(",") if v != ""])
     except ValueError as exc:
         raise UsageError(f"could not parse number list {text!r}") from exc
+    if not np.isfinite(values).all():
+        raise non_finite(f"non-finite number in {text!r}")
+    return values
 
 
 def _parse_components(text: str, sig: Signature) -> np.ndarray:
-    flat = _parse_reals(text)
+    # A vector with a nan or inf component is not an isotropic cone point.
+    flat = _parse_reals(text, NotIsotropicError)
     if flat.size != 2 * sig.n:
         raise UsageError(
             f"expected {2 * sig.n} numbers (re,im interleaved for {sig.n} "
@@ -279,6 +285,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
+    return value
+
+
 def _tolerance(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0.0):
@@ -322,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("chart", help="compactification chart")
     chart_sub = sp.add_subparsers(dest="mode", required=True)
     fwd = chart_sub.add_parser("forward", help="evaluate the chart at (r, y)")
-    fwd.add_argument("--r", type=float, default=0.0)
+    fwd.add_argument("--r", type=_finite, default=0.0)
     fwd.add_argument("--y", default="",
                      help="re,im interleaved middle coordinates")
     fwd.add_argument("--center", default=None,

@@ -1,47 +1,38 @@
 """Exact oracle over the Gaussian rationals Q(i).
 
-Everything here runs on pairs of fractions.Fraction with no rounding, so
-identities that hold over the rationals (isotropy of the chart map, chart
-round trips) can be asserted with ==, not tolerances.  The oracle never
-orthonormalizes: it only accepts charts whose data already satisfy the
-chart identities exactly, such as the standard rational chart at
-x = e_1 + e_n.
+Scalars are pairs of Fractions; vectors keep integer numerators over one
+common denominator, so their arithmetic and the form are integer sums.
+Nothing is rounded, so identities over the rationals (isotropy of the chart
+map, chart round trips) are asserted with ==, not tolerances.  The oracle
+never orthonormalizes: it only accepts charts whose data already satisfy
+the chart identities exactly, such as the standard chart at x = e_1 + e_n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from math import gcd, lcm
 
 import numpy as np
 
 from .charts import IN_APERP
 from .core import CVector, Signature
-from .errors import (
-    DegenerateInputError,
-    InternalContractError,
-    SignatureMismatchError,
-    UnsupportedChartError,
-)
+from .errors import (DegenerateInputError, InternalContractError,
+                     SignatureMismatchError, UnsupportedChartError)
 
 __all__ = [
-    "QGaussian",
-    "QVector",
-    "RationalChart",
-    "qi",
-    "exact_form_eval",
-    "exact_isotropy",
-    "exact_basis_vector",
-    "exact_hyperbolic_partner",
-    "standard_rational_chart",
-    "exact_kappa0",
-    "exact_chart_inverse",
-    "exact_kappa_roundtrip",
-    "random_qgaussian",
+    "QGaussian", "QVector", "RationalChart", "qi", "exact_form_eval",
+    "exact_isotropy", "exact_basis_vector", "exact_hyperbolic_partner",
+    "standard_rational_chart", "exact_kappa0", "exact_chart_inverse",
+    "exact_kappa_roundtrip", "random_qgaussian",
 ]
 
 
 def _as_fraction(value) -> Fraction:
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass Fraction, int, or str")
     return Fraction(value)
@@ -73,8 +64,7 @@ class QGaussian:
     __radd__ = __add__
 
     def __sub__(self, other) -> "QGaussian":
-        other = _coerce(other)
-        return QGaussian(self.re - other.re, self.im - other.im)
+        return self + -_coerce(other)
 
     def __rsub__(self, other) -> "QGaussian":
         return _coerce(other) - self
@@ -83,23 +73,17 @@ class QGaussian:
         return QGaussian(-self.re, -self.im)
 
     def __mul__(self, other) -> "QGaussian":
-        other = _coerce(other)
-        return QGaussian(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        o = _coerce(other)
+        return QGaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QGaussian":
-        other = _coerce(other)
-        n2 = other.norm2()
+        o = _coerce(other)
+        n2 = o.norm2()
         if n2 == 0:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return QGaussian(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
+        return self * QGaussian(o.re / n2, -o.im / n2)
 
     def __rtruediv__(self, other) -> "QGaussian":
         return _coerce(other) / self
@@ -118,10 +102,8 @@ class QGaussian:
         return complex(float(self.re), float(self.im))
 
     def to_json(self) -> dict:
-        return {
-            "re": f"{self.re.numerator}/{self.re.denominator}",
-            "im": f"{self.im.numerator}/{self.im.denominator}",
-        }
+        return {"re": f"{self.re.numerator}/{self.re.denominator}",
+                "im": f"{self.im.numerator}/{self.im.denominator}"}
 
     @classmethod
     def from_json(cls, data: dict) -> "QGaussian":
@@ -141,115 +123,146 @@ def qi(re=0, im=0) -> QGaussian:
     return QGaussian(Fraction(re), Fraction(im))
 
 
-@dataclass(frozen=True)
-class QVector:
-    """Vector over the Gaussian rationals tagged with a signature."""
+_ONE = QGaussian.one()
 
-    components: tuple[QGaussian, ...]
+
+def _one_den(z: QGaussian) -> tuple[int, int, int]:
+    """(a, b, d) with z = (a + b i) / d and d > 0."""
+    d = lcm(z.re.denominator, z.im.denominator)
+    return (z.re.numerator * (d // z.re.denominator),
+            z.im.numerator * (d // z.im.denominator), d)
+
+
+@dataclass(frozen=True, init=False)
+class QVector:
+    """Vector over the Gaussian rationals tagged with a signature.
+
+    Component j is (re[j] + im[j] i) / den, with den > 0 and all numerators
+    and den reduced by their joint gcd: equal vectors have equal fields, so
+    == and hash do not depend on how the components were written."""
+
+    re: tuple[int, ...]
+    im: tuple[int, ...]
+    den: int
     signature: Signature
 
-    def __post_init__(self):
-        comps = tuple(_coerce(c) for c in self.components)
-        if len(comps) != self.signature.n:
-            raise ValueError(
-                f"expected {self.signature.n} components, got {len(comps)}"
-            )
-        object.__setattr__(self, "components", comps)
+    def __init__(self, components, signature: Signature):
+        comps = [_one_den(_coerce(c)) for c in components]
+        if len(comps) != signature.n:
+            raise ValueError(f"expected {signature.n} components, got {len(comps)}")
+        den = lcm(*(d for _, _, d in comps))
+        _vector([a * (den // d) for a, _, d in comps],
+                [b * (den // d) for _, b, d in comps], den, signature, self)
+
+    @property
+    def components(self) -> tuple[QGaussian, ...]:
+        return tuple(QGaussian(Fraction(a, self.den), Fraction(b, self.den))
+                     for a, b in zip(self.re, self.im))
 
     def __add__(self, other: "QVector") -> "QVector":
         _check_sig(self, other)
-        return QVector(
-            tuple(a + b for a, b in zip(self.components, other.components)),
-            self.signature,
-        )
+        return _combine(((_ONE, self), (_ONE, other)), self.signature)
 
     def __sub__(self, other: "QVector") -> "QVector":
-        _check_sig(self, other)
-        return QVector(
-            tuple(a - b for a, b in zip(self.components, other.components)),
-            self.signature,
-        )
+        return self + -other
 
     def __neg__(self) -> "QVector":
-        return QVector(tuple(-c for c in self.components), self.signature)
+        return _vector([-a for a in self.re], [-b for b in self.im],
+                       self.den, self.signature)
 
     def scale(self, factor) -> "QVector":
-        factor = _coerce(factor)
-        return QVector(
-            tuple(factor * c for c in self.components), self.signature
-        )
+        return _combine(((_coerce(factor), self),), self.signature)
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
+        return not any(self.re) and not any(self.im)
 
     def to_cvector(self) -> CVector:
-        return CVector(
-            np.array([c.to_complex() for c in self.components]), self.signature
-        )
+        # int / int rounds correctly, as float(Fraction) does.
+        return CVector(np.array([complex(a / self.den, b / self.den)
+                                 for a, b in zip(self.re, self.im)]), self.signature)
 
     def to_json(self) -> dict:
-        return {
-            "signature": self.signature.to_json(),
-            "components": [c.to_json() for c in self.components],
-        }
+        return {"signature": self.signature.to_json(),
+                "components": [c.to_json() for c in self.components]}
 
     @classmethod
     def from_json(cls, data: dict) -> "QVector":
         sig = Signature(int(data["signature"]["p"]), int(data["signature"]["q"]))
-        return cls(
-            tuple(QGaussian.from_json(c) for c in data["components"]), sig
-        )
+        return cls(tuple(QGaussian.from_json(c) for c in data["components"]), sig)
+
+
+def _vector(re, im, den: int, sig: Signature, vec: QVector | None = None) -> QVector:
+    """(re + im i) / den for den > 0, reduced; fills vec when it is given."""
+    vec = object.__new__(QVector) if vec is None else vec
+    g = gcd(den, *re, *im)
+    vec.__dict__.update(re=tuple(a // g for a in re), im=tuple(b // g for b in im),
+                        den=den // g, signature=sig)
+    return vec
+
+
+def _combine(terms, sig: Signature) -> QVector:
+    """sum c v over (c, v) in terms, as integers over the lcm of their dens."""
+    terms = [(_one_den(c), v) for c, v in terms]
+    den = lcm(*(d * v.den for (_, _, d), v in terms))
+    re, im = [0] * sig.n, [0] * sig.n
+    for (a, b, d), v in terms:
+        s = den // (d * v.den)
+        a, b = a * s, b * s
+        for j, (c, e) in enumerate(zip(v.re, v.im)):
+            re[j] += a * c - b * e
+            im[j] += a * e + b * c
+    return _vector(re, im, den, sig)
 
 
 def _check_sig(u: QVector, v: QVector):
     if u.signature != v.signature:
-        raise SignatureMismatchError(
-            f"signature mismatch: {u.signature} vs {v.signature}"
-        )
+        raise SignatureMismatchError(f"signature mismatch: {u.signature} vs {v.signature}")
 
 
 def exact_basis_vector(sig: Signature, index: int) -> QVector:
-    comps = [QGaussian.zero()] * sig.n
-    comps[index] = QGaussian.one()
-    return QVector(tuple(comps), sig)
+    re = [0] * sig.n
+    re[index] = 1
+    return _vector(re, [0] * sig.n, 1, sig)
+
+
+def _pairing(u: QVector, v: QVector) -> tuple[int, int, int]:
+    """f(u, v) as (a, b, d) with f = (a + b i) / d: n integer multiply-adds
+    over the product of the two denominators."""
+    _check_sig(u, v)
+    p = u.signature.p
+    re = im = 0
+    for j, (a, b, c, d) in enumerate(zip(u.re, u.im, v.re, v.im)):
+        sign = 1 if j < p else -1
+        re += sign * (a * c + b * d)
+        im += sign * (b * c - a * d)
+    return re, im, u.den * v.den
 
 
 def exact_form_eval(u: QVector, v: QVector) -> QGaussian:
     """The Hermitian form evaluated exactly: sum eta_j u_j conj(v_j)."""
-    _check_sig(u, v)
-    total = QGaussian.zero()
-    for j, (a, b) in enumerate(zip(u.components, v.components)):
-        term = a * b.conjugate()
-        total = total + (term if u.signature.eta[j] > 0 else -term)
-    return total
+    re, im, den = _pairing(u, v)
+    return QGaussian(Fraction(re, den), Fraction(im, den))
 
 
 def exact_isotropy(x: QVector) -> bool:
     """Whether f(x, x) == 0 exactly; the zero vector is rejected."""
     if x.is_zero():
         raise DegenerateInputError("isotropy is undefined for the zero vector")
-    return exact_form_eval(x, x).is_zero()
+    return not any(_pairing(x, x)[:2])
 
 
 def exact_hyperbolic_partner(x: QVector, v_hint: QVector | None = None) -> QVector:
     """Exact twin of the hyperbolic partner: same pivot rule, no rounding."""
-    if v_hint is not None:
-        v = v_hint
-    else:
-        best = Fraction(-1)
-        pivot = 0
-        for j, c in enumerate(x.components):
-            n2 = c.norm2()
-            if n2 > best:
-                best = n2
-                pivot = j
-        v = exact_basis_vector(x.signature, pivot)
+    v = v_hint
+    if v is None:
+        # den^2 |x_j|^2; the first maximum is the pivot.
+        norms = [a * a + b * b for a, b in zip(x.re, x.im)]
+        v = exact_basis_vector(x.signature, norms.index(max(norms)))
     pairing = exact_form_eval(v, x)
     if pairing.is_zero():
         raise InternalContractError("candidate vector is orthogonal to x")
-    vp = v.scale(QGaussian.one() / pairing)
-    half = QGaussian(Fraction(1, 2), Fraction(0))
-    return vp - x.scale(half * exact_form_eval(vp, vp))
+    vp = v.scale(_ONE / pairing)
+    return vp - x.scale(exact_form_eval(vp, vp) * Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -275,9 +288,9 @@ class RationalChart:
         rows = (self.u, *self.mu_basis)
         gram = [[exact_form_eval(a, b) for b in (self.x, *rows)] for a in rows]
         target = [[QGaussian.zero()] * sig.n for _ in rows]
-        target[0][0] = QGaussian.one()
+        target[0][0] = _ONE
         for i in range(1, sig.n - 1):
-            target[i][i + 1] = _coerce(int(sig.eta[i]))
+            target[i][i + 1] = qi(1 if i < sig.p else -1)
         if not exact_form_eval(self.x, self.x).is_zero() or gram != target:
             raise UnsupportedChartError(
                 "chart data do not satisfy the chart identities exactly"
@@ -288,36 +301,31 @@ class RationalChart:
         return self.x.signature
 
 
+@cache
 def standard_rational_chart(sig: Signature) -> RationalChart:
     """The chart at x = e_1 + e_n with u = (e_1 - e_n)/2 and the standard
-    middle basis e_2, ..., e_{n-1}."""
-    e_first = exact_basis_vector(sig, 0)
-    e_last = exact_basis_vector(sig, sig.n - 1)
-    x = e_first + e_last
-    u = (e_first - e_last).scale(QGaussian(Fraction(1, 2), Fraction(0)))
-    mids = tuple(exact_basis_vector(sig, j) for j in range(1, sig.n - 1))
-    return RationalChart(x, u, mids)
+    middle basis e_2, ..., e_{n-1}.  It is built and validated once per
+    signature; the chart is immutable, so every caller shares it."""
+    e = [exact_basis_vector(sig, j) for j in range(sig.n)]
+    return RationalChart(e[0] + e[-1], (e[0] - e[-1]).scale(Fraction(1, 2)), tuple(e[1:-1]))
 
 
 def exact_kappa0(chart: RationalChart, r, y_coords) -> QVector:
     """Exact chart map y + u + (-f(y,y)/2 + r i) x."""
     r = _as_fraction(r)
     coords = tuple(_coerce(c) for c in y_coords)
-    if len(coords) != chart.signature.n - 2:
-        raise ValueError(
-            f"expected {chart.signature.n - 2} coordinates, got {len(coords)}"
-        )
-    y = chart.x.scale(QGaussian.zero())
-    for c, m in zip(coords, chart.mu_basis):
-        y = y + m.scale(c)
+    sig = chart.signature
+    if len(coords) != sig.n - 2:
+        raise ValueError(f"expected {sig.n - 2} coordinates, got {len(coords)}")
+    y = _combine(zip(coords, chart.mu_basis), sig)
     fyy = exact_form_eval(y, y)
     if fyy.im != 0:
         raise InternalContractError("f(y, y) must be real")
     beta = QGaussian(-fyy.re / 2, r)
-    out = y + chart.u + chart.x.scale(beta)
+    out = _combine(((_ONE, y), (_ONE, chart.u), (beta, chart.x)), sig)
     if not exact_form_eval(out, out).is_zero():
         raise InternalContractError("exact chart output must be isotropic")
-    if exact_form_eval(chart.x, out) != QGaussian.one():
+    if exact_form_eval(chart.x, out) != _ONE:
         raise InternalContractError("exact chart normalization failed")
     return out
 
@@ -327,15 +335,16 @@ def exact_chart_inverse(chart: RationalChart, b: QVector):
     pairing = exact_form_eval(b, chart.x)
     if pairing.is_zero():
         return IN_APERP
-    z = b.scale(QGaussian.one() / pairing)
+    z = b.scale(_ONE / pairing)
     beta = exact_form_eval(z, chart.u)
     y = []
     fyy = Fraction(0)
     for j, m in enumerate(chart.mu_basis):
+        # y_j = eta f(z, m_j), and f(y, y) gains eta |y_j|^2.
         sign = 1 if j < chart.signature.p - 1 else -1
-        coord = exact_form_eval(z, m) / _coerce(sign)
-        y.append(coord)
-        fyy += sign * coord.norm2()
+        re, im, den = _pairing(z, m)
+        y.append(QGaussian(Fraction(sign * re, den), Fraction(sign * im, den)))
+        fyy += Fraction(sign * (re * re + im * im), den * den)
     if exact_isotropy(b) and 2 * beta.re != -fyy:
         raise InternalContractError(
             "recovered Re(beta) must equal -f(y,y)/2 for isotropic input"
@@ -347,21 +356,12 @@ def exact_kappa_roundtrip(chart: RationalChart, r, y_coords) -> bool:
     """Whether chart_inverse(kappa0(r, y)) returns exactly (r, y)."""
     r = _as_fraction(r)
     coords = tuple(_coerce(c) for c in y_coords)
-    out = exact_kappa0(chart, r, coords)
-    back = exact_chart_inverse(chart, out)
-    if back is IN_APERP:
-        return False
-    r_back, y_back = back
-    return r_back == r and y_back == coords
+    back = exact_chart_inverse(chart, exact_kappa0(chart, r, coords))
+    return back is not IN_APERP and back == (r, coords)
 
 
 def random_qgaussian(rng: np.random.Generator, max_num: int = 9,
                      max_den: int = 9) -> QGaussian:
     """Small random Gaussian rational drawn from a seeded generator."""
-    def frac():
-        return Fraction(
-            int(rng.integers(-max_num, max_num + 1)),
-            int(rng.integers(1, max_den + 1)),
-        )
-
-    return QGaussian(frac(), frac())
+    return QGaussian(*(Fraction(int(rng.integers(-max_num, max_num + 1)),
+                                int(rng.integers(1, max_den + 1))) for _ in range(2)))

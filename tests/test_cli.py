@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -351,6 +352,32 @@ class TestUsage:
         assert out == ""
         assert "error: NotIsotropicError" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cometric", "--sig", "1,1", "--x", "inf,0,inf,0"),
+        ("metric", "--sig", "1,1", "--x", "nan,0,nan,0"),
+        ("chart", "inverse", "--sig", "2,2", "--b", "inf,0,0,0,0,0,inf,0"),
+        ("chart", "forward", "--sig", "2,2", "--y", "inf,0,0,0"),
+    ])
+    def test_non_finite_input_prints_only_the_error_line(self, capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert [str(w.message) for w in caught] == []
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "non-finite" in err
+
+    def test_non_finite_r_rejected_by_the_parser(self, capsys):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "chart", "forward", "--sig", "2,2",
+                                     "--r", "inf", "--y", "0,0,0,0")
+        assert code == 2
+        assert out == ""
+        assert [str(w.message) for w in caught] == []
+        assert "argument --r: expected a finite number" in err
 
     def test_malformed_components(self, capsys):
         code, _, err = run_cli(

@@ -253,3 +253,87 @@ class TestExactChart:
             np.testing.assert_allclose(
                 y_back, [c.to_complex() for c in y], atol=1e-12
             )
+
+
+big_fractions = st.builds(
+    Fraction,
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.integers(min_value=1, max_value=10**30),
+)
+big_gaussians = st.builds(QGaussian, big_fractions, big_fractions)
+
+
+@st.composite
+def vector_pairs(draw):
+    sig = Signature(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    comps = st.lists(big_gaussians, min_size=sig.n, max_size=sig.n)
+    return sig, draw(comps), draw(comps)
+
+
+class TestIntegerRepresentation:
+    @settings(max_examples=200, deadline=None)
+    @given(vector_pairs())
+    def test_form_matches_written_out_fraction_sum(self, pair):
+        sig, us, vs = pair
+        re = im = Fraction(0)
+        for j, (a, b) in enumerate(zip(us, vs)):
+            sign = 1 if j < sig.p else -1
+            re += sign * (a.re * b.re + a.im * b.im)
+            im += sign * (a.im * b.re - a.re * b.im)
+        assert exact_form_eval(QVector(us, sig), QVector(vs, sig)) == QGaussian(re, im)
+
+    def test_equality_and_hash_ignore_how_values_are_written(self):
+        pairs = [
+            (qvec(SIG11, Fraction(2, 4), 1), qvec(SIG11, Fraction(1, 2), 1)),
+            (qvec(SIG11, 3, (0, -2)), qvec(SIG11, Fraction(3), (0, Fraction(-6, 3)))),
+            (qvec(SIG11, "6/8", 0), qvec(SIG11, Fraction(3, 4), Fraction(0, 5))),
+            (qvec(SIG11, 0, 0), qvec(SIG11, Fraction(0, 7), 0).scale(qi(5, 3))),
+        ]
+        for a, b in pairs:
+            assert a == b
+            assert hash(a) == hash(b)
+        assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+        # Arithmetic lands on the same reduced representation.
+        third = qvec(SIG11, Fraction(1, 3), Fraction(2, 3))
+        assert third + third + third == qvec(SIG11, 1, 2)
+        assert (third + third + third).den == 1
+
+    def test_components_are_gaussians(self):
+        u = qvec(SIG22, (Fraction(1, 2), 3), Fraction(-2, 6), (0, Fraction(5, 4)), 7)
+        assert isinstance(u.components, tuple)
+        assert all(type(c) is QGaussian for c in u.components)
+        assert u.components == (qi(Fraction(1, 2), 3), qi(Fraction(-1, 3)),
+                                qi(0, Fraction(5, 4)), qi(7))
+        assert QVector(u.components, SIG22) == u
+
+    @pytest.mark.parametrize("sig, r, y, expected", [
+        (SIG22, "1/4", [("-1", "7"), ("-4/3", "1/3")],
+         [("-212/9", "1/4"), ("-1/1", "7/1"), ("-4/3", "1/3"), ("-221/9", "1/4")]),
+        (Signature(5, 5), "-20",
+         [("-9", "5/4"), ("-6", "-4/7"), ("3/4", "-7/6"), ("7", "1/2"),
+          ("1", "2"), ("-7/8", "0"), ("2/3", "1/7"), ("-4/3", "-8")],
+         [("-2739263/56448", "-20/1"), ("-9/1", "5/4"), ("-6/1", "-4/7"),
+          ("3/4", "-7/6"), ("7/1", "1/2"), ("1/1", "2/1"), ("-7/8", "0/1"),
+          ("2/3", "1/7"), ("-4/3", "-8/1"), ("-2795711/56448", "-20/1")]),
+    ])
+    def test_seeded_kappa0_matches_golden(self, sig, r, y, expected):
+        # Inputs are make_rng(2024, p, q): r from integers(-20, 21) over
+        # integers(1, 13), then n - 2 draws of random_qgaussian.
+        rng = make_rng(2024, sig.p, sig.q)
+        drawn_r = Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 13)))
+        drawn_y = [random_qgaussian(rng) for _ in range(sig.n - 2)]
+        assert drawn_r == Fraction(r)
+        assert drawn_y == [qi(a, b) for a, b in y]
+        chart = standard_rational_chart(sig)
+        out = exact_kappa0(chart, drawn_r, drawn_y)
+        golden = {"signature": sig.to_json(),
+                  "components": [{"re": a, "im": b} for a, b in expected]}
+        assert out.to_json() == golden
+        assert QVector.from_json(golden) == out
+        assert exact_chart_inverse(chart, out) == (drawn_r, tuple(drawn_y))
+
+    @pytest.mark.parametrize("sig", [SIG11, SIG22, Signature(5, 5)])
+    def test_standard_chart_is_built_once_per_signature(self, sig):
+        assert standard_rational_chart(sig) is standard_rational_chart(sig)
+        assert standard_rational_chart(sig) is standard_rational_chart(
+            Signature(sig.p, sig.q))
