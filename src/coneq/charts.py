@@ -26,7 +26,6 @@ from .core import (
     _as_vector,
     _check_same_signature,
     _gram,
-    _orthonormal_columns,
     basis_vector,
     form_eval,
     make_rng,
@@ -62,7 +61,9 @@ def hyperbolic_partner(x: ConePoint, v_hint: CVector | None = None) -> CVector:
 
     Starts from v_hint, or else from the standard basis vector at the
     largest-modulus component of x (ties to the lowest index); normalizes
-    v' = v / f(v, x) and returns u = v' - f(v', v') x / 2.
+    v' = v / f(v, x) and returns u = v' - f(v', v') x / 2, computed as
+    (v - f(v, v) x / (2 conj f(v, x))) / f(v, x) so that no 1/|f(v, x)|^2
+    overflows when x is small.
     """
     vec = x.vector
     if v_hint is not None:
@@ -75,58 +76,54 @@ def hyperbolic_partner(x: ConePoint, v_hint: CVector | None = None) -> CVector:
         raise InternalContractError(
             "candidate vector is orthogonal to x; pick a different hint"
         )
-    vp = v * (1.0 / pairing)
-    return vp - (0.5 * form_eval(vp, vp)) * vec
+    shift = 0.5 * form_eval(v, v) / pairing.conjugate()
+    return (v - shift * vec) * (1.0 / pairing)
 
 
-def _independent_subset(cands: np.ndarray, count: int) -> np.ndarray:
-    """Greedy norm-descending choice of `count` linearly independent columns
-    of cands, tested by Euclidean residual against the already chosen ones."""
-    norms = np.linalg.norm(cands, axis=0)
-    order = np.argsort(-norms, kind="stable")
-    scale = norms[order[0]]
-    for threshold in (1e-8, 1e-12):
-        # Residuals of the candidates in visiting order; each pick removes
-        # its unit direction from every later candidate.
-        rest = cands[:, order]
-        picked: list[int] = []
-        for k, j in enumerate(order):
-            nrm = np.linalg.norm(rest[:, k])
-            if nrm > threshold * scale:
-                c = rest[:, k] / nrm
-                rest[:, k + 1:] -= c[:, None] * (c.conj() @ rest[:, k + 1:])
-                picked.append(j)
-            if len(picked) == count:
-                return cands[:, picked]
-    raise InternalContractError(
-        f"could not find {count} independent middle vectors"
-    )
+def _reflection_complement(a: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of a^perp in C^k: the columns other than j of the
+    Householder reflection I - 2 v v^H / (v^H v) that maps a onto e_j, for
+    the largest-modulus a_j (ties to the lowest index) and
+    v = a + (a_j / |a_j|) ||a|| e_j, so that v_j does not cancel (Golub &
+    Van Loan, Matrix Computations, 5.1)."""
+    mods = np.abs(a)
+    j = int(np.argmax(mods))
+    # Scale-free; a unit pivot keeps v^H v from overflow and underflow.
+    v = a / mods[j]
+    v[j] += v[j] * np.sqrt(np.vdot(v, v).real)
+    keep = np.arange(a.shape[0]) != j
+    return (np.eye(a.shape[0])[:, keep]
+            - np.outer(v, v[keep].conj()) * (2.0 / np.vdot(v, v).real))
 
 
 def _middles(x: ConePoint, u: CVector) -> list[CVector]:
     """Eta-orthonormal basis (positive block first) of the orthogonal
-    complement of the hyperbolic plane span{x, u}."""
+    complement of the hyperbolic plane span{x, u}.
+
+    Write x = (a, b) in the standard split.  The partner u_s = (a, -b) /
+    ||x||^2 spans with x a plane whose complement is a^perp + b^perp, with
+    one Householder reflection per block.  The Eichler transvection that
+    fixes x and sends u_s to u moves that complement onto the one of
+    span{x, u}: m -> m - f(m, w) x, with w = u - u_s - f(u, u_s) x
+    (Scharlau, Quadratic and Hermitian Forms, ch. 7).  Each such m is
+    orthogonal to x and u_s, so f(m, w) = f(m, u).
+    """
     sig = x.signature
-    n = sig.n
-    if n == 2:
-        return []
-    # Witt pair e_1 = x/2 + u, e_n = x/2 - u as columns; each standard basis
-    # vector e_j loses its projection f(e_j, e_1) e_1 - f(e_j, e_n) e_n.
-    witt = np.column_stack([0.5 * x.components + u.components,
-                            0.5 * x.components - u.components])
-    pairings = _gram(np.eye(n), witt, sig)
-    cands = np.eye(n) - (witt * np.array([1.0, -1.0])) @ pairings.T
-    raw = _independent_subset(cands, n - 2)
-    mids = _orthonormal_columns(raw, sig, sig.p - 1)
-    return [CVector(c, sig) for c in mids.T]
+    p = sig.p
+    c = x.components
+    mids = np.zeros((sig.n, sig.n - 2), dtype=np.complex128)
+    mids[:p, :p - 1] = _reflection_complement(c[:p])
+    mids[p:, p - 1:] = _reflection_complement(c[p:])
+    mids -= c[:, None] * _gram(mids, u.components, sig)
+    return [CVector(m, sig) for m in mids.T]
 
 
 def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
     """Basis [e_1, m_2, ..., m_{n-1}, e_n] with e_1 + e_n = x, where e_1,
     e_n span a hyperbolic plane and the m_j are eta-orthonormal (positive
-    block first) and orthogonal to it."""
-    u = hyperbolic_partner(x)
-    return [0.5 * x.vector + u] + _middles(x, u) + [0.5 * x.vector - u]
+    block first) and orthogonal to it: the frame of make_chart(x)."""
+    chart = make_chart(x)
+    return [chart.witt_plus(), *chart.mu_basis, chart.witt_minus()]
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,17 +187,9 @@ class ChartFrame:
 
 def make_chart(x: ConePoint, v_hint: CVector | None = None) -> ChartFrame:
     """Witt extension of x, with partner hyperbolic_partner(x, v_hint),
-    packaged as a chart frame.
-
-    The frame is built at x * 2^-k with ||x * 2^-k|| in [1/2, 1), so that
-    the identities are checked at unit scale whatever the scale of x; u is
-    scaled back by 2^-k, which is exact.
-    """
-    scale = 2.0 ** -np.frexp(x.vector.norm())[1]
-    # Power-of-two scaling leaves the isotropy residual unchanged.
-    unit = ConePoint(x.vector * scale, tol=max(x.isotropy_residual, DEFAULT_TOL))
-    u = hyperbolic_partner(unit, v_hint)
-    return ChartFrame(x, u * scale, tuple(_middles(unit, u)))
+    packaged as a chart frame."""
+    u = hyperbolic_partner(x, v_hint)
+    return ChartFrame(x, u, tuple(_middles(x, u)))
 
 
 def _coords_to_vector(chart: ChartFrame, y_coords) -> CVector:

@@ -12,6 +12,7 @@ seeded samplers everything downstream draws from.
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -207,6 +208,9 @@ class ConePoint:
         nrm2 = float(np.sum(np.abs(self.vector.components) ** 2))
         if nrm2 == 0.0:
             raise DegenerateInputError("cone points must be nonzero")
+        # Checked before the form, which would warn on inf components.
+        if not math.isfinite(nrm2):
+            raise NotIsotropicError(f"||x||^2 = {nrm2} is not finite")
         residual = abs(form_eval(self.vector, self.vector)) / nrm2
         if not residual <= tol:
             raise NotIsotropicError(
@@ -229,6 +233,9 @@ class ConePoint:
 
 
 def _pseudo_unitarity_residual(matrix: np.ndarray, sig: Signature) -> float:
+    # inf for non-finite entries, checked before the Gram, which would warn.
+    if not np.isfinite(matrix).all():
+        return np.inf
     return float(np.max(np.abs(_gram(matrix, matrix, sig) - np.diag(sig.eta))))
 
 

@@ -22,6 +22,7 @@ from coneq import (
     kappa,
     kappa0,
     make_chart,
+    make_rng,
     proj_equivalent,
     sample_aperp_point,
     sample_cone_point,
@@ -99,6 +100,19 @@ class TestWittBasis:
         basis = extend_to_witt_basis(ConePoint(vec(SIG11, 1, 1)))
         assert len(basis) == 2
 
+    def test_is_the_chart_frame_bit_for_bit(self):
+        for sig in (SIG11, Signature(1, 3), SIG22, Signature(3, 2),
+                    Signature(5, 5)):
+            for seed in range(5):
+                x = sample_cone_point(sig, seed)
+                chart = make_chart(x)
+                frame = [chart.witt_plus(), *chart.mu_basis,
+                         chart.witt_minus()]
+                basis = extend_to_witt_basis(x)
+                assert len(basis) == len(frame)
+                for v, f in zip(basis, frame):
+                    assert v.components.tobytes() == f.components.tobytes()
+
 
 class TestChartFrame:
     def test_make_chart_standard(self):
@@ -107,6 +121,21 @@ class TestChartFrame:
         assert len(chart.mu_basis) == 2
         np.testing.assert_array_equal(chart.witt_plus().components, [1, 0, 0, 0])
         np.testing.assert_array_equal(chart.witt_minus().components, [0, 0, 0, 1])
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_default_frame_pinned_at_standard_center(self, p, q):
+        # At x = e_1 + e_n, u = (e_1 - e_n)/2 and the middles are the
+        # standard axes e_2 ... e_{n-1}, to the bit (signed zeros included).
+        sig = Signature(p, q)
+        n = sig.n
+        chart = make_chart(ConePoint(basis_vector(sig, 0)
+                                     + basis_vector(sig, n - 1)))
+        u = np.zeros(n, dtype=complex)
+        u[0], u[-1] = 0.5, -0.5
+        assert chart.u.components.tobytes() == u.tobytes()
+        mids = chart._columns[:, 1:]
+        assert mids.tobytes() == np.eye(n, dtype=complex)[:, 1:-1].tobytes()
 
     def test_no_middles_in_dimension_two(self):
         chart = make_chart(ConePoint(vec(SIG11, 1, 1)))
@@ -140,6 +169,17 @@ class TestChartFrame:
             for m, m0 in zip(chart.mu_basis, base.mu_basis):
                 np.testing.assert_allclose(m.components, m0.components,
                                            atol=1e-12)
+
+    @pytest.mark.parametrize("scale", [1e-153, 1e154])
+    def test_builds_near_the_ends_of_the_float_range(self, scale):
+        # ||x||^2 is 1e-306 or 1e308 here; no pairing may overflow.
+        for sig in (SIG11, SIG22, Signature(3, 3), Signature(5, 5)):
+            for seed in range(5):
+                x = sample_cone_point(sig, seed)
+                x = ConePoint((scale / x.vector.norm()) * x.vector)
+                chart = make_chart(x)
+                assert len(chart.mu_basis) == sig.n - 2
+                assert len(extend_to_witt_basis(x)) == sig.n
 
     def test_perturbed_middle_rejected_at_every_scale(self):
         x = sample_cone_point(Signature(3, 3), 5)
@@ -265,6 +305,30 @@ class TestChartInverse:
         r_back, y_back = chart_inverse(chart, b, tol=0.0)
         assert r_back == 0.0
         assert np.max(np.abs(y_back)) <= 1e-5  # rounding at ||b'|| ~ 1e10
+
+
+class TestChartChangeLaw:
+    """Moving the partner to u' = kappa0(base, r_w, w) is a Heisenberg
+    translation of the chart: (r, y) -> (r - r_w + Im f(y, w), y - w)."""
+
+    @pytest.mark.parametrize("sig", [Signature(1, 3), SIG22, Signature(2, 5),
+                                     Signature(3, 3)], ids=str)
+    def test_partner_change_is_a_heisenberg_translation(self, sig):
+        eta = sig.eta[1:-1]
+        k = sig.n - 2
+        for seed in range(20):
+            rng = make_rng(seed, 11)
+            x = sample_cone_point(sig, seed)
+            base = make_chart(x)
+            r, r_w = rng.standard_normal(2)
+            y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            w = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+            moved = make_chart(x, kappa0(base, r_w, w).vector)
+            r_got, y_got = chart_inverse(moved, kappa0(base, r, y))
+            r_want = r - r_w + float(np.sum(eta * y * np.conj(w)).imag)
+            scale = (1.0 + np.linalg.norm(y) + np.linalg.norm(w)) ** 2
+            assert abs(r_got - r_want) <= 1e-12 * scale
+            assert np.max(np.abs(y_got - (y - w))) <= 1e-12 * scale
 
 
 class TestIsPerp:

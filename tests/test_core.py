@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -218,6 +220,20 @@ class TestNonFiniteInput:
         with pytest.raises(NotIsometryError):
             GroupElement(np.array([[bad, 0.0], [0.0, 1.0]]), SIG11)
         assert not verify_isometry(np.array([[bad, 0.0], [0.0, 1.0]]), SIG11)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_without_numpy_warnings(self, bad):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(NotIsotropicError):
+                ConePoint(vec(SIG22, 1, bad, 1, 0))
+            with pytest.raises(NotIsometryError):
+                Split((vec(SIG11, bad, 0), vec(SIG11, 0, 1)))
+            with pytest.raises(NotIsometryError):
+                GroupElement(np.array([[bad, 0.0], [0.0, 1.0]]), SIG11)
+            assert not verify_isometry(np.array([[bad, 0.0], [0.0, 1.0]]),
+                                       SIG11)
+        assert [str(w.message) for w in caught] == []
 
 
 class TestOrthonormalize:
