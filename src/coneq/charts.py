@@ -187,9 +187,18 @@ class ChartFrame:
 
 def make_chart(x: ConePoint, v_hint: CVector | None = None) -> ChartFrame:
     """Witt extension of x, with partner hyperbolic_partner(x, v_hint),
-    packaged as a chart frame."""
+    packaged as a chart frame.
+
+    The default frame (no hint) is built once per point: its certified
+    partner and middles are kept on x, and later calls re-run the chart
+    check on them instead of building them again."""
+    if v_hint is None and "witt" in x._derived:
+        return ChartFrame(x, *x._derived["witt"])
     u = hyperbolic_partner(x, v_hint)
-    return ChartFrame(x, u, tuple(_middles(x, u)))
+    chart = ChartFrame(x, u, tuple(_middles(x, u)))
+    if v_hint is None:
+        x._derived["witt"] = (chart.u, chart.mu_basis)
+    return chart
 
 
 def _coords_to_vector(chart: ChartFrame, y_coords) -> CVector:

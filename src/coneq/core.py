@@ -203,6 +203,10 @@ class ConePoint:
     vector: CVector
     tol: InitVar[float] = DEFAULT_TOL
     isotropy_residual: float = field(init=False)
+    # Data derived from x alone, kept by the modules that compute it: the
+    # default chart partner and middles, and the default quotient Gram.  No
+    # entry refers back to the point, so it is freed as soon as it is dropped.
+    _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, tol):
         nrm2 = float(np.sum(np.abs(self.vector.components) ** 2))

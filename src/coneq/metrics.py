@@ -166,11 +166,15 @@ def tangency_residual(x: ConePoint, vec: CVector) -> float:
 
 
 def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Gram [Re f(v_i, v_j)] and labels of a tangent frame at x, by default
-    the adapted quotient frame; raises TangencyError off the tangent space."""
+    """Read-only Gram [Re f(v_i, v_j)] and labels of a tangent frame at x;
+    raises TangencyError off the tangent space.  The default, the adapted
+    quotient frame, is certified and computed once per point and kept on x."""
     if basis is None:
-        fr = adapted_frame(x)
-        basis, labels = fr.quotient_basis, fr.quotient_labels
+        if "quotient_gram" not in x._derived:
+            fr = adapted_frame(x)
+            x._derived["quotient_gram"] = _frame_gram(
+                x, fr.quotient_basis, fr.quotient_labels)
+        return x._derived["quotient_gram"]
     basis = tuple(basis)
     if labels is None:
         labels = tuple(f"v{i}" for i in range(len(basis)))
@@ -183,7 +187,9 @@ def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...
         raise TangencyError(
             f"basis vector {bad[0]} has tangency residual {res[bad[0]]:.3e} at x"
         )
-    return _gram(cols, cols, x.signature).real, labels
+    gram = _gram(cols, cols, x.signature).real
+    gram.flags.writeable = False
+    return gram, labels
 
 
 def induced_metric(x: ConePoint, frame: str = "adapted", *,

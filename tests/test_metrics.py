@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from coneq import charts
 from coneq import (
     ConePoint,
     CVector,
@@ -15,7 +19,9 @@ from coneq import (
     cotangent_metric_qtilde,
     dualize_degenerate,
     form_eval,
+    hyperbolic_partner,
     induced_metric,
+    make_chart,
     metric_signature,
     quotient_coefficients,
     sample_cone_point,
@@ -297,3 +303,89 @@ class TestConformalFactor:
             / canonicalize_ray(x, sa).point.vector.norm()
         assert abs(factor - mu**2) <= 1e-8 * mu**2
         assert residual <= 1e-8
+
+
+class TestOneFramePerPoint:
+    """make_chart(x) and the metrics' default frames share one Witt frame,
+    and the default quotient Gram is computed once, per point."""
+
+    SIGS = [SIG22, Signature(3, 2), Signature(5, 5)]
+
+    @staticmethod
+    def assert_same_bits(a: MetricMatrix, b: MetricMatrix):
+        assert a.entries.tobytes() == b.entries.tobytes()
+        assert a.basis_labels == b.basis_labels
+        assert a.signature == b.signature
+        assert a.radical_basis.shape == b.radical_basis.shape
+        assert a.radical_basis.tobytes() == b.radical_basis.tobytes()
+        assert a.scale == b.scale
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_witt_frame_built_once(self, sig, monkeypatch):
+        calls = []
+        middles = charts._middles
+
+        def counting(x, u):
+            calls.append(x)
+            return middles(x, u)
+
+        monkeypatch.setattr(charts, "_middles", counting)
+        x = sample_cone_point(sig, 4)
+        make_chart(x)
+        induced_metric(x)
+        cotangent_metric_qtilde(x)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_hinted_charts_bypass_the_cache(self, sig):
+        hint = basis_vector(sig, 1) + 0.3 * basis_vector(sig, sig.n - 2)
+        for seed in range(3):
+            x = sample_cone_point(sig, seed)
+            hinted_u = hyperbolic_partner(x, hint).components.tobytes()
+            default_u = hyperbolic_partner(x).components.tobytes()
+            # Default first, then hinted, then default again.
+            assert make_chart(x).u.components.tobytes() == default_u
+            assert make_chart(x, hint).u.components.tobytes() == hinted_u
+            assert make_chart(x).u.components.tobytes() == default_u
+            # Hinted first on a fresh point.
+            y = ConePoint(x.vector)
+            assert make_chart(y, hint).u.components.tobytes() == hinted_u
+            assert make_chart(y).u.components.tobytes() == default_u
+            assert make_chart(y, hint).u.components.tobytes() == hinted_u
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    @pytest.mark.parametrize("cometric_first", [False, True])
+    def test_metrics_after_a_chart_match_a_fresh_point(self, sig,
+                                                       cometric_first):
+        hint = basis_vector(sig, 0) + 0.5 * basis_vector(sig, sig.n - 1)
+        for seed in range(3):
+            x = sample_cone_point(sig, seed)
+            make_chart(x, hint)
+            make_chart(x)
+            if cometric_first:
+                co = cotangent_metric_qtilde(x)
+                g = induced_metric(x)
+            else:
+                g = induced_metric(x)
+                co = cotangent_metric_qtilde(x)
+            self.assert_same_bits(g, induced_metric(ConePoint(x.vector)))
+            self.assert_same_bits(co,
+                                  cotangent_metric_qtilde(ConePoint(x.vector)))
+            # Served again from the point, still the same.
+            self.assert_same_bits(g, induced_metric(x))
+            self.assert_same_bits(co, cotangent_metric_qtilde(x))
+
+    def test_no_reference_cycle(self):
+        # The point must die by reference counting alone: a cycle through
+        # whatever it keeps would leave it to the cyclic collector.
+        x = sample_cone_point(Signature(5, 5), 0)
+        make_chart(x)
+        induced_metric(x)
+        cotangent_metric_qtilde(x)
+        ref = weakref.ref(x)
+        gc.disable()
+        try:
+            del x
+            assert ref() is None
+        finally:
+            gc.enable()
