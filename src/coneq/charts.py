@@ -26,6 +26,7 @@ from .core import (
     _as_vector,
     _check_same_signature,
     _gram,
+    _norm,
     basis_vector,
     form_eval,
     make_rng,
@@ -277,7 +278,7 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
         return IN_APERP
     bp = bv * (1.0 / pairing)
     beta, y = _frame_coords(chart, bp)
-    fyy = float(np.sum(chart.signature.eta[1:-1] * np.abs(y) ** 2))
+    fyy = float(np.add.reduce(chart.signature.eta[1:-1] * np.abs(y) ** 2))
     drift = abs(beta.real + 0.5 * fyy) / bp.norm() ** 2
     if drift > 1e-6:
         raise InternalContractError(
@@ -328,10 +329,10 @@ def aperp_classify(chart: ChartFrame, b, tol: float = DEFAULT_TOL) -> AperpClass
     if total == 0.0:
         raise NotInAperpError("zero coordinates in the boundary chart")
     p1 = chart.signature.p - 1
-    if np.linalg.norm(m) <= tol * total:
+    if _norm(m) <= tol * total:
         return AperpClass("Apex", 1.0 + 0.0j, m[:p1] * 0.0, m[p1:] * 0.0)
-    s_plus = float(np.linalg.norm(m[:p1]) ** 2)
-    s_minus = float(np.linalg.norm(m[p1:]) ** 2)
+    s_plus = float(_norm(m[:p1]) ** 2)
+    s_minus = float(_norm(m[p1:]) ** 2)
     s = np.sqrt((s_plus + s_minus) / 2.0)
     m = m / s
     alpha = alpha / s
@@ -345,7 +346,7 @@ def aperp_classify(chart: ChartFrame, b, tol: float = DEFAULT_TOL) -> AperpClass
 def _boundary_point(chart: ChartFrame, alpha: complex, mp, mm) -> ConePoint:
     """alpha x + sum_j m_j mu_j, with the negative block mm rescaled to the
     norm of the positive block mp so that the point is isotropic."""
-    mm = mm * (np.linalg.norm(mp) / np.linalg.norm(mm))
+    mm = mm * (_norm(mp) / _norm(mm))
     mids = chart._columns[:, 1:] @ np.concatenate([mp, mm])
     return ConePoint(CVector(alpha * chart.x.components + mids, chart.signature))
 
@@ -368,7 +369,7 @@ def sample_aperp_point(chart: ChartFrame, seed: int,
     p1, q1 = sig.p - 1, sig.q - 1
     mp = rng.standard_normal(p1) + 1j * rng.standard_normal(p1)
     mm = rng.standard_normal(q1) + 1j * rng.standard_normal(q1)
-    while np.linalg.norm(mp) < 1e-3 or np.linalg.norm(mm) < 1e-3:
+    while _norm(mp) < 1e-3 or _norm(mm) < 1e-3:
         mp = rng.standard_normal(p1) + 1j * rng.standard_normal(p1)
         mm = rng.standard_normal(q1) + 1j * rng.standard_normal(q1)
     return _boundary_point(chart, alpha, mp, mm)
@@ -400,8 +401,8 @@ def aperp_dimension_estimate(chart: ChartFrame, seed: int = 0,
         return np.concatenate([rep.components.real, rep.components.imag])
 
     base = rng.standard_normal(dim)
-    while (np.linalg.norm(base[2 : 2 + 2 * p1]) < 0.3
-           or np.linalg.norm(base[2 + 2 * p1 :]) < 0.3):
+    while (_norm(base[2 : 2 + 2 * p1]) < 0.3
+           or _norm(base[2 + 2 * p1 :]) < 0.3):
         base = rng.standard_normal(dim)
     jac = np.zeros((2 * n, dim))
     for k in range(dim):

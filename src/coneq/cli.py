@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -314,7 +315,14 @@ def _add_common(parser, *, sig=True, seed=True, trials=True, tol=True):
     parser.add_argument("--out", default=None, help="write output to a file")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The coneq parser, built once per process and shared.
+
+    parse_args keeps no state between calls, and no default is read from
+    the environment (CONEQ_SEED is read when a command runs), so one parser
+    serves every call of main.
+    """
     parser = argparse.ArgumentParser(
         prog="coneq",
         description="Isotropic cones of indefinite Hermitian spaces: "

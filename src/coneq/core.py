@@ -13,6 +13,7 @@ seeded samplers everything downstream draws from.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -27,6 +28,8 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
+_NORMAL_MIN = sys.float_info.min
+_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "DEFAULT_TOL",
@@ -111,23 +114,23 @@ class CVector:
 
     def __add__(self, other: "CVector") -> "CVector":
         _check_same_signature(self, other)
-        return CVector(self.components + other.components, self.signature)
+        return _owned(self.components + other.components, self.signature)
 
     def __sub__(self, other: "CVector") -> "CVector":
         _check_same_signature(self, other)
-        return CVector(self.components - other.components, self.signature)
+        return _owned(self.components - other.components, self.signature)
 
     def __neg__(self) -> "CVector":
-        return CVector(-self.components, self.signature)
+        return _owned(-self.components, self.signature)
 
     def __mul__(self, scalar) -> "CVector":
-        return CVector(self.components * complex(scalar), self.signature)
+        return _owned(self.components * complex(scalar), self.signature)
 
     __rmul__ = __mul__
 
     def norm(self) -> float:
         """Euclidean norm (not the indefinite form)."""
-        return float(np.linalg.norm(self.components))
+        return float(_norm(self.components))
 
     def to_json(self) -> dict:
         return {
@@ -142,11 +145,40 @@ class CVector:
         return cls(np.array(comps), sig)
 
 
+def _owned(components: np.ndarray, sig: Signature) -> CVector:
+    """CVector on the result of arithmetic on components: a fresh complex
+    array of length n that no caller holds, so it is made read-only in place
+    instead of copied."""
+    components.flags.writeable = False
+    vec = object.__new__(CVector)
+    object.__setattr__(vec, "components", components)
+    object.__setattr__(vec, "signature", sig)
+    return vec
+
+
 def _check_same_signature(u, v):
-    if u.signature != v.signature:
+    if u.signature is not v.signature and u.signature != v.signature:
         raise SignatureMismatchError(
             f"signature mismatch: {u.signature} vs {v.signature}"
         )
+
+
+def _norm(a: np.ndarray) -> np.float64:
+    """2-norm of a 1-D real or complex array, bit-identical to
+    np.linalg.norm(a): the same dot products on the same raveled array,
+    without the wrapper's dispatch.  The np.float64 result keeps numpy's
+    scalar arithmetic (inf, not an exception, on overflow)."""
+    a = a.ravel(order="K")
+    if a.dtype.kind == "c":
+        re, im = a.real, a.imag
+        return np.float64(math.sqrt(re.dot(re) + im.dot(im)))
+    return np.float64(math.sqrt(a.dot(a)))
+
+
+def _inf_norm(m: np.ndarray) -> np.float64:
+    """Max row sum of |m_ij|, numpy's formula for
+    np.linalg.norm(m, ord=np.inf) on a nonempty matrix."""
+    return np.add.reduce(np.abs(m), axis=1).max()
 
 
 def basis_vector(sig: Signature, index: int) -> CVector:
@@ -163,7 +195,7 @@ def form_eval(u: CVector, v: CVector) -> complex:
     """
     _check_same_signature(u, v)
     return complex(
-        np.sum(u.signature.eta * u.components * np.conj(v.components))
+        np.add.reduce(u.signature.eta * u.components * np.conj(v.components))
     )
 
 
@@ -187,13 +219,41 @@ def _as_vector(obj) -> CVector:
     return obj.point.vector
 
 
+def _isotropy_sums(vec: CVector) -> tuple[float, float]:
+    """(|f(x, x)|, ||x||^2) for x = vec, as plain sums over the components.
+
+    When ||x||^2 is not a normal float (|x| above about 1e154 or below about
+    1e-154) and every x_j is finite, both sums are taken on x / max|x_j|, so
+    their ratio holds at every scale; otherwise the unscaled sums are kept
+    bit for bit.  A zero or non-finite x gives |f(x, x)| = nan with
+    ||x||^2 = 0, inf or nan, on which the callers reject it.
+    """
+    c = vec.components
+    absx = np.abs(c)
+    # With every |x_j| below 1e150 no square, nor any sum of fewer than 1e8
+    # of them, can overflow, so numpy has no warning to silence.  Python's
+    # max over the list is the cheap test at small n; a nan it returns only
+    # takes the guarded branch.
+    if max(absx.tolist()) < 1e150:
+        nrm2 = float(np.add.reduce(absx**2))
+    else:
+        with np.errstate(over="ignore"):
+            nrm2 = float(np.add.reduce(absx**2))
+    if not _NORMAL_MIN <= nrm2 <= _FLOAT_MAX:
+        scale = float(absx.max())
+        if not 0.0 < scale < math.inf:
+            return math.nan, nrm2
+        c = c / scale
+        nrm2 = float(np.add.reduce(np.abs(c) ** 2))
+    return abs(complex(np.add.reduce(vec.signature.eta * c * np.conj(c)))), nrm2
+
+
 def is_isotropic(x, tol: float = DEFAULT_TOL) -> bool:
     """Whether |f(x, x)| <= tol * ||x||^2 for nonzero x."""
-    vec = _as_vector(x)
-    nrm2 = float(np.sum(np.abs(vec.components) ** 2))
+    abs_f, nrm2 = _isotropy_sums(_as_vector(x))
     if nrm2 == 0.0:
         raise DegenerateInputError("isotropy is undefined for the zero vector")
-    return abs(form_eval(vec, vec)) <= tol * nrm2
+    return abs_f <= tol * nrm2
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,13 +269,12 @@ class ConePoint:
     _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, tol):
-        nrm2 = float(np.sum(np.abs(self.vector.components) ** 2))
+        abs_f, nrm2 = _isotropy_sums(self.vector)
         if nrm2 == 0.0:
             raise DegenerateInputError("cone points must be nonzero")
-        # Checked before the form, which would warn on inf components.
         if not math.isfinite(nrm2):
             raise NotIsotropicError(f"||x||^2 = {nrm2} is not finite")
-        residual = abs(form_eval(self.vector, self.vector)) / nrm2
+        residual = abs_f / nrm2
         if not residual <= tol:
             raise NotIsotropicError(
                 f"|f(x,x)|/||x||^2 = {residual:.3e} exceeds tol {tol:.3e}"
@@ -240,7 +299,7 @@ def _pseudo_unitarity_residual(matrix: np.ndarray, sig: Signature) -> float:
     # inf for non-finite entries, checked before the Gram, which would warn.
     if not np.isfinite(matrix).all():
         return np.inf
-    return float(np.max(np.abs(_gram(matrix, matrix, sig) - np.diag(sig.eta))))
+    return float(np.abs(_gram(matrix, matrix, sig) - np.diag(sig.eta)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -406,20 +465,20 @@ def sample_cone_point(sig: Signature, seed: int) -> ConePoint:
 
     def unit_block(k):
         z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        while np.linalg.norm(z) < 1e-6:
+        while _norm(z) < 1e-6:
             z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        return z / np.linalg.norm(z)
+        return z / _norm(z)
 
     xp = unit_block(p)
     xm = unit_block(q)
     c = np.exp(0.75 * rng.standard_normal()) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-    return ConePoint(CVector(c * np.concatenate([xp, xm]), sig), tol=1e-12)
+    return ConePoint(_owned(c * np.concatenate([xp, xm]), sig), tol=1e-12)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring over a Taylor series."""
     n = a.shape[0]
-    norm = np.linalg.norm(a, ord=np.inf)
+    norm = _inf_norm(a)
     s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
     x = a / (2.0**s)
     term = np.eye(n, dtype=np.complex128)
@@ -427,7 +486,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
     for k in range(1, 60):
         term = term @ x / k
         total = total + term
-        if np.linalg.norm(term, ord=np.inf) <= 1e-18 * np.linalg.norm(total, ord=np.inf):
+        if _inf_norm(term) <= 1e-18 * _inf_norm(total):
             break
     for _ in range(s):
         total = total @ total

@@ -24,6 +24,7 @@ from .core import (
     _as_vector,
     _check_same_signature,
     _gram,
+    _norm,
     _pseudo_unitarity_residual,
     basis_vector,
     sample_pseudo_unitary,
@@ -145,8 +146,8 @@ def _ray_scale(vec: CVector, split: Split, tol: float) -> tuple[np.ndarray, floa
     raises DegenerateInputError when R <= tol * ||vec||."""
     coeffs = split.coefficients(vec)
     p = split.signature.p
-    r = float(np.sqrt((np.linalg.norm(coeffs[:p]) ** 2
-                       + np.linalg.norm(coeffs[p:]) ** 2) / 2.0))
+    r = float(np.sqrt((_norm(coeffs[:p]) ** 2
+                       + _norm(coeffs[p:]) ** 2) / 2.0))
     if r <= tol * vec.norm():
         raise DegenerateInputError("scale R collapsed below tolerance")
     return coeffs, r
@@ -244,14 +245,14 @@ def canonicalize_ray(x, split: Split | None = None) -> RayRep:
     return RayRep(
         scaled,
         split,
-        float(np.linalg.norm(coeffs[:p])),
-        float(np.linalg.norm(coeffs[p:])),
+        float(_norm(coeffs[:p])),
+        float(_norm(coeffs[p:])),
     )
 
 
 def _pivot_index(components: np.ndarray) -> int:
     mags = np.abs(components)
-    top = float(np.max(mags))
+    top = float(mags.max())
     candidates = np.nonzero(mags >= top * (1.0 - PIVOT_TIE_TOL))[0]
     return int(candidates[0])
 
@@ -279,8 +280,8 @@ def proj_equivalent(x, y, tol: float = DEFAULT_TOL, split: Split | None = None) 
         raise SignatureMismatchError(
             f"signature mismatch: {a.signature} vs {b.signature}"
         )
-    scale = max(np.linalg.norm(a.components), np.linalg.norm(b.components))
-    return float(np.linalg.norm(a.components - b.components)) <= tol * scale
+    scale = max(_norm(a.components), _norm(b.components))
+    return float(_norm(a.components - b.components)) <= tol * scale
 
 
 def torus_coords(x) -> tuple[float, float]:

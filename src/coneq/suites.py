@@ -23,6 +23,7 @@ from .core import (
     CVector,
     Signature,
     _gram,
+    _norm,
     form_eval,
     make_rng,
     orthonormalize_indefinite,
@@ -177,8 +178,8 @@ def _cross_section(sig, rng, tol):
     ray2 = quotients.canonicalize_ray(ConePoint(lam * x.vector))
     res = max(
         res,
-        float(np.linalg.norm(ray2.components - ray.components))
-        / float(np.linalg.norm(ray.components)),
+        float(_norm(ray2.components - ray.components))
+        / float(_norm(ray.components)),
     )
     return res <= tol, res, {}
 
@@ -193,12 +194,12 @@ def _sphere_chart(sig, rng, tol):
     ray = quotients.canonicalize_ray(x, split)
     sp = ray.sphere_plus()
     sm = ray.sphere_minus()
-    res = max(abs(np.linalg.norm(sp) - 1.0), abs(np.linalg.norm(sm) - 1.0))
+    res = max(abs(_norm(sp) - 1.0), abs(_norm(sm) - 1.0))
     rebuilt = split.from_coefficients(np.concatenate([sp, sm]))
     res = max(
         res,
-        float(np.linalg.norm(rebuilt.components - ray.components))
-        / float(np.linalg.norm(ray.components)),
+        float(_norm(rebuilt.components - ray.components))
+        / float(_norm(ray.components)),
     )
     return res <= tol, res, {"split": split.label}
 
@@ -216,8 +217,8 @@ def _phase_retraction(sig, rng, tol):
     rep2 = quotients.canonicalize_phase(ConePoint(c * x.vector))
     res = max(
         res,
-        float(np.linalg.norm(rep2.components - rep.components))
-        / float(np.linalg.norm(rep.components)),
+        float(_norm(rep2.components - rep.components))
+        / float(_norm(rep.components)),
     )
     return res <= tol, res, {}
 
@@ -350,7 +351,7 @@ def _witt_extension(sig, rng, tol):
     basis = _columns(charts.extend_to_witt_basis(x))
     res = float(np.max(np.abs(_gram(basis, basis, sig) - np.diag(sig.eta))))
     rebuilt = basis[:, 0] + basis[:, -1]
-    res_x = float(np.linalg.norm(rebuilt - x.components)) / x.vector.norm()
+    res_x = float(_norm(rebuilt - x.components)) / x.vector.norm()
     ok = res <= tol and res_x <= 1e-12
     return ok, max(res, res_x), {"x_residual": res_x}
 
@@ -375,7 +376,7 @@ def _kappa_roundtrip(sig, rng, tol):
     r2, y2 = back
     res = max(
         abs(r2 - r) / max(1.0, abs(r)),
-        float(np.linalg.norm(y2 - y)) / max(1.0, float(np.linalg.norm(y))),
+        float(_norm(y2 - y)) / max(1.0, float(_norm(y))),
     )
     b = _cone_point(sig, rng)
     inv = charts.chart_inverse(chart, b)
@@ -413,8 +414,8 @@ def _aperp_partition(sig, rng, tol):
             return False, 1.0, {"check": "apex not the center class"}
     else:
         res = max(
-            abs(np.linalg.norm(cls.plus_coords) - 1.0),
-            abs(np.linalg.norm(cls.minus_coords) - 1.0),
+            abs(_norm(cls.plus_coords) - 1.0),
+            abs(_norm(cls.minus_coords) - 1.0),
         )
         c = complex(np.exp(rng.standard_normal())
                     * np.exp(1j * rng.uniform(0, 2 * np.pi)))
@@ -422,8 +423,8 @@ def _aperp_partition(sig, rng, tol):
         res = max(
             res,
             abs(cls2.alpha - cls.alpha) / max(1.0, abs(cls.alpha)),
-            float(np.linalg.norm(cls2.plus_coords - cls.plus_coords)),
-            float(np.linalg.norm(cls2.minus_coords - cls.minus_coords)),
+            float(_norm(cls2.plus_coords - cls.plus_coords)),
+            float(_norm(cls2.minus_coords - cls.minus_coords)),
         )
     interior = _cone_point(sig, rng)
     pairing = abs(form_eval(interior.vector, chart.x.vector))
@@ -475,9 +476,9 @@ def _twin_agreement(twins, rng, tol):
     r, y = _rational_input(rational.signature, rng)
     exact_point = exact.exact_kappa0(rational, r, y)
     float_point = charts.kappa0(floated, float(r), [c.to_complex() for c in y])
-    res = (float(np.linalg.norm(float_point.components
-                                - exact_point.to_cvector().components))
-           / max(1.0, float(np.linalg.norm(float_point.components))))
+    res = (float(_norm(float_point.components
+                       - exact_point.to_cvector().components))
+           / max(1.0, float(_norm(float_point.components))))
     back = charts.chart_inverse(floated, exact_point.to_cvector())
     exact_back = exact.exact_chart_inverse(rational, exact_point)
     if back is charts.IN_APERP or exact_back is charts.IN_APERP:
@@ -487,7 +488,7 @@ def _twin_agreement(twins, rng, tol):
     res = max(res, abs(r_f - float(r_e)) / max(1.0, abs(r_f)))
     if y_f.size:
         y_e = np.array([c.to_complex() for c in y_e])
-        res = max(res, float(np.linalg.norm(y_f - y_e)))
+        res = max(res, float(_norm(y_f - y_e)))
     return res <= tol, res, {}
 
 

@@ -1,12 +1,17 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from coneq.cli import main
+import coneq
+from coneq.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -405,3 +410,53 @@ class TestUsage:
         assert out == ""
         assert "error:" in err
         assert "Traceback" not in err
+
+
+class TestParserReuse:
+    """main builds its parser once per process; every call must still act
+    as it does in a fresh process."""
+
+    SCRIPT = "import sys; from coneq.cli import main; sys.exit(main(sys.argv[1:]))"
+    CALLS = [
+        ({}, ["--help"]),
+        ({}, ["verify", "--suite", "nope", "--sig", "1,1"]),
+        ({}, ["verify", "--suite", "cone-sampler", "--trials", "0"]),
+        ({}, ["verify", "--suite", "cone-sampler", "--sig", "2,2",
+              "--trials", "3", "--seed", "4"]),
+        ({"CONEQ_SEED": "3"}, ["sample", "--sig", "1,1"]),
+        ({"CONEQ_SEED": "8"}, ["sample", "--sig", "1,1"]),
+        ({"CONEQ_SEED": "8"}, ["verify", "--suite", "hermitian", "--sig", "1,2",
+                               "--trials", "2"]),
+    ]
+
+    @staticmethod
+    def _untimed(text):
+        return [line for line in text.splitlines() if "elapsed_seconds" not in line]
+
+    def _fresh(self, env_update, argv):
+        src = str(Path(coneq.__file__).resolve().parent.parent)
+        env = {key: value for key, value in os.environ.items()
+               if key != "CONEQ_SEED"}
+        env.update(COLUMNS="80", **env_update)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", self.SCRIPT, *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        return proc.returncode, self._untimed(proc.stdout), self._untimed(proc.stderr)
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_each_call_matches_a_fresh_process(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.delenv("CONEQ_SEED", raising=False)
+        in_process = []
+        for env_update, argv in self.CALLS:
+            for key, value in env_update.items():
+                monkeypatch.setenv(key, value)
+            code, out, err = run_cli(capsys, *argv)
+            in_process.append((code, self._untimed(out), self._untimed(err)))
+        assert [c[0] for c in in_process] == [0, 2, 2, 0, 0, 0, 0]
+        fresh = [self._fresh(env_update, argv) for env_update, argv in self.CALLS]
+        assert in_process == fresh

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coneq import (
     ConePoint,
@@ -25,7 +26,7 @@ from coneq import (
     sample_pseudo_unitary,
     verify_isometry,
 )
-from coneq.core import _expm, _gram
+from coneq.core import _expm, _gram, _inf_norm, _norm
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -72,6 +73,20 @@ class TestCVector:
         with pytest.raises(ValueError):
             v.components[0] = 5.0
 
+    def test_arithmetic_results_read_only_and_unaliased(self):
+        # Arithmetic wraps its fresh result without the constructor's copy.
+        u = vec(SIG22, 1, 2j, 3, 4)
+        w = vec(SIG22, 1j, 1, 0, 2)
+        for out in (u + w, u - w, -u, u * 2.0, 2j * u, u * 1.0,
+                    sample_cone_point(SIG22, 0).vector):
+            assert not out.components.flags.writeable
+            assert out.components.shape == (4,)
+            assert out.components.dtype == np.complex128
+            assert not np.shares_memory(out.components, u.components)
+            assert not np.shares_memory(out.components, w.components)
+            with pytest.raises(ValueError):
+                out.components[0] = 5.0
+
     def test_arithmetic(self):
         u = vec(SIG11, 1, 2j)
         w = vec(SIG11, 1j, 1)
@@ -93,6 +108,12 @@ class TestCVector:
             a + b
         with pytest.raises(SignatureMismatchError):
             a - b
+
+    def test_equal_signatures_need_not_be_one_object(self):
+        a = CVector(np.ones(3), Signature(1, 2))
+        b = CVector(np.ones(3), Signature(1, 2))
+        np.testing.assert_array_equal((a + b).components, 2 * np.ones(3))
+        assert form_eval(a, b) == -1.0
 
     def test_json_roundtrip(self):
         v = vec(SIG22, 1 + 2j, 0, -1j, 3)
@@ -234,6 +255,68 @@ class TestNonFiniteInput:
             assert not verify_isometry(np.array([[bad, 0.0], [0.0, 1.0]]),
                                        SIG11)
         assert [str(w.message) for w in caught] == []
+
+
+def _reference_residual(v):
+    """The isotropy residual as the certificate computed it through numpy's
+    np.sum wrapper and form_eval."""
+    c = v.components
+    nrm2 = float(np.sum(np.abs(c) ** 2))
+    return abs(complex(np.sum(v.signature.eta * c * np.conj(c)))) / nrm2
+
+
+class TestCertificateScale:
+    # ||x||^2 overflows at 1e160 and 1e300 (n components of modulus ~1 times
+    # the scale), is subnormal at 1e-160 and underflows to 0 at 1e-170.
+    SCALES = [1e300, 1e160, 1e-160, 1e-170, 1e-300]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_isotropic_accepted_without_warning(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for sig in BATTERY:
+                x = sample_cone_point(sig, 3).vector
+                pt = ConePoint(scale * x, tol=1e-12)
+                assert pt.isotropy_residual <= 1e-14
+                assert is_isotropic(scale * x, tol=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_non_isotropic_rejected_without_warning(self, scale):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            v = scale * vec(SIG22, 1, 0.5j, 0.2, 0)
+            with pytest.raises(NotIsotropicError):
+                ConePoint(v)
+            assert not is_isotropic(v)
+
+    @pytest.mark.parametrize("scale", [1e160, 1e-170])
+    def test_mixed_scales(self, scale):
+        # One huge or tiny pair beside a zero and an ordinary pair: only the
+        # ratio to the largest modulus matters.
+        x = vec(SIG22, scale, 1e-3 * scale, 1e-3j * scale, scale)
+        assert ConePoint(x).isotropy_residual <= 1e-15
+
+    def test_zero_and_non_finite_errors_unchanged(self):
+        with pytest.raises(DegenerateInputError, match="cone points must be nonzero"):
+            ConePoint(vec(SIG22, 0, 0, 0, 0))
+        with pytest.raises(DegenerateInputError, match="zero vector"):
+            is_isotropic(vec(SIG22, 0, 0, 0, 0))
+        with pytest.raises(NotIsotropicError, match=r"\|\|x\|\|\^2 = inf is not"):
+            ConePoint(vec(SIG22, 1e160, np.inf, 1, 0))
+        with pytest.raises(NotIsotropicError, match=r"\|\|x\|\|\^2 = nan is not"):
+            ConePoint(vec(SIG22, 1e-170, np.nan, 1, 0))
+
+    def test_residual_bits_unchanged_at_normal_scales(self):
+        for p in range(1, 6):
+            for q in range(1, 6):
+                sig = Signature(p, q)
+                for seed in range(8):
+                    x = sample_cone_point(sig, seed)
+                    assert x.isotropy_residual == _reference_residual(x.vector)
+                    for scale in (1e-150, 1e-20, 3.0, 1e20, 1e150):
+                        v = scale * x.vector
+                        assert (ConePoint(v).isotropy_residual
+                                == _reference_residual(v))
 
 
 class TestOrthonormalize:
@@ -406,6 +489,33 @@ class TestExpm:
             np.testing.assert_allclose(
                 _expm(a), scipy_linalg.expm(a), atol=1e-11
             )
+
+
+# Real and imaginary parts of equal length 0-12, entries in [-1, 1].
+part_pairs = st.integers(0, 12).flatmap(lambda n: st.tuples(
+    hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0)),
+    hnp.arrays(np.float64, n, elements=st.floats(-1.0, 1.0))))
+
+
+class TestNormKernels:
+    @settings(max_examples=300, deadline=None)
+    @given(part_pairs, st.booleans(), st.floats(-150.0, 150.0))
+    def test_norm_matches_numpy_bit_for_bit(self, parts, complex_valued, exponent):
+        re, im = parts
+        a = (re + 1j * im if complex_valued else re) * 10.0**exponent
+        assert _norm(a) == np.linalg.norm(a)
+        assert type(_norm(a)) is np.float64
+        # A strided view goes through numpy's ravel copy, as in linalg.norm.
+        assert _norm(a[::2]) == np.linalg.norm(a[::2])
+
+    def test_inf_norm_matches_numpy_bit_for_bit(self):
+        rng = make_rng(12)
+        for n in range(1, 11):
+            for scale in (1e-150, 1.0, 1e150):
+                m = scale * (rng.standard_normal((n, n))
+                             + 1j * rng.standard_normal((n, n)))
+                assert _inf_norm(m) == np.linalg.norm(m, ord=np.inf)
+                assert _inf_norm(m.real) == np.linalg.norm(m.real, ord=np.inf)
 
 
 class TestVerifyIsometry:
