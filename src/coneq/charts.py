@@ -148,6 +148,7 @@ class ChartFrame:
         # Columns u, m_2, ..., m_{n-1}, which the chart maps multiply by.
         cols = np.column_stack([self.u.components]
                                + [m.components for m in self.mu_basis])
+        cols.flags.writeable = False
         object.__setattr__(self, "_columns", cols)
         # f(u, x) = 1, f(m_j, m_k) = eta, all other pairings vanish; each
         # deviation is taken relative to its norm product, so that the
@@ -159,10 +160,11 @@ class ChartFrame:
         norms = np.linalg.norm(against, axis=0)
         deviation = (np.abs(_gram(cols, against, sig) - target)
                      / np.outer(norms[1:], norms))
-        worst = float(np.max(deviation))
+        worst = float(deviation.max())
         if not worst <= DEFAULT_TOL:
             raise UnsupportedChartError(
-                f"chart identities fail by {worst:.3e}"
+                f"chart identities fail by {worst:.3e}",
+                residual=worst, threshold=DEFAULT_TOL,
             )
 
     @property
@@ -190,15 +192,27 @@ def make_chart(x: ConePoint, v_hint: CVector | None = None) -> ChartFrame:
     """Witt extension of x, with partner hyperbolic_partner(x, v_hint),
     packaged as a chart frame.
 
-    The default frame (no hint) is built once per point: its certified
-    partner and middles are kept on x, and later calls re-run the chart
-    check on them instead of building them again."""
+    The default frame (no hint) is built and certified once per point: its
+    partner, middles and read-only columns are kept on x, and later calls
+    wrap them without running the chart check again."""
     if v_hint is None and "witt" in x._derived:
-        return ChartFrame(x, *x._derived["witt"])
+        return _certified_chart(x, *x._derived["witt"])
     u = hyperbolic_partner(x, v_hint)
     chart = ChartFrame(x, u, tuple(_middles(x, u)))
     if v_hint is None:
-        x._derived["witt"] = (chart.u, chart.mu_basis)
+        x._derived["witt"] = (chart.u, chart.mu_basis, chart._columns)
+    return chart
+
+
+def _certified_chart(x: ConePoint, u: CVector, mu_basis: tuple[CVector, ...],
+                     columns: np.ndarray) -> ChartFrame:
+    """ChartFrame on data that already passed its chart check at x, made
+    without running the check again."""
+    chart = object.__new__(ChartFrame)
+    object.__setattr__(chart, "x", x)
+    object.__setattr__(chart, "u", u)
+    object.__setattr__(chart, "mu_basis", mu_basis)
+    object.__setattr__(chart, "_columns", columns)
     return chart
 
 

@@ -277,7 +277,8 @@ class ConePoint:
         residual = abs_f / nrm2
         if not residual <= tol:
             raise NotIsotropicError(
-                f"|f(x,x)|/||x||^2 = {residual:.3e} exceeds tol {tol:.3e}"
+                f"|f(x,x)|/||x||^2 = {residual:.3e} exceeds tol {tol:.3e}",
+                residual=residual, threshold=tol,
             )
         object.__setattr__(self, "isotropy_residual", residual)
 

@@ -7,7 +7,18 @@ argument abuse (wrong container shapes, non-numeric input).
 
 
 class QuadricError(Exception):
-    """Base class for all coneq errors."""
+    """Base class for all coneq errors.
+
+    A failed certificate sets residual, the deviation it measured, and
+    threshold, the bound that deviation exceeded; both are None on errors
+    that measure nothing.  The message is unchanged by them.
+    """
+
+    def __init__(self, *args, residual: float | None = None,
+                 threshold: float | None = None):
+        super().__init__(*args)
+        self.residual = residual
+        self.threshold = threshold
 
 
 class SignatureMismatchError(QuadricError):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import extend_to_witt_basis
+from .charts import extend_to_witt_basis, make_chart
 from .core import (
     DEFAULT_TOL,
     ConePoint,
@@ -72,8 +72,8 @@ class MetricMatrix:
         labels = tuple(basis_labels)
         if len(labels) != e.shape[0]:
             raise ValueError("one label per basis vector required")
-        skew = float(np.max(np.abs(e - e.T))) if e.size else 0.0
-        sym_scale = float(np.max(np.abs(e))) if e.size else 0.0
+        skew = float(np.abs(e - e.T).max()) if e.size else 0.0
+        sym_scale = float(np.abs(e).max()) if e.size else 0.0
         if skew > 1e-8 * max(sym_scale, 1.0):
             raise ValueError(f"entries deviate from symmetric by {skew:.3e}")
         e = (e + e.T) / 2.0
@@ -82,12 +82,12 @@ class MetricMatrix:
             evals, evecs = np.linalg.eigh(e)
         else:
             evals, evecs = np.zeros(0), np.zeros((0, 0))
-        eff_scale = float(np.max(np.abs(evals))) if evals.size else 0.0
+        eff_scale = float(np.abs(evals).max()) if evals.size else 0.0
         if scale is not None:
             eff_scale = float(scale)
         threshold = tol * eff_scale
-        n_plus = int(np.sum(evals > threshold))
-        n_minus = int(np.sum(evals < -threshold))
+        n_plus = int(np.count_nonzero(evals > threshold))
+        n_minus = int(np.count_nonzero(evals < -threshold))
         n_zero = e.shape[0] - n_plus - n_minus
         radical = evecs[:, np.abs(evals) <= threshold].T.copy()
         radical.flags.writeable = False
@@ -135,25 +135,42 @@ class AdaptedFrame:
     quotient_labels: tuple[str, ...]
 
 
+def _quotient_columns(x: ConePoint) -> np.ndarray:
+    """The adapted quotient frame [i x, i(e_1 - e_n), m_2, i m_2, ...] at x
+    as the columns of one (n, 2n - 2) array, from make_chart(x)'s frame.
+
+    f3 is formed as the difference of e_1 = x/2 + u and e_n = x/2 - u,
+    with the same float operations as CVector arithmetic on the Witt basis,
+    so this array equals adapted_frame(x).quotient_basis bit for bit."""
+    chart_cols = make_chart(x)._columns
+    xc = x.components
+    u = chart_cols[:, 0]
+    half = xc * complex(0.5)
+    cols = np.empty((xc.shape[0], 2 * xc.shape[0] - 2), dtype=np.complex128)
+    cols[:, 0] = xc * 1j
+    cols[:, 1] = ((half + u) - (half - u)) * 1j
+    cols[:, 2::2] = chart_cols[:, 1:]
+    cols[:, 3::2] = chart_cols[:, 1:] * 1j
+    return cols
+
+
+def _quotient_labels(n: int) -> tuple[str, ...]:
+    labels = ["f2", "f3"]
+    for k in range(2, n):
+        labels.extend([f"e{k}", f"ie{k}"])
+    return tuple(labels)
+
+
 def adapted_frame(x: ConePoint) -> AdaptedFrame:
     """Build the adapted tangent and quotient frames at x."""
-    basis = extend_to_witt_basis(x)
-    e1, en = basis[0], basis[-1]
-    mids = basis[1:-1]
-    f1 = x.vector
-    f2 = 1j * x.vector
-    f3 = 1j * (e1 - en)
-    quotient = [f2, f3]
-    labels = ["f2", "f3"]
-    for k, m in enumerate(mids):
-        quotient.extend([m, 1j * m])
-        labels.extend([f"e{k + 2}", f"ie{k + 2}"])
+    sig = x.signature
+    quotient = tuple(CVector(c, sig) for c in _quotient_columns(x).T)
     return AdaptedFrame(
         x,
-        tuple(basis),
-        tuple([f1] + quotient),
-        tuple(quotient),
-        tuple(labels),
+        tuple(extend_to_witt_basis(x)),
+        (x.vector, *quotient),
+        quotient,
+        _quotient_labels(sig.n),
     )
 
 
@@ -171,25 +188,33 @@ def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...
     quotient frame, is certified and computed once per point and kept on x."""
     if basis is None:
         if "quotient_gram" not in x._derived:
-            fr = adapted_frame(x)
-            x._derived["quotient_gram"] = _frame_gram(
-                x, fr.quotient_basis, fr.quotient_labels)
+            x._derived["quotient_gram"] = (
+                _tangent_gram(x, _quotient_columns(x)),
+                _quotient_labels(x.signature.n),
+            )
         return x._derived["quotient_gram"]
     basis = tuple(basis)
     if labels is None:
         labels = tuple(f"v{i}" for i in range(len(basis)))
     cols = np.column_stack([v.components for v in basis])
+    return _tangent_gram(x, cols), labels
+
+
+def _tangent_gram(x: ConePoint, cols: np.ndarray) -> np.ndarray:
+    """Read-only Gram [Re f(c_i, c_j)] of the columns of cols, after
+    certifying each column tangent at x (TangencyError otherwise)."""
     along_x = np.abs(_gram(x.components, cols, x.signature).real)
     denom = np.linalg.norm(cols, axis=0) * x.vector.norm()
     res = np.divide(along_x, denom, out=np.zeros_like(along_x), where=denom > 0)
     bad = np.flatnonzero(res > TANGENCY_TOL)
     if bad.size:
         raise TangencyError(
-            f"basis vector {bad[0]} has tangency residual {res[bad[0]]:.3e} at x"
+            f"basis vector {bad[0]} has tangency residual {res[bad[0]]:.3e} at x",
+            residual=float(res[bad[0]]), threshold=TANGENCY_TOL,
         )
     gram = _gram(cols, cols, x.signature).real
     gram.flags.writeable = False
-    return gram, labels
+    return gram
 
 
 def induced_metric(x: ConePoint, frame: str = "adapted", *,
@@ -245,10 +270,11 @@ def cotangent_metric_qtilde(x: ConePoint, *, basis=None, labels=None,
         inverse = np.linalg.inv(gram)
     except np.linalg.LinAlgError as exc:
         raise NondegeneracyError("quotient metric is singular") from exc
-    residual = float(np.max(np.abs(gram @ inverse - np.eye(gram.shape[0]))))
+    residual = float(np.abs(gram @ inverse - np.eye(gram.shape[0])).max())
     if residual > 1e-6:
         raise NondegeneracyError(
-            f"quotient metric inversion failed (residual {residual:.3e})"
+            f"quotient metric inversion failed (residual {residual:.3e})",
+            residual=residual, threshold=1e-6,
         )
     full_scale = float(np.linalg.svd(inverse, compute_uv=False)[0])
     sub = inverse[1:, 1:]

@@ -11,19 +11,21 @@ positive real axis.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 from .core import (
+    _FLOAT_MAX,
+    _NORMAL_MIN,
     DEFAULT_TOL,
     ConePoint,
     CVector,
     Signature,
     _as_vector,
     _check_same_signature,
-    _gram,
     _norm,
     _pseudo_unitarity_residual,
     basis_vector,
@@ -89,11 +91,18 @@ class Split:
         m.flags.writeable = False
         return m
 
+    @cached_property
+    def _pairing(self) -> np.ndarray:
+        """eta * conj(matrix), the right factor of core._gram against the
+        basis, formed once: v @ _pairing = [f(v, b_j)]."""
+        m = self.signature.eta[:, None] * self.matrix.conj()
+        m.flags.writeable = False
+        return m
+
     def coefficients(self, v: CVector) -> np.ndarray:
         """Coordinates of v in this basis: c_j = eta_j * f(v, b_j)."""
         _check_same_signature(v, self.basis[0])
-        sig = self.signature
-        return sig.eta * _gram(v.components, self.matrix, sig)
+        return self.signature.eta * (v.components @ self._pairing)
 
     def from_coefficients(self, coeffs) -> CVector:
         return CVector(self.matrix @ np.asarray(coeffs, dtype=np.complex128),
@@ -143,14 +152,34 @@ def split_decompose(
 
 def _ray_scale(vec: CVector, split: Split, tol: float) -> tuple[np.ndarray, float]:
     """Split coefficients c of vec and the scale R = sqrt((|c+|^2 + |c-|^2)/2);
-    raises DegenerateInputError when R <= tol * ||vec||."""
+    raises DegenerateInputError when R <= tol * ||vec||.
+
+    When |c+|^2 + |c-|^2 is not a normal float (|c| above about 1e154 or
+    below about 1e-154) and every c_j is finite, the sums and ||vec|| are
+    taken again on c / max|c_j| and vec / max|c_j|, as in
+    core._isotropy_sums, so R holds at every scale; otherwise the unscaled
+    sums are kept bit for bit.
+    """
     coeffs = split.coefficients(vec)
     p = split.signature.p
-    r = float(np.sqrt((_norm(coeffs[:p]) ** 2
-                       + _norm(coeffs[p:]) ** 2) / 2.0))
-    if r <= tol * vec.norm():
+    # Below 1e150 no square overflows (see core._isotropy_sums).
+    if max(map(abs, coeffs.tolist())) < 1e150:
+        total = _norm(coeffs[:p]) ** 2 + _norm(coeffs[p:]) ** 2
+    else:
+        with np.errstate(over="ignore"):
+            total = _norm(coeffs[:p]) ** 2 + _norm(coeffs[p:]) ** 2
+    scale = 1.0
+    if not _NORMAL_MIN <= total <= _FLOAT_MAX:
+        top = float(np.abs(coeffs).max())
+        if 0.0 < top < math.inf:
+            scale = top
+            c = coeffs / scale
+            total = _norm(c[:p]) ** 2 + _norm(c[p:]) ** 2
+    r = float(np.sqrt(total / 2.0))
+    nrm = vec.norm() if scale == 1.0 else float(_norm(vec.components / scale))
+    if r <= tol * nrm:
         raise DegenerateInputError("scale R collapsed below tolerance")
-    return coeffs, r
+    return coeffs, scale * r
 
 
 @dataclass(frozen=True, eq=False)

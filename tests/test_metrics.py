@@ -1,10 +1,11 @@
 import gc
+import re
 import weakref
 
 import numpy as np
 import pytest
 
-from coneq import charts
+from coneq import charts, metrics
 from coneq import (
     ConePoint,
     CVector,
@@ -375,6 +376,53 @@ class TestOneFramePerPoint:
             self.assert_same_bits(g, induced_metric(x))
             self.assert_same_bits(co, cotangent_metric_qtilde(x))
 
+    @pytest.mark.parametrize("sig", [SIG11] + SIGS, ids=str)
+    def test_chart_check_runs_once(self, sig, monkeypatch):
+        # The chart identity check runs in ChartFrame.__post_init__; the
+        # kept default frame is wrapped without it.
+        calls = []
+        check = charts.ChartFrame.__post_init__
+
+        def counting(chart):
+            calls.append(chart)
+            check(chart)
+
+        monkeypatch.setattr(charts.ChartFrame, "__post_init__", counting)
+        x = sample_cone_point(sig, 4)
+        make_chart(x)
+        charts.extend_to_witt_basis(x)
+        induced_metric(x)
+        cotangent_metric_qtilde(x)
+        adapted_frame(x)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("sig", [SIG11] + SIGS, ids=str)
+    def test_kept_frame_is_read_only(self, sig):
+        x = sample_cone_point(sig, 2)
+        first = make_chart(x)
+        again = make_chart(x)
+        assert again.u is first.u and again.mu_basis is first.mu_basis
+        assert again._columns is first._columns
+        u, mids, cols = x._derived["witt"]
+        with pytest.raises(ValueError):
+            cols[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            u.components[0] = 0.0
+        for m in mids:
+            with pytest.raises(ValueError):
+                m.components[0] = 0.0
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_kept_frame_passes_its_check(self, sig):
+        # The wrapped frame is the one that was certified: a fresh
+        # ChartFrame on the same data passes with the same columns.
+        x = sample_cone_point(sig, 6)
+        make_chart(x)
+        kept = make_chart(x)
+        fresh = charts.ChartFrame(x, kept.u, kept.mu_basis)
+        assert fresh._columns.tobytes() == kept._columns.tobytes()
+        assert kept.to_json() == fresh.to_json()
+
     def test_no_reference_cycle(self):
         # The point must die by reference counting alone: a cycle through
         # whatever it keeps would leave it to the cyclic collector.
@@ -389,3 +437,58 @@ class TestOneFramePerPoint:
             assert ref() is None
         finally:
             gc.enable()
+
+
+def _parent_quotient_basis(x):
+    """Reference adapted quotient frame: CVector arithmetic on the Witt
+    basis, one vector at a time."""
+    basis = charts.extend_to_witt_basis(x)
+    e1, en = basis[0], basis[-1]
+    quotient = [1j * x.vector, 1j * (e1 - en)]
+    for m in basis[1:-1]:
+        quotient.extend([m, 1j * m])
+    return np.column_stack([v.components for v in quotient])
+
+
+class TestQuotientColumns:
+    """The (n, 2n - 2) array frame equals the adapted quotient frame."""
+
+    SIGS = [SIG11, Signature(1, 2), SIG22, Signature(3, 3), Signature(5, 5)]
+    SCALES = [1e-8, 1e-4, 1.0, 1e4, 1e8]
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_array_frame_equals_adapted_frame(self, sig):
+        for seed in range(8):
+            for s in self.SCALES:
+                x = ConePoint(s * sample_cone_point(sig, seed).vector)
+                cols = metrics._quotient_columns(x)
+                reference = _parent_quotient_basis(x)
+                fr = adapted_frame(x)
+                wrapped = np.column_stack([v.components
+                                           for v in fr.quotient_basis])
+                assert cols.shape == (sig.n, 2 * sig.n - 2)
+                assert np.all(cols == reference)
+                assert np.all(wrapped == reference)
+                assert cols.tobytes() == reference.tobytes()
+                assert fr.tangent_basis[0] is x.vector
+                assert fr.tangent_basis[1:] == fr.quotient_basis
+                assert len(fr.quotient_labels) == 2 * sig.n - 2
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_default_gram_equals_the_explicit_frame(self, sig):
+        # The default Gram and the Gram of the same frame passed as an
+        # explicit basis agree bit for bit, or fail the same tangency check.
+        for seed in range(8):
+            for s in self.SCALES:
+                v = s * sample_cone_point(sig, seed).vector
+                fr = adapted_frame(ConePoint(v))
+                try:
+                    explicit = metrics._frame_gram(
+                        ConePoint(v), fr.quotient_basis, fr.quotient_labels)
+                except TangencyError as exc:
+                    with pytest.raises(TangencyError, match=re.escape(str(exc))):
+                        metrics._frame_gram(ConePoint(v), None, None)
+                    continue
+                gram, labels = metrics._frame_gram(ConePoint(v), None, None)
+                assert gram.tobytes() == explicit[0].tobytes()
+                assert labels == explicit[1] == fr.quotient_labels

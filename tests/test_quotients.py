@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coneq import (
     standard_split,
     torus_coords,
 )
+from coneq.core import _gram
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -76,6 +78,21 @@ class TestSplit:
 
 
 SIGNATURES = [Signature(p, q) for p, q in itertools.product(range(1, 6), repeat=2)]
+
+
+class TestSplitCoefficients:
+    def test_coefficients_equal_the_gram_row(self):
+        # eta * conj(M) is kept on the split; the coordinates keep the bits
+        # of eta * core._gram(v, M).
+        for sig in (SIG11, SIG22, Signature(2, 3), Signature(5, 5)):
+            for split in (standard_split(sig), sample_split(sig, 3)):
+                for seed in range(8):
+                    v = sample_cone_point(sig, seed).vector
+                    expected = sig.eta * _gram(v.components, split.matrix, sig)
+                    assert (split.coefficients(v).tobytes()
+                            == expected.tobytes())
+        with pytest.raises(ValueError):
+            standard_split(SIG22)._pairing[0, 0] = 0.0
 
 
 class TestSharedStandardSplit:
@@ -192,6 +209,62 @@ class TestCanonicalizeRay:
         data = ray.to_json()
         assert data["split"] == "standard"
         assert data["plus_norm"] == 1.0 and data["minus_norm"] == 1.0
+
+
+class TestRayScaleFree:
+    # The block sums overflow at 1e155 and above, and are subnormal or zero
+    # at 1e-160 and below; R is taken on c / max|c_j| there.
+    SCALES = [1e155, 1e160, 1e300, 1e-160, 1e-170, 1e-300]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_canonical_reps_at_extreme_scales(self, scale):
+        x = sample_cone_point(SIG22, 3)
+        ray_ref = canonicalize_ray(x)
+        proj_ref = canonicalize_phase(x)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            y = ConePoint(scale * x.vector)
+            ray = canonicalize_ray(y)
+            proj = canonicalize_phase(y)
+        assert abs(ray.plus_norm - 1.0) <= 1e-12
+        assert abs(ray.minus_norm - 1.0) <= 1e-12
+        np.testing.assert_allclose(ray.components, ray_ref.components,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(proj.components, proj_ref.components,
+                                   rtol=0, atol=1e-12)
+        assert proj.pivot_index == proj_ref.pivot_index
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_transported_split_at_extreme_scales(self, scale):
+        sig = Signature(3, 2)
+        split = sample_split(sig, 21)
+        x = sample_cone_point(sig, 6)
+        ref = canonicalize_ray(x, split)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ray = canonicalize_ray(ConePoint(scale * x.vector), split)
+            _, _, r = split_decompose(scale * x.vector, split)
+        np.testing.assert_allclose(ray.components, ref.components,
+                                   rtol=0, atol=1e-12)
+        assert abs(r / (scale * split_decompose(x, split)[2]) - 1.0) <= 1e-14
+
+    def test_common_path_keeps_its_bits(self):
+        # R equals the unscaled formula, np.linalg.norm's, bit for bit.
+        for sig in (SIG11, SIG22, Signature(2, 3), Signature(5, 5)):
+            for split in (standard_split(sig), sample_split(sig, 4)):
+                for seed in range(8):
+                    for scale in (1e-150, 1e-8, 1.0, 1e8, 1e150):
+                        v = scale * sample_cone_point(sig, seed).vector
+                        c = split.coefficients(v)
+                        p = sig.p
+                        expected = float(np.sqrt(
+                            (np.linalg.norm(c[:p]) ** 2
+                             + np.linalg.norm(c[p:]) ** 2) / 2.0))
+                        assert split_decompose(v, split)[2] == expected
+
+    def test_zero_still_collapses(self):
+        with pytest.raises(DegenerateInputError, match="scale R collapsed"):
+            split_decompose(vec(SIG22, 0, 0, 0, 0))
 
 
 class TestCanonicalizePhase:
