@@ -27,6 +27,7 @@ from .core import (
     _check_same_signature,
     _gram,
     _norm,
+    _pow2_scale,
     basis_vector,
     form_eval,
     make_rng,
@@ -238,7 +239,9 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     pairing = form_eval(chart.x.vector, out.vector)
     if abs(pairing - 1.0) > 1e-10 * chart.x.vector.norm() * vec.norm():
         raise InternalContractError(
-            f"chart normalization f(x, kappa0) = {pairing:.15g} != 1"
+            f"chart normalization f(x, kappa0) = {pairing:.15g} != 1",
+            residual=abs(pairing - 1.0) / (chart.x.vector.norm() * vec.norm()),
+            threshold=1e-10,
         )
     return out
 
@@ -248,11 +251,18 @@ def kappa(chart: ChartFrame, r: float, y_coords, split: Split | None = None) -> 
     return canonicalize_phase(kappa0(chart, r, y_coords), split)
 
 
+def _balanced(vec: CVector) -> CVector:
+    """vec times core._pow2_scale(max|vec_j|): the same class, on which
+    pairings and norms neither overflow nor underflow."""
+    s = _pow2_scale(max(map(abs, vec.components.tolist())))
+    return vec if s == 1.0 else vec * s
+
+
 def is_perp(a, b, tol: float = DEFAULT_TOL) -> bool:
     """Whether |f(a, b)| <= tol * ||a|| * ||b||; independent of the chosen
-    representatives of either class."""
-    av = _as_vector(a)
-    bv = _as_vector(b)
+    representatives of either class, at every finite scale of each."""
+    av = _balanced(_as_vector(a))
+    bv = _balanced(_as_vector(b))
     return abs(form_eval(av, bv)) <= tol * av.norm() * bv.norm()
 
 
@@ -283,9 +293,10 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     data satisfy Re f(b', u) = -f(y, y)/2 for the rescaled representative
     b' with f(b', x) = 1; that identity is re-verified relative to
     ||b'||^2, since the deviation Re f(b', u) + f(y, y)/2 equals
-    f(b', b')/2 and so grows like ||b'||^2.
+    f(b', b')/2 and so grows like ||b'||^2.  A rescale of b by 2^k keeps
+    every bit of the result.
     """
-    bv = _as_vector(b)
+    bv = _balanced(_as_vector(b))
     xv = chart.x.vector
     pairing = form_eval(bv, xv)
     if abs(pairing) <= tol * bv.norm() * xv.norm():
@@ -297,7 +308,8 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     if drift > 1e-6:
         raise InternalContractError(
             f"recovered Re(beta) deviates from -f(y,y)/2 by {drift:.3e} "
-            "relative to ||b'||^2"
+            "relative to ||b'||^2",
+            residual=drift, threshold=1e-6,
         )
     return float(beta.imag), y
 
@@ -332,7 +344,7 @@ def aperp_classify(chart: ChartFrame, b, tol: float = DEFAULT_TOL) -> AperpClass
     b must be isotropic and orthogonal to the chart center.  Coordinates are
     taken in the Witt basis of the chart: b = alpha x + sum_j m_j mu_j.
     """
-    bv = _as_vector(b)
+    bv = _balanced(_as_vector(b))
     xv = chart.x.vector
     if not is_perp(bv, xv, tol):
         raise NotInAperpError(

@@ -13,7 +13,6 @@ seeded samplers everything downstream draws from.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -28,8 +27,6 @@ from .errors import (
 )
 
 DEFAULT_TOL = 1e-9
-_NORMAL_MIN = sys.float_info.min
-_FLOAT_MAX = sys.float_info.max
 
 __all__ = [
     "DEFAULT_TOL",
@@ -219,32 +216,31 @@ def _as_vector(obj) -> CVector:
     return obj.point.vector
 
 
-def _isotropy_sums(vec: CVector) -> tuple[float, float]:
-    """(|f(x, x)|, ||x||^2) for x = vec, as plain sums over the components.
+def _pow2_scale(top: float) -> float:
+    """Factor for an array c with top = max|c_j|: 1.0 if 1e-153 < top < 1e150,
+    where top^2 is normal and no sum of fewer than 1e8 squares overflows;
+    else 2^-e for top = m 2^e (at most 2^1023).  A power of two scales every
+    sum exactly (Anderson, ACM TOMS 44, 2017), so a sum keeps its bits
+    wherever the unscaled one is a normal float."""
+    if 1e-153 < top < 1e150:
+        return 1.0
+    return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
-    When ||x||^2 is not a normal float (|x| above about 1e154 or below about
-    1e-154) and every x_j is finite, both sums are taken on x / max|x_j|, so
-    their ratio holds at every scale; otherwise the unscaled sums are kept
-    bit for bit.  A zero or non-finite x gives |f(x, x)| = nan with
-    ||x||^2 = 0, inf or nan, on which the callers reject it.
-    """
+
+def _isotropy_sums(vec: CVector) -> tuple[float, float]:
+    """(|f(x, x)|, ||x||^2) for x = vec, each summed once on x times
+    _pow2_scale(max|x_j|).  A zero or non-finite x gives |f(x, x)| = nan
+    with ||x||^2 = 0, inf or nan, on which the callers reject it."""
     c = vec.components
     absx = np.abs(c)
-    # With every |x_j| below 1e150 no square, nor any sum of fewer than 1e8
-    # of them, can overflow, so numpy has no warning to silence.  Python's
-    # max over the list is the cheap test at small n; a nan it returns only
-    # takes the guarded branch.
-    if max(absx.tolist()) < 1e150:
-        nrm2 = float(np.add.reduce(absx**2))
-    else:
-        with np.errstate(over="ignore"):
-            nrm2 = float(np.add.reduce(absx**2))
-    if not _NORMAL_MIN <= nrm2 <= _FLOAT_MAX:
-        scale = float(absx.max())
-        if not 0.0 < scale < math.inf:
-            return math.nan, nrm2
-        c = c / scale
-        nrm2 = float(np.add.reduce(np.abs(c) ** 2))
+    top = float(absx.max())
+    if not 0.0 < top < math.inf:
+        return math.nan, top
+    s = _pow2_scale(top)
+    if s != 1.0:
+        c = s * c
+        absx = s * absx
+    nrm2 = float(np.add.reduce(absx**2))
     return abs(complex(np.add.reduce(vec.signature.eta * c * np.conj(c)))), nrm2
 
 
@@ -321,7 +317,8 @@ class GroupElement:
         residual = _pseudo_unitarity_residual(mat, self.signature)
         if not residual <= tol:
             raise NotIsometryError(
-                f"||U^H eta U - eta||_max = {residual:.3e} exceeds tol {tol:.3e}"
+                f"||U^H eta U - eta||_max = {residual:.3e} exceeds tol {tol:.3e}",
+                residual=residual, threshold=tol,
             )
 
     def apply(self, v: CVector) -> CVector:

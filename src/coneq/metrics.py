@@ -250,7 +250,8 @@ def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector,
         res = tangency_residual(x, v)
         if res > tol:
             raise TangencyError(
-                f"skew form argument has tangency residual {res:.3e}"
+                f"skew form argument has tangency residual {res:.3e}",
+                residual=res, threshold=tol,
             )
     return float(form_eval(vec_a, vec_b).imag)
 
@@ -344,7 +345,8 @@ def conformal_factor(x, split_a: Split, split_b: Split):
     )
     if fit_residual > 1e-8:
         raise TangencyError(
-            f"frames do not span a common quotient (residual {fit_residual:.3e})"
+            f"frames do not span a common quotient (residual {fit_residual:.3e})",
+            residual=fit_residual, threshold=1e-8,
         )
     change = coeffs / mu
     inv_change = np.linalg.inv(change)

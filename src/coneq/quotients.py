@@ -18,8 +18,6 @@ from functools import cache, cached_property
 import numpy as np
 
 from .core import (
-    _FLOAT_MAX,
-    _NORMAL_MIN,
     DEFAULT_TOL,
     ConePoint,
     CVector,
@@ -27,6 +25,7 @@ from .core import (
     _as_vector,
     _check_same_signature,
     _norm,
+    _pow2_scale,
     _pseudo_unitarity_residual,
     basis_vector,
     sample_pseudo_unitary,
@@ -77,7 +76,8 @@ class Split:
         residual = _pseudo_unitarity_residual(self.matrix, sig)
         if not residual <= DEFAULT_TOL:
             raise NotIsometryError(
-                f"basis Gram deviates from eta by {residual:.3e}"
+                f"basis Gram deviates from eta by {residual:.3e}",
+                residual=residual, threshold=DEFAULT_TOL,
             )
 
     @property
@@ -151,35 +151,20 @@ def split_decompose(
 
 
 def _ray_scale(vec: CVector, split: Split, tol: float) -> tuple[np.ndarray, float]:
-    """Split coefficients c of vec and the scale R = sqrt((|c+|^2 + |c-|^2)/2);
-    raises DegenerateInputError when R <= tol * ||vec||.
-
-    When |c+|^2 + |c-|^2 is not a normal float (|c| above about 1e154 or
-    below about 1e-154) and every c_j is finite, the sums and ||vec|| are
-    taken again on c / max|c_j| and vec / max|c_j|, as in
-    core._isotropy_sums, so R holds at every scale; otherwise the unscaled
-    sums are kept bit for bit.
-    """
+    """Split coefficients c of vec and the scale R = sqrt((|c+|^2 + |c-|^2)/2),
+    with the sums and ||vec|| taken once on c and vec times
+    core._pow2_scale(max|c_j|); raises DegenerateInputError when c is zero
+    or not finite, or when R <= tol * ||vec||."""
     coeffs = split.coefficients(vec)
-    p = split.signature.p
-    # Below 1e150 no square overflows (see core._isotropy_sums).
-    if max(map(abs, coeffs.tolist())) < 1e150:
-        total = _norm(coeffs[:p]) ** 2 + _norm(coeffs[p:]) ** 2
-    else:
-        with np.errstate(over="ignore"):
-            total = _norm(coeffs[:p]) ** 2 + _norm(coeffs[p:]) ** 2
-    scale = 1.0
-    if not _NORMAL_MIN <= total <= _FLOAT_MAX:
-        top = float(np.abs(coeffs).max())
-        if 0.0 < top < math.inf:
-            scale = top
-            c = coeffs / scale
-            total = _norm(c[:p]) ** 2 + _norm(c[p:]) ** 2
-    r = float(np.sqrt(total / 2.0))
-    nrm = vec.norm() if scale == 1.0 else float(_norm(vec.components / scale))
-    if r <= tol * nrm:
-        raise DegenerateInputError("scale R collapsed below tolerance")
-    return coeffs, scale * r
+    top = float(np.abs(coeffs).max())
+    if 0.0 < top < math.inf:
+        s = _pow2_scale(top)
+        c, v = (coeffs, vec.components) if s == 1.0 else (s * coeffs, s * vec.components)
+        p = split.signature.p
+        r = float(np.sqrt((_norm(c[:p]) ** 2 + _norm(c[p:]) ** 2) / 2.0))
+        if r > tol * float(_norm(v)):
+            return coeffs, r / s
+    raise DegenerateInputError("scale R collapsed below tolerance")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,10 +177,11 @@ class RayRep:
     minus_norm: float
 
     def __post_init__(self):
-        if not (abs(self.plus_norm - 1.0) <= 1e-9
-                and abs(self.minus_norm - 1.0) <= 1e-9):
+        dev = (abs(self.plus_norm - 1.0), abs(self.minus_norm - 1.0))
+        if not (dev[0] <= 1e-9 and dev[1] <= 1e-9):
             raise DegenerateInputError(
-                "ray representative blocks must have unit norm"
+                "ray representative blocks must have unit norm",
+                residual=float(np.max(dev)), threshold=1e-9,
             )
 
     @property

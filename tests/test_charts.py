@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -347,6 +349,56 @@ class TestIsPerp:
         b = sample_aperp_point(chart, 23)
         assert is_perp(b, chart.x)
         assert is_perp(canonicalize_ray(b), canonicalize_phase(chart.x))
+
+
+class TestQueriesAtEveryScale:
+    # Far outside 1e-153..1e150, where ||b||^2 and the pairings with b
+    # overflow or underflow unless b is brought to unit scale first.
+    SCALES = [1e155, 1e200, 1e300, 1e-160, 1e-300]
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_chart_inverse(self, scale):
+        for sig in (SIG11, SIG22, Signature(3, 2)):
+            for seed in range(4):
+                chart = make_chart(sample_cone_point(sig, seed))
+                b = sample_cone_point(sig, seed + 10)
+                r, y = chart_inverse(chart, b)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    r_got, y_got = chart_inverse(chart, ConePoint(scale * b.vector))
+                assert abs(r_got - r) <= 1e-12 * max(1.0, abs(r))
+                np.testing.assert_allclose(y_got, y, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_aperp_classify(self, scale):
+        for sig in (SIG11, SIG22, Signature(3, 2)):
+            for seed in range(4):
+                chart = make_chart(sample_cone_point(sig, seed))
+                b = sample_aperp_point(chart, seed, apex_probability=0.3)
+                want = aperp_classify(chart, b)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = aperp_classify(chart, ConePoint(scale * b.vector))
+                assert got.kind == want.kind
+                assert abs(got.alpha - want.alpha) <= 1e-12 * abs(want.alpha)
+                np.testing.assert_allclose(got.plus_coords, want.plus_coords,
+                                           rtol=1e-12, atol=1e-12)
+                np.testing.assert_allclose(got.minus_coords, want.minus_coords,
+                                           rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_is_perp(self, scale):
+        for seed in range(4):
+            chart = make_chart(sample_cone_point(SIG22, seed))
+            x, y = chart.x, sample_cone_point(SIG22, seed + 10)
+            b = sample_aperp_point(chart, seed, apex_probability=0.0)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                for s_a, s_b in ((scale, 1.0), (1.0, scale), (scale, scale)):
+                    assert not is_perp(ConePoint(s_a * y.vector),
+                                       ConePoint(s_b * x.vector))
+                    assert is_perp(ConePoint(s_a * b.vector),
+                                   ConePoint(s_b * x.vector))
 
 
 class TestAperpClassify:

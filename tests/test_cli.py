@@ -284,6 +284,51 @@ class TestAperp:
         assert payload["expected"] == 3
 
 
+class TestQueriesAtEveryScale:
+    SCALES = [1e155, 1e200, 1e300, 1e-160, 1e-300]
+
+    @staticmethod
+    def scaled(scale, *values):
+        return ",".join(repr(scale * v) for v in values)
+
+    def run_quiet(self, capsys, *argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, payload, err = run_json(capsys, *argv)
+        assert [str(w.message) for w in caught] == []
+        assert code == 0 and "Traceback" not in err
+        return payload
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_chart_inverse(self, capsys, scale):
+        payload = self.run_quiet(
+            capsys, "chart", "inverse", "--sig", "2,2",
+            "--b", self.scaled(scale, 0, 2, 1, 0, 0, 0, -1, 2),
+        )
+        assert payload["result"] == "chart"
+        assert abs(payload["r"] - 2.0) <= 1e-12
+        np.testing.assert_allclose(payload["y"], [[1, 0], [0, 0]], atol=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_aperp_classify_generic(self, capsys, scale):
+        payload = self.run_quiet(
+            capsys, "aperp", "classify", "--sig", "2,2",
+            "--b", self.scaled(scale, 5, 0, 1, 0, 1, 0, 5, 0),
+        )
+        assert payload["kind"] == "Generic"
+        np.testing.assert_allclose(payload["alpha"], [5, 0], atol=1e-12)
+        np.testing.assert_allclose(payload["plus"], [[1, 0]], atol=1e-12)
+        np.testing.assert_allclose(payload["minus"], [[1, 0]], atol=1e-12)
+
+    @pytest.mark.parametrize("scale", SCALES)
+    def test_aperp_classify_apex(self, capsys, scale):
+        payload = self.run_quiet(
+            capsys, "aperp", "classify", "--sig", "2,2",
+            "--b", self.scaled(scale, 0, 3, 0, 0, 0, 0, 0, 3),
+        )
+        assert payload == {"kind": "Apex", "alpha": [1.0, 0.0]}
+
+
 class TestTorus:
     def test_csv_table(self, capsys):
         code, out, err = run_cli(

@@ -11,23 +11,41 @@ from coneq import (
     ChartFrame,
     ConePoint,
     CVector,
+    DegenerateInputError,
+    GroupElement,
+    InternalContractError,
     NondegeneracyError,
+    NotIsometryError,
     NotIsotropicError,
     QuadricError,
+    RayRep,
     Signature,
+    Split,
     TangencyError,
     UnsupportedChartError,
     adapted_frame,
     basis_vector,
+    chart_inverse,
+    conformal_factor,
     cotangent_metric_qtilde,
     hyperbolic_partner,
     induced_metric,
+    kappa0,
     make_chart,
     sample_cone_point,
+    sample_split,
+    skew_form,
+    standard_split,
 )
+from coneq import metrics
 from coneq.metrics import TANGENCY_TOL
 
+SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
+
+
+def standard_center():
+    return ConePoint(basis_vector(SIG22, 0) + basis_vector(SIG22, 3))
 
 
 class TestQuadricErrorAttributes:
@@ -117,3 +135,85 @@ class TestCertificatesSetThem:
             assert exc.residual > exc.threshold
             assert str(exc) == (f"quotient metric inversion failed "
                                 f"(residual {exc.residual:.3e})")
+
+    def test_split(self):
+        # Columns (1, 1) and (1, -1): f-Gram [[0, 2], [2, 0]] against eta.
+        basis = (CVector(np.array([1, 1]), SIG11), CVector(np.array([1, -1]), SIG11))
+        with pytest.raises(NotIsometryError) as info:
+            Split(basis)
+        exc = info.value
+        assert (exc.residual, exc.threshold) == (2.0, DEFAULT_TOL)
+        assert str(exc) == f"basis Gram deviates from eta by {2.0:.3e}"
+
+    def test_group_element(self):
+        # U = 2I gives U^H eta U - eta = 3 eta.
+        with pytest.raises(NotIsometryError) as info:
+            GroupElement(2.0 * np.eye(2), SIG11, tol=1e-10)
+        exc = info.value
+        assert (exc.residual, exc.threshold) == (3.0, 1e-10)
+        assert str(exc) == (f"||U^H eta U - eta||_max = {3.0:.3e} "
+                            f"exceeds tol {1e-10:.3e}")
+
+    @pytest.mark.parametrize("plus, minus, worst", [
+        (1.5, 1.0, 0.5), (1.0, 0.75, 0.25), (1.0, np.nan, np.nan),
+    ])
+    def test_ray_rep_unit_norms(self, plus, minus, worst):
+        point = ConePoint(CVector(np.array([1, 1]), SIG11))
+        with pytest.raises(DegenerateInputError) as info:
+            RayRep(point, standard_split(SIG11), plus, minus)
+        exc = info.value
+        assert exc.threshold == 1e-9
+        np.testing.assert_equal(exc.residual, worst)
+        assert str(exc) == "ray representative blocks must have unit norm"
+
+    def test_kappa0_normalization(self):
+        # A partner 5e-10 too long passes the chart check (relative 1e-9)
+        # but not kappa0's f(x, kappa0) = 1 at 1e-10; ||x|| ||u|| = 1 here.
+        x = standard_center()
+        good = make_chart(x)
+        chart = ChartFrame(x, (1.0 + 5e-10) * good.u, good.mu_basis)
+        with pytest.raises(InternalContractError) as info:
+            kappa0(chart, 0.0, [0.0, 0.0])
+        exc = info.value
+        assert exc.threshold == 1e-10
+        assert exc.residual == pytest.approx(5e-10, rel=1e-6)
+        pairing = 1.0 + 5e-10 + 0j
+        assert str(exc) == f"chart normalization f(x, kappa0) = {pairing:.15g} != 1"
+
+    def test_chart_inverse_drift(self):
+        # b = e_1 is not isotropic: the drift is f(b, b)/2 over ||b||^2.
+        chart = make_chart(standard_center())
+        with pytest.raises(InternalContractError) as info:
+            chart_inverse(chart, basis_vector(SIG22, 0))
+        exc = info.value
+        assert (exc.residual, exc.threshold) == (0.5, 1e-6)
+        assert str(exc) == ("recovered Re(beta) deviates from -f(y,y)/2 by "
+                            f"{0.5:.3e} relative to ||b'||^2")
+
+    def test_skew_form_tangency(self):
+        x = sample_cone_point(SIG22, 2)
+        u = hyperbolic_partner(x)
+        tangent = adapted_frame(x).quotient_basis[0]
+        with pytest.raises(TangencyError) as info:
+            skew_form(x, tangent, u)
+        exc = info.value
+        assert exc.threshold == TANGENCY_TOL
+        assert exc.residual == pytest.approx(
+            1.0 / (u.norm() * x.vector.norm()), rel=1e-12)
+        assert str(exc) == (f"skew form argument has tangency residual "
+                            f"{exc.residual:.3e}")
+
+    def test_conformal_factor_fit(self, monkeypatch):
+        fit = metrics.quotient_coefficients
+
+        def loose_fit(x, basis, vectors):
+            return fit(x, basis, vectors)[0], 1e-3
+
+        monkeypatch.setattr(metrics, "quotient_coefficients", loose_fit)
+        x = sample_cone_point(SIG22, 4)
+        with pytest.raises(TangencyError) as info:
+            conformal_factor(x, standard_split(SIG22), sample_split(SIG22, 1))
+        exc = info.value
+        assert (exc.residual, exc.threshold) == (1e-3, 1e-8)
+        assert str(exc) == ("frames do not span a common quotient "
+                            f"(residual {1e-3:.3e})")

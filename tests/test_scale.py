@@ -5,7 +5,11 @@ The chart centre is never rescaled in a round trip: a fixed (r, y) on
 make_chart(s x) names a different class, which nears the apex as s grows.
 """
 
+import math
+import warnings
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,3 +90,35 @@ def test_chart_certificates_hold_at_every_scale(sig, seed, s, r):
     for chart, coords in ((make_chart(x), s * y), (make_chart(scaled(x, s)), y)):
         out = kappa0(chart, r, coords)
         assert out.isotropy_residual <= 1e-10
+
+
+# Multiplying by 2^k is exact, so a rescale by 2^k must keep every bit of
+# the certificates and maps below, from deep in the subnormal-square range
+# (k = -1000) to the edge of overflow (k = 1000).
+POW2_EXPONENTS = [-1000, -700, -520, -200, 200, 700, 1000]
+
+
+@pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
+                                 for q in range(1, 6)], ids=str)
+def test_power_of_two_rescale_keeps_every_bit(sig):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(6):
+            x = sample_cone_point(sig, seed)
+            b = sample_cone_point(sig, seed + 1)
+            chart = make_chart(x)
+            ray = canonicalize_ray(x).components
+            proj = canonicalize_phase(x).components
+            inverse = chart_inverse(chart, b)
+            for k in POW2_EXPONENTS:
+                lam = math.ldexp(1.0, k)
+                y = ConePoint(lam * x.vector)
+                assert y.isotropy_residual == x.isotropy_residual
+                assert np.array_equal(canonicalize_ray(y).components, ray)
+                assert np.array_equal(canonicalize_phase(y).components, proj)
+                got = chart_inverse(chart, lam * b.vector)
+                if inverse is IN_APERP:
+                    assert got is IN_APERP
+                else:
+                    assert got[0] == inverse[0]
+                    assert np.array_equal(got[1], inverse[1])
