@@ -188,12 +188,19 @@ def basis_vector(sig: Signature, index: int) -> CVector:
 def form_eval(u: CVector, v: CVector) -> complex:
     """Evaluate the Hermitian form f(u, v).
 
-    Linear in u, conjugate-linear in v; f(v, u) == conj(f(u, v)).
+    Linear in u, conjugate-linear in v; f(v, u) == conj(f(u, v)) bit for bit.
+    The sums run on Python floats, each product rounded on its own: numpy's
+    complex multiply may fuse one of the two products in a part and so round
+    u_j conj(v_j) and v_j conj(u_j) differently.  At the small n used here
+    the loop is also faster than the numpy calls it replaces.
     """
     _check_same_signature(u, v)
-    return complex(
-        np.add.reduce(u.signature.eta * u.components * np.conj(v.components))
-    )
+    re = im = 0.0
+    for e, a, b in zip(u.signature.eta.tolist(), u.components.tolist(),
+                       v.components.tolist()):
+        re += e * (a.real * b.real + a.imag * b.imag)
+        im += e * (a.imag * b.real - a.real * b.imag)
+    return complex(re, im)
 
 
 def _gram(a: np.ndarray, b: np.ndarray, sig: Signature) -> np.ndarray:
