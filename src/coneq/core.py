@@ -372,8 +372,11 @@ def orthonormalize_indefinite(vectors, target, tol: float = 1e-10) -> list[CVect
     self-product vanishes but a cross-product does not (a basis of isotropic
     vectors spanning a nondegenerate space), two members are recombined as
     v_i + v_j or v_i + i*v_j to expose a usable pivot.  Output lists the
-    positive-norm vectors first.  Raises DegenerateSubspaceError when all
-    remaining products vanish at tolerance.
+    positive-norm vectors first.  At each pivot a product vanishes when it is
+    at most tol times the squared norm of the longest remaining vector.
+    Raises DegenerateSubspaceError when all remaining products vanish, or
+    when the longest remaining vector is at most tol times the longest input
+    (the input is linearly dependent).
     """
     if isinstance(target, Signature):
         tp, tq = target.p, target.q
@@ -408,11 +411,16 @@ def _orthonormal_columns(cols: np.ndarray, sig: Signature, tp: int,
     scale = float(np.max(np.linalg.norm(cols, axis=0)))
     if scale == 0.0:
         raise DegenerateSubspaceError("all input vectors are zero")
-    floor = tol * scale**2
     plus: list[np.ndarray] = []
     minus: list[np.ndarray] = []
     while cols.shape[1]:
-        s = _self_products(cols, sig)
+        mod2 = np.abs(cols) ** 2
+        left2 = float(np.add.reduce(mod2).max())
+        if left2 <= (tol * scale) ** 2:
+            raise DegenerateSubspaceError(
+                "input vectors are linearly dependent at tolerance")
+        floor = tol * left2
+        s = sig.eta @ mod2
         pivot = int(np.argmax(np.abs(s)))
         while abs(s[pivot]) <= floor:
             cols = _recombine_isotropic(cols, sig, floor)

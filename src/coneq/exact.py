@@ -291,9 +291,14 @@ class RationalChart:
         target[0][0] = _ONE
         for i in range(1, sig.n - 1):
             target[i][i + 1] = qi(1 if i < sig.p else -1)
-        if not exact_form_eval(self.x, self.x).is_zero() or gram != target:
+        fxx = exact_form_eval(self.x, self.x)
+        if not fxx.is_zero() or gram != target:
+            deviations = [fxx] + [g - t for g_row, t_row in zip(gram, target)
+                                  for g, t in zip(g_row, t_row)]
             raise UnsupportedChartError(
-                "chart data do not satisfy the chart identities exactly"
+                "chart data do not satisfy the chart identities exactly",
+                residual=max(abs(d.to_complex()) for d in deviations),
+                threshold=0.0,
             )
 
     @property

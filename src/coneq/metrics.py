@@ -174,12 +174,17 @@ def adapted_frame(x: ConePoint) -> AdaptedFrame:
     )
 
 
+def _tangency_residuals(x: ConePoint, cols: np.ndarray) -> np.ndarray:
+    """|Re f(c_j, x)| / (||c_j|| ||x||) for each column c_j of cols, zero
+    for a zero column: the one tangency check, bounded by TANGENCY_TOL."""
+    along_x = np.abs(_gram(x.components, cols, x.signature).real)
+    denom = np.linalg.norm(cols, axis=0) * x.vector.norm()
+    return np.divide(along_x, denom, out=np.zeros_like(along_x), where=denom > 0)
+
+
 def tangency_residual(x: ConePoint, vec: CVector) -> float:
     """|Re f(X, x)| relative to the norms; zero means tangent at x."""
-    denom = vec.norm() * x.vector.norm()
-    if denom == 0.0:
-        return 0.0
-    return abs(form_eval(vec, x.vector).real) / denom
+    return float(_tangency_residuals(x, vec.components[:, None])[0])
 
 
 def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -203,9 +208,7 @@ def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...
 def _tangent_gram(x: ConePoint, cols: np.ndarray) -> np.ndarray:
     """Read-only Gram [Re f(c_i, c_j)] of the columns of cols, after
     certifying each column tangent at x (TangencyError otherwise)."""
-    along_x = np.abs(_gram(x.components, cols, x.signature).real)
-    denom = np.linalg.norm(cols, axis=0) * x.vector.norm()
-    res = np.divide(along_x, denom, out=np.zeros_like(along_x), where=denom > 0)
+    res = _tangency_residuals(x, cols)
     bad = np.flatnonzero(res > TANGENCY_TOL)
     if bad.size:
         raise TangencyError(
@@ -243,16 +246,16 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
     return MetricMatrix.from_entries(entries, labels, tol)
 
 
-def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector,
-              tol: float = TANGENCY_TOL) -> float:
+def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector) -> float:
     """Value Im f(X, Y) of the induced skew form on tangent vectors at x."""
-    for v in (vec_a, vec_b):
-        res = tangency_residual(x, v)
-        if res > tol:
-            raise TangencyError(
-                f"skew form argument has tangency residual {res:.3e}",
-                residual=res, threshold=tol,
-            )
+    res = _tangency_residuals(
+        x, np.column_stack([vec_a.components, vec_b.components]))
+    bad = np.flatnonzero(res > TANGENCY_TOL)
+    if bad.size:
+        raise TangencyError(
+            f"skew form argument has tangency residual {res[bad[0]]:.3e}",
+            residual=float(res[bad[0]]), threshold=TANGENCY_TOL,
+        )
     return float(form_eval(vec_a, vec_b).imag)
 
 
@@ -269,15 +272,19 @@ def cotangent_metric_qtilde(x: ConePoint, *, basis=None, labels=None,
     gram, labels = _frame_gram(x, basis, labels)
     try:
         inverse = np.linalg.inv(gram)
+        sv = np.linalg.svd(inverse, compute_uv=False)
     except np.linalg.LinAlgError as exc:
         raise NondegeneracyError("quotient metric is singular") from exc
-    residual = float(np.abs(gram @ inverse - np.eye(gram.shape[0])).max())
+    # G G^-1 = I can hold to rounding for a numerically singular G, so the
+    # residual is at least kappa(G) eps, the error a stable inverse may make.
+    residual = max(float(np.abs(gram @ inverse - np.eye(gram.shape[0])).max()),
+                   float(sv[0] / sv[-1] * np.finfo(float).eps))
     if residual > 1e-6:
         raise NondegeneracyError(
             f"quotient metric inversion failed (residual {residual:.3e})",
             residual=residual, threshold=1e-6,
         )
-    full_scale = float(np.linalg.svd(inverse, compute_uv=False)[0])
+    full_scale = float(sv[0])
     sub = inverse[1:, 1:]
     dual_labels = tuple(f"{l}*" for l in labels[1:])
     return MetricMatrix.from_entries(sub, dual_labels, tol, scale=full_scale)
@@ -333,15 +340,11 @@ def conformal_factor(x, split_a: Split, split_b: Split):
     ray_a = canonicalize_ray(x, split_a)
     ray_b = canonicalize_ray(x, split_b)
     xa, xb = ray_a.point, ray_b.point
-    frame_a = adapted_frame(xa)
-    frame_b = adapted_frame(xb)
-    g_a = induced_metric(xa, basis=frame_a.quotient_basis,
-                         labels=frame_a.quotient_labels)
-    g_b = induced_metric(xb, basis=frame_b.quotient_basis,
-                         labels=frame_b.quotient_labels)
+    g_a = _frame_gram(xa, None, None)[0]
+    g_b = _frame_gram(xb, None, None)[0]
     mu = xb.vector.norm() / xa.vector.norm()
     coeffs, fit_residual = quotient_coefficients(
-        xa, frame_a.quotient_basis, frame_b.quotient_basis
+        xa, adapted_frame(xa).quotient_basis, adapted_frame(xb).quotient_basis
     )
     if fit_residual > 1e-8:
         raise TangencyError(
@@ -350,12 +353,12 @@ def conformal_factor(x, split_a: Split, split_b: Split):
         )
     change = coeffs / mu
     inv_change = np.linalg.inv(change)
-    in_frame_a = inv_change.T @ g_b.entries @ inv_change
-    num = float(np.tensordot(in_frame_a, g_a.entries))
-    den = float(np.tensordot(g_a.entries, g_a.entries))
+    in_frame_a = inv_change.T @ g_b @ inv_change
+    num = float(np.tensordot(in_frame_a, g_a))
+    den = float(np.tensordot(g_a, g_a))
     factor = num / den
     residual = float(
-        np.linalg.norm(in_frame_a - factor * g_a.entries)
-        / (abs(factor) * np.linalg.norm(g_a.entries))
+        np.linalg.norm(in_frame_a - factor * g_a)
+        / (abs(factor) * np.linalg.norm(g_a))
     )
     return factor, residual

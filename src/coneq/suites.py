@@ -245,8 +245,7 @@ def _u1_action(sig, rng, tol):
 def _metric_scaling(sig, rng, tol):
     x = _cone_point(sig, rng)
     frame = metrics.adapted_frame(x)
-    g = metrics.induced_metric(x, basis=frame.quotient_basis,
-                               labels=frame.quotient_labels)
+    g = metrics.induced_metric(x)
     scale = float(np.max(np.abs(g.entries)))
     res = 0.0
     for lam in (0.5, 2.0, 3.7):
@@ -262,15 +261,11 @@ def _metric_scaling(sig, rng, tol):
 
 def _radical(sig, rng, tol):
     x = _cone_point(sig, rng)
-    frame = metrics.adapted_frame(x)
-    xv = x.vector
-    tangent = _columns(frame.tangent_basis)
-    res = float(np.max(np.abs(_gram(x.components, tangent, sig).real)
-                       / (xv.norm() * np.linalg.norm(tangent, axis=0))))
-    z = CVector(tangent @ rng.standard_normal(tangent.shape[1]), sig)
-    res = max(res, abs(form_eval(xv, z).real) / (xv.norm() * max(z.norm(), 1e-12)))
-    g = metrics.induced_metric(x, basis=frame.quotient_basis,
-                               labels=frame.quotient_labels)
+    tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
+    z = tangent @ rng.standard_normal(tangent.shape[1])
+    res = float(np.max(metrics._tangency_residuals(
+        x, np.column_stack([tangent, z]))))
+    g = metrics.induced_metric(x)
     ok = res <= tol and g.signature[2] == 0
     return ok, res, {"quotient_signature": list(g.signature)}
 
@@ -283,8 +278,7 @@ def _metric_signature(sig, rng, tol):
 
 def _lift_independence(sig, rng, tol):
     x = _cone_point(sig, rng)
-    frame = metrics.adapted_frame(x)
-    basis = _columns(frame.quotient_basis)
+    basis = metrics._quotient_columns(x)
     cv, cw = rng.standard_normal((2, basis.shape[1]))
     v = CVector(basis @ cv, sig)
     w = CVector(basis @ cw, sig)

@@ -346,6 +346,13 @@ class TestOrthonormalize:
         with pytest.raises(DegenerateSubspaceError):
             orthonormalize_indefinite([vec(SIG11, 1, 1)], (1, 0))
 
+    def test_dependent_input_rejected(self):
+        e1, e2 = basis_vector(SIG22, 0), basis_vector(SIG22, 1)
+        with pytest.raises(DegenerateSubspaceError, match="linearly dependent"):
+            orthonormalize_indefinite([e1, 2.0 * e1], (2, 0))
+        with pytest.raises(DegenerateSubspaceError, match="linearly dependent"):
+            orthonormalize_indefinite([e1 + e2, e1, e2], (3, 0))
+
     def test_wrong_target_count(self):
         with pytest.raises(ValueError):
             orthonormalize_indefinite([basis_vector(SIG22, 0)], (1, 1))

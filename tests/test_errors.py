@@ -38,6 +38,7 @@ from coneq import (
     standard_split,
 )
 from coneq import metrics
+from coneq.exact import RationalChart, standard_rational_chart
 from coneq.metrics import TANGENCY_TOL
 
 SIG11 = Signature(1, 1)
@@ -135,6 +136,40 @@ class TestCertificatesSetThem:
             assert exc.residual > exc.threshold
             assert str(exc) == (f"quotient metric inversion failed "
                                 f"(residual {exc.residual:.3e})")
+
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8, 1e-10, 1e-13])
+    def test_cometric_rejects_a_numerically_singular_gram(self, eps):
+        # G G^-1 = I holds to rounding at eps = 1e-8 and below, where
+        # cond(G) is about 1e16; the residual is then kappa(G) eps.
+        x = sample_cone_point(SIG22, 1)
+        basis = list(adapted_frame(x).quotient_basis)
+        basis[3] = basis[2] + eps * basis[3]
+        with pytest.raises(NondegeneracyError) as info:
+            cotangent_metric_qtilde(x, basis=basis)
+        exc = info.value
+        assert exc.threshold == 1e-6 and exc.residual > exc.threshold
+        assert str(exc) == ("quotient metric inversion failed "
+                            f"(residual {exc.residual:.3e})")
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-3])
+    def test_cometric_keeps_a_well_conditioned_gram(self, eps):
+        x = sample_cone_point(SIG22, 1)
+        basis = list(adapted_frame(x).quotient_basis)
+        basis[3] = basis[2] + eps * basis[3]
+        assert cotangent_metric_qtilde(x, basis=basis).signature == (2, 2, 1)
+
+    def test_rational_chart(self):
+        good = standard_rational_chart(SIG22)
+        with pytest.raises(UnsupportedChartError) as info:
+            RationalChart(good.x, good.u, tuple(reversed(good.mu_basis)))
+        exc = info.value
+        # f(e_3, e_3) = -1 where the middle slot wants +1, and vice versa.
+        assert (exc.residual, exc.threshold) == (2.0, 0.0)
+        assert str(exc) == "chart data do not satisfy the chart identities exactly"
+        # A wrong middle-vector count measures nothing.
+        with pytest.raises(UnsupportedChartError) as info:
+            RationalChart(good.x, good.u, good.mu_basis[:1])
+        assert info.value.residual is None and info.value.threshold is None
 
     def test_split(self):
         # Columns (1, 1) and (1, -1): f-Gram [[0, 2], [2, 0]] against eta.

@@ -44,6 +44,14 @@ def test_skew_form_pairing_identity():
     assert (rep.passes, rep.failures) == (rep.trials, 0)
 
 
+def test_orthonormalize_ill_conditioned_mix():
+    # Trial 49 mixes all six columns of a pseudo-unitary matrix by a mix of
+    # condition number 1.9e6; the span is all of C^6, so it is
+    # nondegenerate and must orthonormalize.
+    rep = run_suite("orthonormalize", Signature(3, 3), seed=9205)[0]
+    assert (rep.passes, rep.failures) == (rep.trials, 0)
+
+
 def test_default_battery_expansion():
     reports = run_suite("cross-section", trials=5)
     assert [rep.signature for rep in reports] == \
