@@ -4,7 +4,8 @@ Subcommands: sample, verify, chart, metric, cometric, aperp, torus, oracle.
 Primary output is deterministic JSON (or CSV for torus tables) on stdout; a
 one-line human summary per action goes to stderr.  Exit codes: 0 success,
 1 verification failure, 2 usage or invalid input.  When --seed is omitted
-the CONEQ_SEED environment variable is used, defaulting to 0.
+the CONEQ_SEED environment variable is used, defaulting to 0; seeds must be
+non-negative.
 """
 
 from __future__ import annotations
@@ -71,9 +72,12 @@ def _resolve_seed(args) -> int:
     if getattr(args, "seed", None) is not None:
         return args.seed
     try:
-        return int(os.environ.get("CONEQ_SEED", "0"))
+        seed = int(os.environ.get("CONEQ_SEED", "0"))
     except ValueError as exc:
         raise UsageError("CONEQ_SEED must be an integer") from exc
+    if seed < 0:
+        raise UsageError(f"CONEQ_SEED must be an integer >= 0, got {seed}")
+    return seed
 
 
 def _emit(args, text: str, summary: str) -> None:
@@ -286,6 +290,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _seed(text: str) -> int:
+    # numpy's generators take only non-negative seeds.
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
+    return value
+
+
 def _finite(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
@@ -306,7 +321,7 @@ def _add_common(parser, *, sig=True, seed=True, trials=True, tol=True):
     if sig:
         parser.add_argument("--sig", help="signature p,q (e.g. 2,2)")
     if seed:
-        parser.add_argument("--seed", type=int, default=None,
+        parser.add_argument("--seed", type=_seed, default=None,
                             help="seed (default: CONEQ_SEED or 0)")
     if trials:
         parser.add_argument("--trials", type=_positive_int, default=None)

@@ -1,7 +1,9 @@
 """Exact oracle over the Gaussian rationals Q(i).
 
-Scalars are pairs of Fractions; vectors keep integer numerators over one
-common denominator, so their arithmetic and the form are integer sums.
+Public scalars are pairs of Fractions; vectors keep integer numerators over
+one common denominator.  Inside, a scalar is an integer triple, so the
+vector arithmetic, the form and the chart maps are integer sums, and
+Fractions are built only for what is returned.
 Nothing is rounded, so identities over the rationals (isotropy of the chart
 map, chart round trips) are asserted with ==, not tolerances.  The oracle
 never orthonormalizes: it only accepts charts whose data already satisfy
@@ -119,11 +121,14 @@ def _coerce(value) -> QGaussian:
 
 
 def qi(re=0, im=0) -> QGaussian:
-    """Shorthand constructor from ints, Fractions, or fraction strings."""
-    return QGaussian(Fraction(re), Fraction(im))
+    """Shorthand constructor from ints, Fractions, or fraction strings;
+    floats are rejected, as by QGaussian."""
+    return QGaussian(re, im)
 
 
-_ONE = QGaussian.one()
+# Inside the oracle a Gaussian rational is an integer triple (a, b, d),
+# meaning (a + b i) / d with d > 0.
+_UNIT = (1, 0, 1)
 
 
 def _one_den(z: QGaussian) -> tuple[int, int, int]:
@@ -131,6 +136,19 @@ def _one_den(z: QGaussian) -> tuple[int, int, int]:
     d = lcm(z.re.denominator, z.im.denominator)
     return (z.re.numerator * (d // z.re.denominator),
             z.im.numerator * (d // z.im.denominator), d)
+
+
+def _gaussian(a: int, b: int, d: int) -> QGaussian:
+    """The triple (a, b, d) as a QGaussian; its parts are Fractions already,
+    so QGaussian's coercion is skipped."""
+    z = object.__new__(QGaussian)
+    z.__dict__.update(re=Fraction(a, d), im=Fraction(b, d))
+    return z
+
+
+def _reciprocal(a: int, b: int, d: int) -> tuple[int, int, int]:
+    """1 / ((a + b i) / d) = d (a - b i) / (a^2 + b^2), for a + b i != 0."""
+    return d * a, -d * b, a * a + b * b
 
 
 @dataclass(frozen=True, init=False)
@@ -156,12 +174,11 @@ class QVector:
 
     @property
     def components(self) -> tuple[QGaussian, ...]:
-        return tuple(QGaussian(Fraction(a, self.den), Fraction(b, self.den))
-                     for a, b in zip(self.re, self.im))
+        return tuple(_gaussian(a, b, self.den) for a, b in zip(self.re, self.im))
 
     def __add__(self, other: "QVector") -> "QVector":
         _check_sig(self, other)
-        return _combine(((_ONE, self), (_ONE, other)), self.signature)
+        return _combine(((_UNIT, self), (_UNIT, other)), self.signature)
 
     def __sub__(self, other: "QVector") -> "QVector":
         return self + -other
@@ -171,7 +188,7 @@ class QVector:
                        self.den, self.signature)
 
     def scale(self, factor) -> "QVector":
-        return _combine(((_coerce(factor), self),), self.signature)
+        return _combine(((_one_den(_coerce(factor)), self),), self.signature)
 
     def is_zero(self) -> bool:
         return not any(self.re) and not any(self.im)
@@ -201,16 +218,18 @@ def _vector(re, im, den: int, sig: Signature, vec: QVector | None = None) -> QVe
 
 
 def _combine(terms, sig: Signature) -> QVector:
-    """sum c v over (c, v) in terms, as integers over the lcm of their dens."""
-    terms = [(_one_den(c), v) for c, v in terms]
+    """sum c v over (c, v) in terms, each c an (a, b, d) triple, as integers
+    over the lcm of the products d * v.den.  Zero entries are skipped, so a
+    term on a basis vector costs one multiply-add."""
     den = lcm(*(d * v.den for (_, _, d), v in terms))
     re, im = [0] * sig.n, [0] * sig.n
     for (a, b, d), v in terms:
         s = den // (d * v.den)
         a, b = a * s, b * s
         for j, (c, e) in enumerate(zip(v.re, v.im)):
-            re[j] += a * c - b * e
-            im[j] += a * e + b * c
+            if c or e:
+                re[j] += a * c - b * e
+                im[j] += a * e + b * c
     return _vector(re, im, den, sig)
 
 
@@ -226,22 +245,25 @@ def exact_basis_vector(sig: Signature, index: int) -> QVector:
 
 
 def _pairing(u: QVector, v: QVector) -> tuple[int, int, int]:
-    """f(u, v) as (a, b, d) with f = (a + b i) / d: n integer multiply-adds
-    over the product of the two denominators."""
+    """f(u, v) as (a, b, d) with f = (a + b i) / d: integer multiply-adds
+    over the product of the two denominators, one per nonzero entry of v."""
     _check_sig(u, v)
     p = u.signature.p
     re = im = 0
     for j, (a, b, c, d) in enumerate(zip(u.re, u.im, v.re, v.im)):
-        sign = 1 if j < p else -1
-        re += sign * (a * c + b * d)
-        im += sign * (b * c - a * d)
+        if c or d:
+            if j < p:
+                re += a * c + b * d
+                im += b * c - a * d
+            else:
+                re -= a * c + b * d
+                im -= b * c - a * d
     return re, im, u.den * v.den
 
 
 def exact_form_eval(u: QVector, v: QVector) -> QGaussian:
     """The Hermitian form evaluated exactly: sum eta_j u_j conj(v_j)."""
-    re, im, den = _pairing(u, v)
-    return QGaussian(Fraction(re, den), Fraction(im, den))
+    return _gaussian(*_pairing(u, v))
 
 
 def exact_isotropy(x: QVector) -> bool:
@@ -258,11 +280,13 @@ def exact_hyperbolic_partner(x: QVector, v_hint: QVector | None = None) -> QVect
         # den^2 |x_j|^2; the first maximum is the pivot.
         norms = [a * a + b * b for a, b in zip(x.re, x.im)]
         v = exact_basis_vector(x.signature, norms.index(max(norms)))
-    pairing = exact_form_eval(v, x)
-    if pairing.is_zero():
+    a, b, d = _pairing(v, x)
+    if not (a or b):
         raise InternalContractError("candidate vector is orthogonal to x")
-    vp = v.scale(_ONE / pairing)
-    return vp - x.scale(exact_form_eval(vp, vp) * Fraction(1, 2))
+    sig = x.signature
+    vp = _combine(((_reciprocal(a, b, d), v),), sig)
+    a, b, d = _pairing(vp, vp)
+    return _combine(((_UNIT, vp), ((-a, -b, 2 * d), x)), sig)
 
 
 @dataclass(frozen=True)
@@ -288,7 +312,7 @@ class RationalChart:
         rows = (self.u, *self.mu_basis)
         gram = [[exact_form_eval(a, b) for b in (self.x, *rows)] for a in rows]
         target = [[QGaussian.zero()] * sig.n for _ in rows]
-        target[0][0] = _ONE
+        target[0][0] = QGaussian.one()
         for i in range(1, sig.n - 1):
             target[i][i + 1] = qi(1 if i < sig.p else -1)
         fxx = exact_form_eval(self.x, self.x)
@@ -318,43 +342,50 @@ def standard_rational_chart(sig: Signature) -> RationalChart:
 def exact_kappa0(chart: RationalChart, r, y_coords) -> QVector:
     """Exact chart map y + u + (-f(y,y)/2 + r i) x."""
     r = _as_fraction(r)
-    coords = tuple(_coerce(c) for c in y_coords)
+    coords = [_one_den(_coerce(c)) for c in y_coords]
     sig = chart.signature
     if len(coords) != sig.n - 2:
         raise ValueError(f"expected {sig.n - 2} coordinates, got {len(coords)}")
-    y = _combine(zip(coords, chart.mu_basis), sig)
-    fyy = exact_form_eval(y, y)
-    if fyy.im != 0:
+    y = _combine(tuple(zip(coords, chart.mu_basis)), sig)
+    a, b, d = _pairing(y, y)
+    if b:
         raise InternalContractError("f(y, y) must be real")
-    beta = QGaussian(-fyy.re / 2, r)
-    out = _combine(((_ONE, y), (_ONE, chart.u), (beta, chart.x)), sig)
-    if not exact_form_eval(out, out).is_zero():
+    # beta = -f(y, y)/2 + r i over the denominator 2 d r.den
+    beta = (-a * r.denominator, 2 * d * r.numerator, 2 * d * r.denominator)
+    out = _combine(((_UNIT, y), (_UNIT, chart.u), (beta, chart.x)), sig)
+    a, b, _ = _pairing(out, out)
+    if a or b:
         raise InternalContractError("exact chart output must be isotropic")
-    if exact_form_eval(chart.x, out) != _ONE:
+    # f(x, out) = 1 exactly when its conjugate f(out, x) is; _pairing skips
+    # the zero entries of its second argument.
+    a, b, d = _pairing(out, chart.x)
+    if a != d or b:
         raise InternalContractError("exact chart normalization failed")
     return out
 
 
 def exact_chart_inverse(chart: RationalChart, b: QVector):
     """Exact chart coordinates of b, or IN_APERP when f(b, x) == 0."""
-    pairing = exact_form_eval(b, chart.x)
-    if pairing.is_zero():
+    fbx = _pairing(b, chart.x)
+    if not (fbx[0] or fbx[1]):
         return IN_APERP
-    z = b.scale(_ONE / pairing)
-    beta = exact_form_eval(z, chart.u)
-    y = []
-    fyy = Fraction(0)
-    for j, m in enumerate(chart.mu_basis):
-        # y_j = eta f(z, m_j), and f(y, y) gains eta |y_j|^2.
-        sign = 1 if j < chart.signature.p - 1 else -1
-        re, im, den = _pairing(z, m)
-        y.append(QGaussian(Fraction(sign * re, den), Fraction(sign * im, den)))
-        fyy += Fraction(sign * (re * re + im * im), den * den)
-    if exact_isotropy(b) and 2 * beta.re != -fyy:
-        raise InternalContractError(
-            "recovered Re(beta) must equal -f(y,y)/2 for isotropic input"
-        )
-    return beta.im, tuple(y)
+    z = _combine(((_reciprocal(*fbx), b),), chart.signature)
+    beta_re, beta_im, beta_den = _pairing(z, chart.u)
+    # y_j = eta_j f(z, m_j), with eta_j = 1 for the first p - 1 middles.
+    p = chart.signature.p - 1
+    y = [_pairing(z, m) for m in chart.mu_basis]
+    if exact_isotropy(b):
+        # f(y, y) = sum eta_j |y_j|^2 = N / L^2 over the lcm L of the dens.
+        den = lcm(*(d for _, _, d in y))
+        num = sum((1 if j < p else -1) * (re * re + im * im) * (den // d) ** 2
+                  for j, (re, im, d) in enumerate(y))
+        if 2 * beta_re * den * den != -num * beta_den:
+            raise InternalContractError(
+                "recovered Re(beta) must equal -f(y,y)/2 for isotropic input"
+            )
+    return Fraction(beta_im, beta_den), tuple(
+        _gaussian(re, im, d) if j < p else _gaussian(-re, -im, d)
+        for j, (re, im, d) in enumerate(y))
 
 
 def exact_kappa_roundtrip(chart: RationalChart, r, y_coords) -> bool:

@@ -456,6 +456,28 @@ class TestUsage:
         assert "error:" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ("sample", "--sig", "2,2", "--seed", "-1"),
+        ("verify", "--suite", "hermitian", "--sig", "1,1", "--seed", "-3"),
+        ("torus", "--seed", "-1"),
+        ("aperp", "dim", "--sig", "2,2", "--seed", "-4"),
+        ("oracle", "--sig", "1,1", "--seed", "-2"),
+        ("sample", "--sig", "2,2", "--seed", "x"),
+    ])
+    def test_negative_seed_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "argument --seed: expected an integer >= 0" in err
+        assert "Traceback" not in err
+
+    def test_negative_env_seed_is_a_usage_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("CONEQ_SEED", "-5")
+        code, out, err = run_cli(capsys, "sample", "--sig", "1,1")
+        assert code == 2
+        assert out == ""
+        assert err == "error: CONEQ_SEED must be an integer >= 0, got -5\n"
+
 
 class TestParserReuse:
     """main builds its parser once per process; every call must still act

@@ -10,6 +10,7 @@ from coneq import (
     ConePoint,
     CVector,
     DegenerateInputError,
+    InternalContractError,
     QGaussian,
     QVector,
     RationalChart,
@@ -30,6 +31,7 @@ from coneq import (
     qi,
     standard_rational_chart,
 )
+from coneq import exact
 from coneq.exact import random_qgaussian
 
 SIG11 = Signature(1, 1)
@@ -76,6 +78,12 @@ class TestQGaussian:
             QGaussian(1.0, Fraction(0))
         with pytest.raises(TypeError):
             qi(1) + 0.5
+
+    def test_qi_rejects_floats(self):
+        for args in ((0.1,), (1, 0.5), (0.0, 0)):
+            with pytest.raises(TypeError, match="floats are not exact"):
+                qi(*args)
+        assert qi(1, Fraction(-2, 3)) == QGaussian(Fraction(1), Fraction(-2, 3))
 
     def test_fraction_strings_accepted(self):
         assert qi("1/3", "-2/7") == QGaussian(Fraction(1, 3), Fraction(-2, 7))
@@ -337,3 +345,172 @@ class TestIntegerRepresentation:
         assert standard_rational_chart(sig) is standard_rational_chart(sig)
         assert standard_rational_chart(sig) is standard_rational_chart(
             Signature(sig.p, sig.q))
+
+
+# The chart maps on QGaussian arithmetic, written out as the oracle first
+# computed them; the integer kernels must agree with them exactly.
+def _ref_form(us, vs, sig):
+    total = QGaussian.zero()
+    for j, (a, b) in enumerate(zip(us, vs)):
+        term = a * b.conjugate()
+        total = total + term if j < sig.p else total - term
+    return total
+
+
+def ref_kappa0(chart, r, coords):
+    sig = chart.signature
+    mids = [m.components for m in chart.mu_basis]
+    y = [sum((c * m[k] for c, m in zip(coords, mids)), QGaussian.zero())
+         for k in range(sig.n)]
+    beta = QGaussian(-_ref_form(y, y, sig).re / 2, r)
+    return QVector([yk + uk + beta * xk for yk, uk, xk
+                    in zip(y, chart.u.components, chart.x.components)], sig)
+
+
+def ref_chart_inverse(chart, b):
+    sig = chart.signature
+    pairing = _ref_form(b.components, chart.x.components, sig)
+    if pairing.is_zero():
+        return IN_APERP
+    z = [c / pairing for c in b.components]
+    beta = _ref_form(z, chart.u.components, sig)
+    return beta.im, tuple((1 if j < sig.p - 1 else -1)
+                          * _ref_form(z, m.components, sig)
+                          for j, m in enumerate(chart.mu_basis))
+
+
+_PHASES = (qi(Fraction(3, 5), Fraction(4, 5)), qi(Fraction(5, 13), Fraction(12, 13)),
+           qi(Fraction(-8, 17), Fraction(15, 17)))
+
+
+def _boosted_chart(sig, mix=False):
+    """The standard chart moved by a rational pseudo-unitary map.
+
+    The boost in the (e_1, e_n) plane, cosh = 5/4 and sinh = 3/4, gives
+    x = 2(e_1 + e_n) and u = (e_1 - e_n)/4.  With mix, rotations inside each
+    sign block (by 3/5, 4/5 and by 5/13, 12/13, where the block has room)
+    and unit phases on the middles make every vector of the chart carry a
+    non-unit denominator."""
+    p, n = sig.p, sig.n
+
+    def move(v):
+        c = list(v.components)
+        c[0], c[-1] = (c[0] * Fraction(5, 4) + c[-1] * Fraction(3, 4),
+                       c[0] * Fraction(3, 4) + c[-1] * Fraction(5, 4))
+        if mix and p >= 2:
+            c[0], c[1] = (c[0] * Fraction(3, 5) - c[1] * Fraction(4, 5),
+                          c[0] * Fraction(4, 5) + c[1] * Fraction(3, 5))
+        if mix and n - p >= 2:
+            c[p], c[-1] = (c[p] * Fraction(5, 13) - c[-1] * Fraction(12, 13),
+                           c[p] * Fraction(12, 13) + c[-1] * Fraction(5, 13))
+        return QVector(c, sig)
+
+    std = standard_rational_chart(sig)
+    mids = [m.scale(_PHASES[j % 3]) if mix else m for j, m in enumerate(std.mu_basis)]
+    return RationalChart(move(std.x), move(std.u), tuple(move(m) for m in mids))
+
+
+CHARTS = {
+    "standard": standard_rational_chart,
+    "boosted": _boosted_chart,
+    "mixed": lambda sig: _boosted_chart(sig, mix=True),
+}
+
+
+@st.composite
+def chart_points(draw):
+    sig = Signature(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
+    y = draw(st.lists(gaussians, min_size=sig.n - 2, max_size=sig.n - 2))
+    b = draw(st.lists(gaussians, min_size=sig.n, max_size=sig.n))
+    return sig, draw(fractions), y, QVector(b, sig)
+
+
+class TestIntegerKernels:
+    def test_moved_charts_carry_non_unit_denominators(self):
+        sig = Signature(3, 3)
+        assert _boosted_chart(sig).u.den == 4
+        mixed = _boosted_chart(sig, mix=True)
+        assert all(v.den > 1 for v in (mixed.x, mixed.u, *mixed.mu_basis))
+        assert len({m.den for m in mixed.mu_basis}) > 1
+
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    @settings(max_examples=100, deadline=None)
+    @given(point=chart_points())
+    def test_chart_maps_equal_the_gaussian_reference(self, kind, point):
+        sig, r, y, b = point
+        chart = CHARTS[kind](sig)
+        out = exact_kappa0(chart, r, y)
+        assert out == ref_kappa0(chart, r, y)
+        back = exact_chart_inverse(chart, out)
+        assert back == ref_chart_inverse(chart, out) == (r, tuple(y))
+        # A generic b is not isotropic, so only the maps themselves run.
+        assert exact_chart_inverse(chart, b) == ref_chart_inverse(chart, b)
+
+
+def _unchecked_chart(x, u, mids):
+    """Chart data that skip RationalChart's validation."""
+    chart = object.__new__(RationalChart)
+    chart.__dict__.update(x=x, u=u, mu_basis=tuple(mids))
+    return chart
+
+
+class TestExactCertificates:
+    SIG = Signature(2, 2)
+
+    def _data(self):
+        std = standard_rational_chart(self.SIG)
+        e = [exact_basis_vector(self.SIG, j) for j in range(self.SIG.n)]
+        return std, e
+
+    def test_non_real_fyy_raises(self, monkeypatch):
+        # f is Hermitian, so no chart data give f(y, y) an imaginary part;
+        # a skewed pairing shows the check still runs.
+        pairing = exact._pairing
+
+        def skewed(u, v):
+            a, b, d = pairing(u, v)
+            return (a, b + d, d) if u is v else (a, b, d)
+
+        monkeypatch.setattr(exact, "_pairing", skewed)
+        with pytest.raises(InternalContractError, match="must be real"):
+            exact_kappa0(standard_rational_chart(self.SIG), 1, [qi(1), qi(2)])
+
+    def test_non_isotropic_output_raises(self):
+        std, e = self._data()
+        # f(u, x) = 1 but f(u, u) = 1.
+        with pytest.raises(UnsupportedChartError):
+            RationalChart(std.x, e[0], std.mu_basis)
+        chart = _unchecked_chart(std.x, e[0], std.mu_basis)
+        with pytest.raises(InternalContractError, match="must be isotropic"):
+            exact_kappa0(chart, 1, [qi(0), qi(0)])
+
+    def test_unnormalized_output_raises(self):
+        std, e = self._data()
+        # u isotropic with f(u, x) = 2: at y = 0 the output stays isotropic.
+        u = e[0] - e[-1]
+        with pytest.raises(UnsupportedChartError):
+            RationalChart(std.x, u, std.mu_basis)
+        chart = _unchecked_chart(std.x, u, std.mu_basis)
+        with pytest.raises(InternalContractError, match="normalization failed"):
+            exact_kappa0(chart, Fraction(3, 7), [qi(0), qi(0)])
+
+    def test_inverse_beta_check_raises(self):
+        std, e = self._data()
+        mids = (e[1].scale(qi(2)), e[2])
+        with pytest.raises(UnsupportedChartError):
+            RationalChart(std.x, std.u, mids)
+        b = exact_kappa0(std, Fraction(1, 3), [qi(1, 2), qi(Fraction(1, 2))])
+        chart = _unchecked_chart(std.x, std.u, mids)
+        with pytest.raises(InternalContractError, match="Re\\(beta\\)"):
+            exact_chart_inverse(chart, b)
+
+    @pytest.mark.parametrize("kind", sorted(CHARTS))
+    def test_perp_input_returns_sentinel(self, kind):
+        chart = CHARTS[kind](self.SIG)
+        for b in (chart.x, chart.mu_basis[0], chart.mu_basis[1] + chart.x.scale(qi(2, 1))):
+            assert exact_chart_inverse(chart, b) is IN_APERP
+
+    def test_partner_orthogonal_hint_raises(self):
+        std, e = self._data()
+        with pytest.raises(InternalContractError, match="orthogonal to x"):
+            exact_hyperbolic_partner(std.x, v_hint=e[1])
