@@ -33,6 +33,7 @@ from .core import (
     make_rng,
 )
 from .errors import (
+    DegenerateInputError,
     InternalContractError,
     NotInAperpError,
     UnsupportedChartError,
@@ -253,8 +254,12 @@ def kappa(chart: ChartFrame, r: float, y_coords, split: Split | None = None) -> 
 
 def _balanced(vec: CVector) -> CVector:
     """vec times core._pow2_scale(max|vec_j|): the same class, on which
-    pairings and norms neither overflow nor underflow."""
-    s = _pow2_scale(max(map(abs, vec.components.tolist())))
+    pairings and norms neither overflow nor underflow.  A zero or non-finite
+    vec has no class: DegenerateInputError."""
+    top = float(np.abs(vec.components).max())
+    if not 0.0 < top < np.inf:
+        raise DegenerateInputError(f"need a nonzero finite vector, max|v_j| = {top}")
+    s = _pow2_scale(top)
     return vec if s == 1.0 else vec * s
 
 

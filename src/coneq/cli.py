@@ -283,38 +283,36 @@ def _cmd_torus(args) -> int:
 # --------------------------------------------------------------- parser
 
 
+def _checked(text: str, convert, ok, expected: str):
+    """convert(text) when it parses and passes ok, else the argparse error
+    "expected <expected>, got <text>".  Raising ArgumentTypeError, not
+    ValueError, keeps argparse from naming the type function."""
+    try:
+        value = convert(text)
+    except ValueError:
+        pass
+    else:
+        if ok(value):
+            return value
+    raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text}")
-    return value
+    return _checked(text, int, lambda v: v >= 1, "an integer >= 1")
 
 
 def _seed(text: str) -> int:
     # numpy's generators take only non-negative seeds.
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text}")
-    return value
+    return _checked(text, int, lambda v: v >= 0, "an integer >= 0")
 
 
 def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"expected a finite number, got {text}")
-    return value
+    return _checked(text, float, math.isfinite, "a finite number")
 
 
 def _tolerance(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(
-            f"expected a finite number >= 0, got {text}"
-        )
-    return value
+    return _checked(text, float, lambda v: math.isfinite(v) and v >= 0.0,
+                    "a finite number >= 0")
 
 
 def _add_common(parser, *, sig=True, seed=True, trials=True, tol=True):

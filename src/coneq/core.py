@@ -172,12 +172,6 @@ def _norm(a: np.ndarray) -> np.float64:
     return np.float64(math.sqrt(a.dot(a)))
 
 
-def _inf_norm(m: np.ndarray) -> np.float64:
-    """Max row sum of |m_ij|, numpy's formula for
-    np.linalg.norm(m, ord=np.inf) on a nonempty matrix."""
-    return np.add.reduce(np.abs(m), axis=1).max()
-
-
 def basis_vector(sig: Signature, index: int) -> CVector:
     """Standard basis vector e_index (0-based) of H_{p,q}."""
     comps = np.zeros(sig.n, dtype=np.complex128)
@@ -488,29 +482,13 @@ def sample_cone_point(sig: Signature, seed: int) -> ConePoint:
     return ConePoint(_owned(c * np.concatenate([xp, xm]), sig), tol=1e-12)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring over a Taylor series."""
-    n = a.shape[0]
-    norm = _inf_norm(a)
-    s = max(0, int(np.ceil(np.log2(norm))) + 1) if norm > 0 else 0
-    x = a / (2.0**s)
-    term = np.eye(n, dtype=np.complex128)
-    total = np.eye(n, dtype=np.complex128)
-    for k in range(1, 60):
-        term = term @ x / k
-        total = total + term
-        if _inf_norm(term) <= 1e-18 * _inf_norm(total):
-            break
-    for _ in range(s):
-        total = total @ total
-    return total
+def sample_pseudo_unitary(sig: Signature, seed: int) -> GroupElement:
+    """Deterministic pseudo-unitary sample: the Cayley transform
+    U = (I - A/2)^-1 (I + A/2) of A = eta B, B anti-Hermitian.
 
-
-def sample_pseudo_unitary(sig: Signature, seed: int, scale: float = 1.0) -> GroupElement:
-    """Deterministic pseudo-unitary sample exp(eta * B), B anti-Hermitian.
-
-    The generator A = eta B satisfies A^dagger eta + eta A = 0 exactly, so
-    exp(A) preserves the form; A is normalized to Frobenius norm `scale`.
+    A^dagger eta + eta A = 0, so U preserves the form in exact arithmetic
+    (Iserles et al., Acta Numerica 9, 2000).  A is normalized to Frobenius
+    norm 1, so ||A||_2 <= 1 keeps I - A/2 invertible; a zero A gives I.
     """
     rng = make_rng(seed)
     n = sig.n
@@ -519,5 +497,6 @@ def sample_pseudo_unitary(sig: Signature, seed: int, scale: float = 1.0) -> Grou
     a = sig.eta[:, None] * b
     nrm = np.linalg.norm(a)
     if nrm > 0:
-        a = a * (scale / nrm)
-    return GroupElement(_expm(a), sig, tol=1e-10)
+        a = a / nrm
+    eye = np.eye(n)
+    return GroupElement(np.linalg.solve(eye - a / 2.0, eye + a / 2.0), sig, tol=1e-10)

@@ -8,6 +8,7 @@ from coneq import (
     ChartFrame,
     ConePoint,
     CVector,
+    DegenerateInputError,
     InternalContractError,
     NotInAperpError,
     Signature,
@@ -399,6 +400,35 @@ class TestQueriesAtEveryScale:
                                        ConePoint(s_b * x.vector))
                     assert is_perp(ConePoint(s_a * b.vector),
                                    ConePoint(s_b * x.vector))
+
+
+class TestQueriesWithoutAClass:
+    """A zero or non-finite b has no class: every chart query raises
+    DegenerateInputError before any pairing, and numpy warns nothing.  A nan
+    after the first component is one that max(map(abs, ...)) would skip."""
+
+    BAD = {
+        "zero": [0, 0, 0, 0],
+        "inf": [1, np.inf, 0, 1],
+        "nan_first": [np.nan, 1, 0, 1],
+        "nan_later": [1, 0, np.nan, 1],
+    }
+    QUERIES = {
+        "chart_inverse": lambda chart, b: chart_inverse(chart, b),
+        "is_perp": lambda chart, b: is_perp(b, chart.x),
+        "is_perp_second": lambda chart, b: is_perp(chart.x, b),
+        "aperp_classify": lambda chart, b: aperp_classify(chart, b),
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD))
+    @pytest.mark.parametrize("query", list(QUERIES))
+    def test_rejected(self, query, bad):
+        chart = make_chart(null22())
+        b = vec(SIG22, *self.BAD[bad])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateInputError):
+                self.QUERIES[query](chart, b)
 
 
 class TestAperpClassify:

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -470,6 +471,24 @@ class TestUsage:
         assert out == ""
         assert "argument --seed: expected an integer >= 0" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, message", [
+        (("sample", "--sig", "1,1", "--trials", "x"),
+         "argument --trials: expected an integer >= 1, got x"),
+        (("verify", "--suite", "hermitian", "--sig", "1,1", "--tol", "abc"),
+         "argument --tol: expected a finite number >= 0, got abc"),
+        (("chart", "forward", "--sig", "2,2", "--r", "abc", "--y", "1,0,0,0"),
+         "argument --r: expected a finite number, got abc"),
+        (("torus", "--steps", "x"),
+         "argument --steps: expected an integer >= 1, got x"),
+    ], ids=["trials", "tol", "r", "steps"])
+    def test_unparsable_number_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert message in err
+        assert "Traceback" not in err
+        assert not re.search(r"\b_[a-z]", err)
 
     def test_negative_env_seed_is_a_usage_error(self, capsys, monkeypatch):
         monkeypatch.setenv("CONEQ_SEED", "-5")

@@ -26,7 +26,7 @@ from coneq import (
     sample_pseudo_unitary,
     verify_isometry,
 )
-from coneq.core import _expm, _gram, _inf_norm, _norm
+from coneq.core import _gram, _norm, _pseudo_unitarity_residual
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -476,26 +476,44 @@ class TestSamplers:
         np.testing.assert_array_equal(a.matrix, b.matrix)
 
 
-class TestExpm:
-    def test_zero_gives_identity(self):
-        np.testing.assert_array_equal(_expm(np.zeros((3, 3))), np.eye(3))
+class TestCayleySampler:
+    """sample_pseudo_unitary(sig, seed) is the Cayley transform
+    (I - A/2)^-1 (I + A/2) of A = eta B / ||eta B||_F, B the anti-Hermitian
+    part of make_rng(seed)'s first two (n, n) normal draws as re + i im."""
 
-    def test_rotation_block(self):
-        theta = 0.7
-        a = np.array([[0.0, -theta], [theta, 0.0]])
-        want = np.array(
-            [[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]]
-        )
-        np.testing.assert_allclose(_expm(a), want, atol=1e-14)
+    @staticmethod
+    def generator(sig, seed):
+        rng = make_rng(seed)
+        n = sig.n
+        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        a = sig.eta[:, None] * (g - g.conj().T) / 2.0
+        return a / np.linalg.norm(a)
 
-    def test_against_scipy(self):
-        scipy_linalg = pytest.importorskip("scipy.linalg")
-        rng = make_rng(11)
-        for k in range(5):
-            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-            np.testing.assert_allclose(
-                _expm(a), scipy_linalg.expm(a), atol=1e-11
-            )
+    def test_solves_the_cayley_system(self):
+        for sig in BATTERY + [Signature(5, 5)]:
+            for seed in range(10):
+                a = self.generator(sig, seed)
+                eye = np.eye(sig.n)
+                u = sample_pseudo_unitary(sig, seed).matrix
+                np.testing.assert_allclose((eye - a / 2.0) @ u, eye + a / 2.0,
+                                           rtol=0, atol=1e-14)
+
+    def test_pseudo_unitary_to_rounding(self):
+        for p in range(1, 6):
+            for q in range(1, 6):
+                sig = Signature(p, q)
+                for seed in range(50):
+                    u = sample_pseudo_unitary(sig, seed).matrix
+                    assert _pseudo_unitarity_residual(u, sig) <= 1e-14
+
+    def test_zero_generator_gives_identity(self, monkeypatch):
+        class Zeros:
+            def standard_normal(self, shape):
+                return np.zeros(shape)
+
+        monkeypatch.setattr("coneq.core.make_rng", lambda seed: Zeros())
+        np.testing.assert_array_equal(
+            sample_pseudo_unitary(SIG22, 0).matrix, np.eye(4))
 
 
 # Real and imaginary parts of equal length 0-12, entries in [-1, 1].
@@ -514,15 +532,6 @@ class TestNormKernels:
         assert type(_norm(a)) is np.float64
         # A strided view goes through numpy's ravel copy, as in linalg.norm.
         assert _norm(a[::2]) == np.linalg.norm(a[::2])
-
-    def test_inf_norm_matches_numpy_bit_for_bit(self):
-        rng = make_rng(12)
-        for n in range(1, 11):
-            for scale in (1e-150, 1.0, 1e150):
-                m = scale * (rng.standard_normal((n, n))
-                             + 1j * rng.standard_normal((n, n)))
-                assert _inf_norm(m) == np.linalg.norm(m, ord=np.inf)
-                assert _inf_norm(m.real) == np.linalg.norm(m.real, ord=np.inf)
 
 
 class TestVerifyIsometry:
