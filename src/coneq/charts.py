@@ -14,6 +14,7 @@ coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,8 +37,10 @@ from .errors import (
     DegenerateInputError,
     InternalContractError,
     NotInAperpError,
+    NotIsotropicError,
     UnsupportedChartError,
     UnsupportedSignatureError,
+    certify,
 )
 from .quotients import ProjRep, Split, _pivot_index, canonicalize_phase
 
@@ -162,12 +165,8 @@ class ChartFrame:
         norms = np.linalg.norm(against, axis=0)
         deviation = (np.abs(_gram(cols, against, sig) - target)
                      / np.outer(norms[1:], norms))
-        worst = float(deviation.max())
-        if not worst <= DEFAULT_TOL:
-            raise UnsupportedChartError(
-                f"chart identities fail by {worst:.3e}",
-                residual=worst, threshold=DEFAULT_TOL,
-            )
+        certify(float(deviation.max()), DEFAULT_TOL, UnsupportedChartError,
+                "chart identities fail by {residual:.3e}")
 
     @property
     def signature(self) -> Signature:
@@ -218,32 +217,29 @@ def _certified_chart(x: ConePoint, u: CVector, mu_basis: tuple[CVector, ...],
     return chart
 
 
-def _coords_to_vector(chart: ChartFrame, y_coords) -> CVector:
+def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
+    """Isotropic representative y + u + (-f(y,y)/2 + r i) x of the chart
+    point (r, y); certified with f(kappa0, kappa0) = 0 and f(x, kappa0) = 1
+    at tolerance 1e-10, relative to ||kappa0||^2 and to ||x|| ||kappa0||
+    (at least 1 by Cauchy-Schwarz), since the rounding grows like |y|^2.
+    A non-finite r or y raises NotIsotropicError before any arithmetic."""
     sig = chart.signature
     coords = np.asarray(y_coords, dtype=np.complex128).reshape(-1)
     if coords.shape != (sig.n - 2,):
         raise ValueError(
             f"expected {sig.n - 2} chart coordinates, got {coords.shape[0]}"
         )
-    return CVector(chart._columns[:, 1:] @ coords, sig)
-
-
-def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
-    """Isotropic representative y + u + (-f(y,y)/2 + r i) x of the chart
-    point (r, y); certified with f(kappa0, kappa0) = 0 and f(x, kappa0) = 1
-    at tolerance 1e-10, relative to ||kappa0||^2 and to ||x|| ||kappa0||
-    (at least 1 by Cauchy-Schwarz), since the rounding grows like |y|^2."""
-    y = _coords_to_vector(chart, y_coords)
-    beta = complex(-0.5 * form_eval(y, y).real, float(r))
+    r = float(r)
+    if not (math.isfinite(r) and np.isfinite(coords).all()):
+        raise NotIsotropicError(f"chart point r = {r}, y = {coords} is not finite")
+    y = CVector(chart._columns[:, 1:] @ coords, sig)
+    beta = complex(-0.5 * form_eval(y, y).real, r)
     vec = y + chart.u + beta * chart.x.vector
     out = ConePoint(vec, tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
-    if abs(pairing - 1.0) > 1e-10 * chart.x.vector.norm() * vec.norm():
-        raise InternalContractError(
-            f"chart normalization f(x, kappa0) = {pairing:.15g} != 1",
-            residual=abs(pairing - 1.0) / (chart.x.vector.norm() * vec.norm()),
-            threshold=1e-10,
-        )
+    certify(abs(pairing - 1.0) / (chart.x.vector.norm() * vec.norm()), 1e-10,
+            InternalContractError,
+            "chart normalization f(x, kappa0) = {pairing:.15g} != 1", pairing=pairing)
     return out
 
 
@@ -309,13 +305,9 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     bp = bv * (1.0 / pairing)
     beta, y = _frame_coords(chart, bp)
     fyy = float(np.add.reduce(chart.signature.eta[1:-1] * np.abs(y) ** 2))
-    drift = abs(beta.real + 0.5 * fyy) / bp.norm() ** 2
-    if drift > 1e-6:
-        raise InternalContractError(
-            f"recovered Re(beta) deviates from -f(y,y)/2 by {drift:.3e} "
-            "relative to ||b'||^2",
-            residual=drift, threshold=1e-6,
-        )
+    certify(abs(beta.real + 0.5 * fyy) / bp.norm() ** 2, 1e-6, InternalContractError,
+            "recovered Re(beta) deviates from -f(y,y)/2 by {residual:.3e} "
+            "relative to ||b'||^2")
     return float(beta.imag), y
 
 

@@ -24,6 +24,7 @@ from .errors import (
     NotIsometryError,
     NotIsotropicError,
     SignatureMismatchError,
+    certify,
 )
 
 DEFAULT_TOL = 1e-9
@@ -271,13 +272,9 @@ class ConePoint:
             raise DegenerateInputError("cone points must be nonzero")
         if not math.isfinite(nrm2):
             raise NotIsotropicError(f"||x||^2 = {nrm2} is not finite")
-        residual = abs_f / nrm2
-        if not residual <= tol:
-            raise NotIsotropicError(
-                f"|f(x,x)|/||x||^2 = {residual:.3e} exceeds tol {tol:.3e}",
-                residual=residual, threshold=tol,
-            )
-        object.__setattr__(self, "isotropy_residual", residual)
+        object.__setattr__(self, "isotropy_residual", abs_f / nrm2)
+        certify(self.isotropy_residual, tol, NotIsotropicError,
+                "|f(x,x)|/||x||^2 = {residual:.3e} exceeds tol {threshold:.3e}")
 
     @property
     def signature(self) -> Signature:
@@ -315,12 +312,8 @@ class GroupElement:
             raise ValueError(f"expected a {n}x{n} matrix, got {mat.shape}")
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
-        residual = _pseudo_unitarity_residual(mat, self.signature)
-        if not residual <= tol:
-            raise NotIsometryError(
-                f"||U^H eta U - eta||_max = {residual:.3e} exceeds tol {tol:.3e}",
-                residual=residual, threshold=tol,
-            )
+        certify(_pseudo_unitarity_residual(mat, self.signature), tol, NotIsometryError,
+                "||U^H eta U - eta||_max = {residual:.3e} exceeds tol {threshold:.3e}")
 
     def apply(self, v: CVector) -> CVector:
         if v.signature != self.signature:

@@ -21,6 +21,15 @@ class QuadricError(Exception):
         self.threshold = threshold
 
 
+def certify(residual: float, threshold: float, error: type[QuadricError],
+            message: str, **fields) -> None:
+    """The one certificate rule: raise error unless residual <= threshold (a nan
+    fails), its message formatted with residual, threshold and fields."""
+    if not residual <= threshold:
+        raise error(message.format(residual=residual, threshold=threshold, **fields),
+                    residual=residual, threshold=threshold)
+
+
 class SignatureMismatchError(QuadricError):
     """Operands live in spaces with different signatures."""
 

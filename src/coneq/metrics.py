@@ -26,6 +26,7 @@ from .errors import (
     NondegeneracyError,
     TangencyError,
     UnsupportedFrameError,
+    certify,
 )
 from .quotients import Split, canonicalize_ray
 
@@ -69,6 +70,8 @@ class MetricMatrix:
         e = np.array(entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got {e.shape}")
+        if not np.isfinite(e).all():
+            raise ValueError("entries must be finite")
         labels = tuple(basis_labels)
         if len(labels) != e.shape[0]:
             raise ValueError("one label per basis vector required")
@@ -176,7 +179,11 @@ def adapted_frame(x: ConePoint) -> AdaptedFrame:
 
 def _tangency_residuals(x: ConePoint, cols: np.ndarray) -> np.ndarray:
     """|Re f(c_j, x)| / (||c_j|| ||x||) for each column c_j of cols, zero
-    for a zero column: the one tangency check, bounded by TANGENCY_TOL."""
+    for a zero column and inf, with no arithmetic on it, for a non-finite
+    one: the one tangency check, bounded by TANGENCY_TOL."""
+    finite = np.isfinite(cols).all(axis=0)
+    if not finite.all():
+        return np.where(finite, _tangency_residuals(x, np.where(finite, cols, 0)), np.inf)
     along_x = np.abs(_gram(x.components, cols, x.signature).real)
     denom = np.linalg.norm(cols, axis=0) * x.vector.norm()
     return np.divide(along_x, denom, out=np.zeros_like(along_x), where=denom > 0)
@@ -205,16 +212,18 @@ def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...
     return _tangent_gram(x, cols), labels
 
 
+def _certify_tangent(x: ConePoint, cols: np.ndarray, message: str) -> None:
+    """TangencyError, message formatted at the first non-tangent column's index."""
+    res = _tangency_residuals(x, cols)
+    index = int(np.argmax(~(res <= TANGENCY_TOL)))
+    certify(float(res[index]), TANGENCY_TOL, TangencyError, message, index=index)
+
+
 def _tangent_gram(x: ConePoint, cols: np.ndarray) -> np.ndarray:
     """Read-only Gram [Re f(c_i, c_j)] of the columns of cols, after
     certifying each column tangent at x (TangencyError otherwise)."""
-    res = _tangency_residuals(x, cols)
-    bad = np.flatnonzero(res > TANGENCY_TOL)
-    if bad.size:
-        raise TangencyError(
-            f"basis vector {bad[0]} has tangency residual {res[bad[0]]:.3e} at x",
-            residual=float(res[bad[0]]), threshold=TANGENCY_TOL,
-        )
+    _certify_tangent(x, cols, "basis vector {index} has tangency residual "
+                              "{residual:.3e} at x")
     gram = _gram(cols, cols, x.signature).real
     gram.flags.writeable = False
     return gram
@@ -248,14 +257,8 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
 
 def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector) -> float:
     """Value Im f(X, Y) of the induced skew form on tangent vectors at x."""
-    res = _tangency_residuals(
-        x, np.column_stack([vec_a.components, vec_b.components]))
-    bad = np.flatnonzero(res > TANGENCY_TOL)
-    if bad.size:
-        raise TangencyError(
-            f"skew form argument has tangency residual {res[bad[0]]:.3e}",
-            residual=float(res[bad[0]]), threshold=TANGENCY_TOL,
-        )
+    _certify_tangent(x, np.column_stack([vec_a.components, vec_b.components]),
+                     "skew form argument has tangency residual {residual:.3e}")
     return float(form_eval(vec_a, vec_b).imag)
 
 
@@ -276,14 +279,11 @@ def cotangent_metric_qtilde(x: ConePoint, *, basis=None, labels=None,
     except np.linalg.LinAlgError as exc:
         raise NondegeneracyError("quotient metric is singular") from exc
     # G G^-1 = I can hold to rounding for a numerically singular G, so the
-    # residual is at least kappa(G) eps, the error a stable inverse may make.
-    residual = max(float(np.abs(gram @ inverse - np.eye(gram.shape[0])).max()),
-                   float(sv[0] / sv[-1] * np.finfo(float).eps))
-    if residual > 1e-6:
-        raise NondegeneracyError(
-            f"quotient metric inversion failed (residual {residual:.3e})",
-            residual=residual, threshold=1e-6,
-        )
+    # residual is at least kappa(G) eps; np.maximum keeps a nan from either.
+    residual = float(np.maximum(np.abs(gram @ inverse - np.eye(gram.shape[0])).max(),
+                                sv[0] / sv[-1] * np.finfo(float).eps))
+    certify(residual, 1e-6, NondegeneracyError,
+            "quotient metric inversion failed (residual {residual:.3e})")
     full_scale = float(sv[0])
     sub = inverse[1:, 1:]
     dual_labels = tuple(f"{l}*" for l in labels[1:])
@@ -301,6 +301,8 @@ def dualize_degenerate(inclusion, f1, tol: float = DEFAULT_TOL) -> MetricMatrix:
     f = np.asarray(f1, dtype=float)
     if a.ndim != 2:
         raise ValueError("inclusion must be a matrix")
+    if not (np.isfinite(a).all() and np.isfinite(f).all()):
+        raise ValueError("inclusion and f1 must be finite")
     if f.shape != (a.shape[1], a.shape[1]):
         raise ValueError("f1 must be square matching inclusion columns")
     sv = np.linalg.svd(f, compute_uv=False) if f.size else np.zeros(0)
@@ -346,11 +348,8 @@ def conformal_factor(x, split_a: Split, split_b: Split):
     coeffs, fit_residual = quotient_coefficients(
         xa, adapted_frame(xa).quotient_basis, adapted_frame(xb).quotient_basis
     )
-    if fit_residual > 1e-8:
-        raise TangencyError(
-            f"frames do not span a common quotient (residual {fit_residual:.3e})",
-            residual=fit_residual, threshold=1e-8,
-        )
+    certify(fit_residual, 1e-8, TangencyError,
+            "frames do not span a common quotient (residual {residual:.3e})")
     change = coeffs / mu
     inv_change = np.linalg.inv(change)
     in_frame_a = inv_change.T @ g_b @ inv_change

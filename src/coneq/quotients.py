@@ -35,6 +35,7 @@ from .errors import (
     NotIsometryError,
     SignatureMismatchError,
     UnsupportedSignatureError,
+    certify,
 )
 
 # Relative modulus gap below which two components count as tied when picking
@@ -73,12 +74,8 @@ class Split:
             raise ValueError(f"need {sig.n} basis vectors, got {len(self.basis)}")
         for v in self.basis:
             _check_same_signature(v, self.basis[0])
-        residual = _pseudo_unitarity_residual(self.matrix, sig)
-        if not residual <= DEFAULT_TOL:
-            raise NotIsometryError(
-                f"basis Gram deviates from eta by {residual:.3e}",
-                residual=residual, threshold=DEFAULT_TOL,
-            )
+        certify(_pseudo_unitarity_residual(self.matrix, sig), DEFAULT_TOL,
+                NotIsometryError, "basis Gram deviates from eta by {residual:.3e}")
 
     @property
     def signature(self) -> Signature:
@@ -99,10 +96,14 @@ class Split:
         m.flags.writeable = False
         return m
 
-    def coefficients(self, v: CVector) -> np.ndarray:
-        """Coordinates of v in this basis: c_j = eta_j * f(v, b_j)."""
+    def coefficients(self, v: CVector | ConePoint) -> np.ndarray:
+        """Coordinates of v in this basis: c_j = eta_j * f(v, b_j).  A
+        non-finite v has none: DegenerateInputError, before any arithmetic;
+        a ConePoint is finite by its certificate and is not checked again."""
         _check_same_signature(v, self.basis[0])
-        return self.signature.eta * (v.components @ self._pairing)
+        if not (isinstance(v, ConePoint) or np.isfinite(v.components).all()):
+            raise DegenerateInputError("split coordinates need a finite vector")
+        return self.signature.eta * np.dot(v.components, self._pairing)
 
     def from_coefficients(self, coeffs) -> CVector:
         return CVector(self.matrix @ np.asarray(coeffs, dtype=np.complex128),
@@ -132,9 +133,7 @@ def sample_split(sig: Signature, seed: int) -> Split:
     return Split(basis, label=f"transported-{seed}")
 
 
-def split_decompose(
-    x, split: Split | None = None, tol: float = DEFAULT_TOL
-) -> tuple[CVector, CVector, float]:
+def split_decompose(x, split: Split | None = None) -> tuple[CVector, CVector, float]:
     """Decompose x = x_plus + x_minus along a split and report the common
     scale R = sqrt((||x_plus||^2 + ||x_minus||^2) / 2).
 
@@ -143,18 +142,18 @@ def split_decompose(
     vec = _as_vector(x)
     if split is None:
         split = standard_split(vec.signature)
-    coeffs, r = _ray_scale(vec, split, tol)
+    coeffs, r = _ray_scale(vec, split)
     p = split.signature.p
     x_plus = CVector(split.matrix[:, :p] @ coeffs[:p], vec.signature)
     x_minus = CVector(split.matrix[:, p:] @ coeffs[p:], vec.signature)
     return x_plus, x_minus, r
 
 
-def _ray_scale(vec: CVector, split: Split, tol: float) -> tuple[np.ndarray, float]:
+def _ray_scale(vec: CVector | ConePoint, split: Split) -> tuple[np.ndarray, float]:
     """Split coefficients c of vec and the scale R = sqrt((|c+|^2 + |c-|^2)/2),
     with the sums and ||vec|| taken once on c and vec times
     core._pow2_scale(max|c_j|); raises DegenerateInputError when c is zero
-    or not finite, or when R <= tol * ||vec||."""
+    or not finite, or when R <= DEFAULT_TOL * ||vec||."""
     coeffs = split.coefficients(vec)
     top = float(np.abs(coeffs).max())
     if 0.0 < top < math.inf:
@@ -162,7 +161,7 @@ def _ray_scale(vec: CVector, split: Split, tol: float) -> tuple[np.ndarray, floa
         c, v = (coeffs, vec.components) if s == 1.0 else (s * coeffs, s * vec.components)
         p = split.signature.p
         r = float(np.sqrt((_norm(c[:p]) ** 2 + _norm(c[p:]) ** 2) / 2.0))
-        if r > tol * float(_norm(v)):
+        if r > DEFAULT_TOL * float(_norm(v)):
             return coeffs, r / s
     raise DegenerateInputError("scale R collapsed below tolerance")
 
@@ -177,12 +176,11 @@ class RayRep:
     minus_norm: float
 
     def __post_init__(self):
-        dev = (abs(self.plus_norm - 1.0), abs(self.minus_norm - 1.0))
-        if not (dev[0] <= 1e-9 and dev[1] <= 1e-9):
-            raise DegenerateInputError(
-                "ray representative blocks must have unit norm",
-                residual=float(np.max(dev)), threshold=1e-9,
-            )
+        dev_minus = abs(self.minus_norm - 1.0)
+        # max drops a nan second argument, so dev_minus is certified alone too.
+        for dev in (max(abs(self.plus_norm - 1.0), dev_minus), dev_minus):
+            certify(dev, 1e-9, DegenerateInputError,
+                    "ray representative blocks must have unit norm")
 
     @property
     def signature(self) -> Signature:
@@ -194,11 +192,11 @@ class RayRep:
 
     def sphere_plus(self) -> np.ndarray:
         """Unit vector in C^p: split coordinates of the positive block."""
-        return self.split.coefficients(self.point.vector)[: self.signature.p]
+        return self.split.coefficients(self.point)[: self.signature.p]
 
     def sphere_minus(self) -> np.ndarray:
         """Unit vector in C^q: split coordinates of the negative block."""
-        return self.split.coefficients(self.point.vector)[self.signature.p :]
+        return self.split.coefficients(self.point)[self.signature.p :]
 
     def x_plus(self) -> CVector:
         return split_decompose(self.point, self.split)[0]
@@ -251,11 +249,11 @@ def canonicalize_ray(x, split: Split | None = None) -> RayRep:
     point = x if isinstance(x, ConePoint) else ConePoint(x)
     if split is None:
         split = standard_split(point.signature)
-    _, r = _ray_scale(point.vector, split, DEFAULT_TOL)
+    _, r = _ray_scale(point, split)
     scaled = ConePoint(point.vector * (1.0 / r))
     # Block norms in the split's own (f-orthonormal) coordinates; these are
     # the f-norms of the two blocks and are what the cross-section pins to 1.
-    coeffs = split.coefficients(scaled.vector)
+    coeffs = split.coefficients(scaled)
     p = split.signature.p
     return RayRep(
         scaled,

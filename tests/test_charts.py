@@ -11,6 +11,7 @@ from coneq import (
     DegenerateInputError,
     InternalContractError,
     NotInAperpError,
+    NotIsotropicError,
     Signature,
     UnsupportedChartError,
     UnsupportedSignatureError,
@@ -529,3 +530,25 @@ class TestStratumDimension:
         chart = make_chart(sample_cone_point(Signature(1, 2), 0))
         with pytest.raises(UnsupportedSignatureError):
             aperp_dimension_estimate(chart)
+
+
+@pytest.mark.filterwarnings("error")
+class TestKappa0NonFinite:
+    """kappa0 rejects a non-finite r or y before any arithmetic, with the
+    NotIsotropicError its output would fail, and numpy warns nothing."""
+
+    @pytest.mark.parametrize("r, y", [(np.inf, [0, 0]), (-np.inf, [1, 0]),
+                                      (1.0, [np.inf, 0]), (1.0, [0, -np.inf])])
+    def test_rejected(self, r, y):
+        with pytest.raises(NotIsotropicError):
+            kappa0(make_chart(null22()), r, y)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_chart_inverse_rejects_an_overflowed_drift():
+    # At a centre of norm about 1e-154, f(y, y) overflows and the drift
+    # reads nan; the certificate must not return (-6.4e306, y ~ 1e154).
+    chart = make_chart(ConePoint(1e-154 * sample_cone_point(SIG22, 3).vector))
+    with pytest.raises(InternalContractError) as info:
+        chart_inverse(chart, sample_cone_point(SIG22, 4))
+    assert np.isnan(info.value.residual) and info.value.threshold == 1e-6

@@ -37,7 +37,7 @@ from coneq import (
     skew_form,
     standard_split,
 )
-from coneq import metrics
+from coneq import charts, core, metrics, quotients
 from coneq.exact import RationalChart, standard_rational_chart
 from coneq.metrics import TANGENCY_TOL
 
@@ -252,3 +252,107 @@ class TestCertificatesSetThem:
         assert (exc.residual, exc.threshold) == (1e-3, 1e-8)
         assert str(exc) == ("frames do not span a common quotient "
                             f"(residual {1e-3:.3e})")
+
+
+def _nan_residuals(x, cols):
+    return np.full(cols.shape[1], np.nan)
+
+
+def _nan_cone_point(mp):
+    mp.setattr(core, "_isotropy_sums", lambda vec: (np.nan, 1.0))
+    ConePoint(basis_vector(SIG11, 0) + basis_vector(SIG11, 1))
+
+
+def _nan_group_element(mp):
+    mp.setattr(core, "_pseudo_unitarity_residual", lambda mat, sig: np.nan)
+    GroupElement(np.eye(2), SIG11)
+
+
+def _nan_split(mp):
+    mp.setattr(quotients, "_pseudo_unitarity_residual", lambda mat, sig: np.nan)
+    Split((basis_vector(SIG11, 0), basis_vector(SIG11, 1)))
+
+
+def _nan_ray_rep(mp):
+    point = ConePoint(CVector(np.array([1, 1]), SIG11))
+    RayRep(point, standard_split(SIG11), np.nan, 1.0)
+
+
+def _nan_chart_frame(mp):
+    x = sample_cone_point(SIG22, 1)
+    u = CVector(np.array([np.nan, 0, 0, 0]), SIG22)
+    ChartFrame(x, u, make_chart(x).mu_basis)
+
+
+def _nan_kappa0(mp):
+    chart = make_chart(standard_center())
+    form = charts.form_eval
+    mp.setattr(charts, "form_eval", lambda a, b: (
+        complex(np.nan, 0.0) if a is chart.x.vector else form(a, b)))
+    kappa0(chart, 0.0, [0.0, 0.0])
+
+
+def _nan_chart_inverse(mp):
+    chart = make_chart(standard_center())
+    mp.setattr(charts, "_frame_coords",
+               lambda chart, v: (complex(np.nan, 0.0), np.zeros(2, complex)))
+    chart_inverse(chart, basis_vector(SIG22, 0))
+
+
+def _nan_frame_gram(mp):
+    x = sample_cone_point(SIG22, 2)
+    mp.setattr(metrics, "_tangency_residuals", _nan_residuals)
+    induced_metric(x, basis=adapted_frame(x).quotient_basis)
+
+
+def _nan_skew_form(mp):
+    x = sample_cone_point(SIG22, 2)
+    tangent = adapted_frame(x).quotient_basis[0]
+    mp.setattr(metrics, "_tangency_residuals", _nan_residuals)
+    skew_form(x, tangent, tangent)
+
+
+def _nan_cometric(mp):
+    x = sample_cone_point(SIG22, 2)
+    mp.setattr(np.linalg, "svd", lambda a, compute_uv=True: np.array([np.nan, 1.0]))
+    cotangent_metric_qtilde(x)
+
+
+def _nan_conformal_fit(mp):
+    fit = metrics.quotient_coefficients
+    mp.setattr(metrics, "quotient_coefficients",
+               lambda x, basis, vectors: (fit(x, basis, vectors)[0], np.nan))
+    conformal_factor(sample_cone_point(SIG22, 4), standard_split(SIG22),
+                     sample_split(SIG22, 1))
+
+
+@pytest.mark.parametrize("drive, error, threshold, message", [
+    (_nan_cone_point, NotIsotropicError, DEFAULT_TOL,
+     f"|f(x,x)|/||x||^2 = nan exceeds tol {DEFAULT_TOL:.3e}"),
+    (_nan_group_element, NotIsometryError, DEFAULT_TOL,
+     f"||U^H eta U - eta||_max = nan exceeds tol {DEFAULT_TOL:.3e}"),
+    (_nan_split, NotIsometryError, DEFAULT_TOL, "basis Gram deviates from eta by nan"),
+    (_nan_ray_rep, DegenerateInputError, 1e-9,
+     "ray representative blocks must have unit norm"),
+    (_nan_chart_frame, UnsupportedChartError, DEFAULT_TOL, "chart identities fail by nan"),
+    (_nan_kappa0, InternalContractError, 1e-10,
+     f"chart normalization f(x, kappa0) = {complex(np.nan, 0.0):.15g} != 1"),
+    (_nan_chart_inverse, InternalContractError, 1e-6,
+     "recovered Re(beta) deviates from -f(y,y)/2 by nan relative to ||b'||^2"),
+    (_nan_frame_gram, TangencyError, TANGENCY_TOL,
+     "basis vector 0 has tangency residual nan at x"),
+    (_nan_skew_form, TangencyError, TANGENCY_TOL,
+     "skew form argument has tangency residual nan"),
+    (_nan_cometric, NondegeneracyError, 1e-6,
+     "quotient metric inversion failed (residual nan)"),
+    (_nan_conformal_fit, TangencyError, 1e-8,
+     "frames do not span a common quotient (residual nan)"),
+], ids=["cone-point", "group-element", "split", "ray-rep", "chart-frame", "kappa0",
+        "chart-inverse", "frame-gram", "skew-form", "cometric", "conformal-fit"])
+def test_a_nan_residual_fails_every_certificate(monkeypatch, drive, error, threshold,
+                                                message):
+    with pytest.raises(error) as info:
+        drive(monkeypatch)
+    exc = info.value
+    assert np.isnan(exc.residual) and exc.threshold == threshold
+    assert str(exc) == message

@@ -492,3 +492,46 @@ class TestQuotientColumns:
                 gram, labels = metrics._frame_gram(ConePoint(v), None, None)
                 assert gram.tobytes() == explicit[0].tobytes()
                 assert labels == explicit[1] == fr.quotient_labels
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteInput:
+    """A non-finite tangent vector reads tangency residual inf, and a
+    non-finite matrix is a ValueError; numpy warns nothing on either."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_tangency_residual(self, bad):
+        x = sample_cone_point(SIG22, 1)
+        assert tangency_residual(x, vec(SIG22, 1, bad, 0, 1)) == np.inf
+        assert tangency_residual(x, vec(SIG22, 0, 0, 0, 0)) == 0.0
+
+    def test_skew_form_rejects_an_inf_argument(self):
+        x = sample_cone_point(SIG22, 1)
+        b = vec(SIG22, 1, np.inf, 0, 1)
+        with pytest.raises(TangencyError) as info:
+            skew_form(x, b, b)
+        assert info.value.residual == np.inf
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    @pytest.mark.parametrize("metric", [induced_metric, cotangent_metric_qtilde])
+    def test_a_non_finite_basis_column_is_not_tangent(self, metric, bad):
+        x = sample_cone_point(SIG22, 1)
+        basis = list(adapted_frame(x).quotient_basis)
+        basis[1] = vec(SIG22, 1, bad, 0, 1)
+        with pytest.raises(TangencyError) as info:
+            metric(x, basis=basis)
+        assert info.value.residual == np.inf
+        assert str(info.value) == "basis vector 1 has tangency residual inf at x"
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_metric_signature(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            metric_signature(np.array([[bad]]))
+
+    @pytest.mark.parametrize("inclusion, f1", [
+        (np.eye(2), [[np.nan, 0], [0, 1]]),
+        ([[np.inf, 0], [0, 1]], np.eye(2)),
+    ])
+    def test_dualize_degenerate(self, inclusion, f1):
+        with pytest.raises(ValueError, match="finite"):
+            dualize_degenerate(inclusion, f1)

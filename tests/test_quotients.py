@@ -345,3 +345,25 @@ class TestTorusCoords:
     def test_wrong_signature_rejected(self):
         with pytest.raises(UnsupportedSignatureError):
             torus_coords(sample_cone_point(SIG22, 0))
+
+
+@pytest.mark.filterwarnings("error")
+class TestNonFiniteSplitInput:
+    """A non-finite vector has no split coordinates: DegenerateInputError
+    before any arithmetic, so numpy warns nothing."""
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_coefficients(self, bad):
+        with pytest.raises(DegenerateInputError):
+            standard_split(SIG22).coefficients(vec(SIG22, 1, bad, 0, 1))
+
+    def test_split_decompose(self):
+        with pytest.raises(DegenerateInputError):
+            split_decompose(vec(SIG22, 1, np.inf, 0, 1), standard_split(SIG22))
+
+    def test_a_cone_point_takes_the_same_coefficients(self):
+        # A ConePoint is finite by its certificate, so it skips the check.
+        for split in (standard_split(SIG22), sample_split(SIG22, 2)):
+            x = sample_cone_point(SIG22, 5)
+            assert (split.coefficients(x).tobytes()
+                    == split.coefficients(x.vector).tobytes())
