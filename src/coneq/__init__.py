@@ -4,94 +4,20 @@ Core objects: the Hermitian form of signature (p, q), its isotropic cone,
 the ray and projective quotients with canonical representatives, induced
 (conformal) metrics and the degenerate quotient cometric, Witt bases and the
 affine compactification chart with its orthogonal boundary stratification,
-plus an exact oracle over the Gaussian rationals.
+plus an exact oracle over the Gaussian rationals.  Each module's __all__
+lists its public names; the package exports exactly their union.
 """
 
-from .core import (
-    DEFAULT_TOL,
-    ConePoint,
-    CVector,
-    GroupElement,
-    Signature,
-    basis_vector,
-    form_eval,
-    is_isotropic,
-    make_rng,
-    orthonormalize_indefinite,
-    sample_cone_point,
-    sample_pseudo_unitary,
-    verify_isometry,
-)
-from .charts import (
-    IN_APERP,
-    AperpClass,
-    ChartFrame,
-    InAperp,
-    aperp_classify,
-    aperp_dimension_estimate,
-    chart_inverse,
-    extend_to_witt_basis,
-    hyperbolic_partner,
-    is_perp,
-    kappa,
-    kappa0,
-    make_chart,
-    sample_aperp_point,
-)
-from .errors import (
-    DegenerateInputError,
-    DegenerateSubspaceError,
-    InternalContractError,
-    NondegeneracyError,
-    NotInAperpError,
-    NotIsometryError,
-    NotIsotropicError,
-    QuadricError,
-    SignatureMismatchError,
-    TangencyError,
-    UnsupportedChartError,
-    UnsupportedFrameError,
-    UnsupportedSignatureError,
-)
-from .exact import (
-    QGaussian,
-    QVector,
-    RationalChart,
-    exact_basis_vector,
-    exact_chart_inverse,
-    exact_form_eval,
-    exact_hyperbolic_partner,
-    exact_isotropy,
-    exact_kappa0,
-    exact_kappa_roundtrip,
-    qi,
-    standard_rational_chart,
-)
-from .metrics import (
-    AdaptedFrame,
-    MetricMatrix,
-    adapted_frame,
-    conformal_factor,
-    cotangent_metric_qtilde,
-    dualize_degenerate,
-    induced_metric,
-    metric_signature,
-    quotient_coefficients,
-    skew_form,
-    tangency_residual,
-)
-from .quotients import (
-    ProjRep,
-    RayRep,
-    Split,
-    canonicalize_phase,
-    canonicalize_ray,
-    proj_equivalent,
-    sample_split,
-    split_decompose,
-    standard_split,
-    torus_coords,
-)
-from .suites import SUITES, RunReport, run_many, run_suite, suite_names
+from . import charts, core, errors, exact, metrics, quotients, suites
+from .charts import *
+from .core import *
+from .errors import *
+from .exact import *
+from .metrics import *
+from .quotients import *
+from .suites import *
+
+__all__ = (core.__all__ + charts.__all__ + errors.__all__ + exact.__all__
+           + metrics.__all__ + quotients.__all__ + suites.__all__)
 
 __version__ = "0.1.0"

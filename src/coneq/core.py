@@ -6,8 +6,8 @@ The ambient space is C^n, n = p + q, carrying the form
 
 linear in the first slot and conjugate-linear in the second.  This module
 owns the form itself, the value types (signatures, vectors, certified cone
-points, pseudo-unitary matrices), indefinite orthonormalization, and the
-seeded samplers everything downstream draws from.
+points, pseudo-unitary matrices) and the seeded samplers everything
+downstream draws from.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
-    DegenerateSubspaceError,
     NotIsometryError,
     NotIsotropicError,
     SignatureMismatchError,
@@ -39,7 +38,6 @@ __all__ = [
     "form_eval",
     "is_isotropic",
     "basis_vector",
-    "orthonormalize_indefinite",
     "sample_cone_point",
     "sample_pseudo_unitary",
     "verify_isometry",
@@ -348,113 +346,6 @@ def verify_isometry(u, signature: Signature | None = None, tol: float = DEFAULT_
         if mat.shape != (sig.n, sig.n):
             raise ValueError(f"expected a {sig.n}x{sig.n} matrix, got {mat.shape}")
     return _pseudo_unitarity_residual(mat, sig) <= tol
-
-
-def orthonormalize_indefinite(vectors, target, tol: float = 1e-10) -> list[CVector]:
-    """Eta-orthonormalize `vectors` to Gram diag(+1 x p', -1 x q').
-
-    `target` is the (p', q') signature of the span, as a Signature or a pair
-    of non-negative ints.  Uses modified Gram-Schmidt with pivoting on the
-    largest |f(v, v)|, plus a recombination step: when every remaining
-    self-product vanishes but a cross-product does not (a basis of isotropic
-    vectors spanning a nondegenerate space), two members are recombined as
-    v_i + v_j or v_i + i*v_j to expose a usable pivot.  Output lists the
-    positive-norm vectors first.  At each pivot a product vanishes when it is
-    at most tol times the squared norm of the longest remaining vector.
-    Raises DegenerateSubspaceError when all remaining products vanish, or
-    when the longest remaining vector is at most tol times the longest input
-    (the input is linearly dependent).
-    """
-    if isinstance(target, Signature):
-        tp, tq = target.p, target.q
-    else:
-        tp, tq = int(target[0]), int(target[1])
-        if tp < 0 or tq < 0:
-            raise ValueError("target counts must be non-negative")
-    vectors = list(vectors)
-    if len(vectors) != tp + tq:
-        raise ValueError(
-            f"need exactly {tp + tq} vectors for target ({tp},{tq}), got {len(vectors)}"
-        )
-    if not vectors:
-        return []
-    sig = vectors[0].signature
-    for v in vectors[1:]:
-        _check_same_signature(vectors[0], v)
-    cols = np.column_stack([v.components for v in vectors])
-    return [CVector(c, sig) for c in _orthonormal_columns(cols, sig, tp, tol).T]
-
-
-def _self_products(cols: np.ndarray, sig: Signature) -> np.ndarray:
-    """[f(c_j, c_j)] for the columns c_j, as reals."""
-    return sig.eta @ (np.abs(cols) ** 2)
-
-
-def _orthonormal_columns(cols: np.ndarray, sig: Signature, tp: int,
-                         tol: float = 1e-10) -> np.ndarray:
-    """orthonormalize_indefinite on the (n, k) columns of cols, for a span
-    with tp positive directions; returns the basis as columns."""
-    tq = cols.shape[1] - tp
-    scale = float(np.max(np.linalg.norm(cols, axis=0)))
-    if scale == 0.0:
-        raise DegenerateSubspaceError("all input vectors are zero")
-    plus: list[np.ndarray] = []
-    minus: list[np.ndarray] = []
-    while cols.shape[1]:
-        mod2 = np.abs(cols) ** 2
-        left2 = float(np.add.reduce(mod2).max())
-        if left2 <= (tol * scale) ** 2:
-            raise DegenerateSubspaceError(
-                "input vectors are linearly dependent at tolerance")
-        floor = tol * left2
-        s = sig.eta @ mod2
-        pivot = int(np.argmax(np.abs(s)))
-        while abs(s[pivot]) <= floor:
-            cols = _recombine_isotropic(cols, sig, floor)
-            s = _self_products(cols, sig)
-            pivot = int(np.argmax(np.abs(s)))
-        sign = 1.0 if s[pivot] > 0 else -1.0
-        v = cols[:, pivot] * (1.0 / np.sqrt(abs(s[pivot])))
-        (plus if sign > 0 else minus).append(v)
-        cols = np.delete(cols, pivot, axis=1)
-        cols = cols - v[:, None] * (sign * _gram(cols, v, sig))
-    if len(plus) != tp or len(minus) != tq:
-        raise DegenerateSubspaceError(
-            f"span has signature ({len(plus)},{len(minus)}), expected ({tp},{tq})"
-        )
-    # A second projection pass keeps the Gram residual near machine
-    # precision even for nearly dependent inputs.
-    return _reorthogonalize(np.column_stack(plus + minus), tp, sig)
-
-
-def _recombine_isotropic(cols: np.ndarray, sig: Signature, floor: float) -> np.ndarray:
-    """Replace one of a cross-paired set of isotropic columns so a
-    Gram-Schmidt pivot exists; error out if the span is degenerate."""
-    # Pairs i < j in row-major order, so ties go to the first pair.
-    ii, jj = np.triu_indices(cols.shape[1], 1)
-    cross = np.abs(_gram(cols, cols, sig))[ii, jj]
-    if not cross.size or cross.max() <= floor:
-        raise DegenerateSubspaceError(
-            "form vanishes on the span at tolerance; no orthonormal basis exists"
-        )
-    best = int(np.argmax(cross))
-    i, j = ii[best], jj[best]
-    cands = cols[:, [i]] + cols[:, [j]] * np.array([1.0, 1j])
-    s = np.abs(_self_products(cands, sig))
-    out = cols.copy()
-    out[:, i] = cands[:, 0] if s[0] >= s[1] else cands[:, 1]
-    return out
-
-
-def _reorthogonalize(basis: np.ndarray, tp: int, sig: Signature) -> np.ndarray:
-    """One sweep of exact-sign Gram-Schmidt against already-final columns."""
-    signs = np.where(np.arange(basis.shape[1]) < tp, 1.0, -1.0)
-    out = np.empty_like(basis)
-    for k in range(basis.shape[1]):
-        done = out[:, :k]
-        w = basis[:, k] - done @ (signs[:k] * _gram(basis[:, k], done, sig))
-        out[:, k] = w * (1.0 / np.sqrt(abs(_self_products(w, sig))))
-    return out
 
 
 def sample_cone_point(sig: Signature, seed: int) -> ConePoint:

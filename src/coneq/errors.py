@@ -5,6 +5,21 @@ catch one base class.  Plain ValueError/TypeError remain for garden-variety
 argument abuse (wrong container shapes, non-numeric input).
 """
 
+__all__ = [
+    "QuadricError",
+    "SignatureMismatchError",
+    "DegenerateInputError",
+    "NotIsotropicError",
+    "NotIsometryError",
+    "NondegeneracyError",
+    "UnsupportedSignatureError",
+    "UnsupportedFrameError",
+    "UnsupportedChartError",
+    "TangencyError",
+    "NotInAperpError",
+    "InternalContractError",
+]
+
 
 class QuadricError(Exception):
     """Base class for all coneq errors.
@@ -44,11 +59,6 @@ class NotIsotropicError(QuadricError):
 
 class NotIsometryError(QuadricError):
     """A matrix or basis fails the pseudo-unitarity certificate."""
-
-
-class DegenerateSubspaceError(QuadricError):
-    """A subspace on which the form is (numerically) degenerate, where a
-    nondegenerate one is required."""
 
 
 class NondegeneracyError(QuadricError):

@@ -77,7 +77,7 @@ class MetricMatrix:
             raise ValueError("one label per basis vector required")
         skew = float(np.abs(e - e.T).max()) if e.size else 0.0
         sym_scale = float(np.abs(e).max()) if e.size else 0.0
-        if skew > 1e-8 * max(sym_scale, 1.0):
+        if skew > 1e-8 * sym_scale:
             raise ValueError(f"entries deviate from symmetric by {skew:.3e}")
         e = (e + e.T) / 2.0
         e.flags.writeable = False

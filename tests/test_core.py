@@ -10,7 +10,6 @@ from coneq import (
     ConePoint,
     CVector,
     DegenerateInputError,
-    DegenerateSubspaceError,
     GroupElement,
     NotIsometryError,
     NotIsotropicError,
@@ -21,7 +20,6 @@ from coneq import (
     form_eval,
     is_isotropic,
     make_rng,
-    orthonormalize_indefinite,
     sample_cone_point,
     sample_pseudo_unitary,
     verify_isometry,
@@ -317,122 +315,6 @@ class TestCertificateScale:
                         v = scale * x.vector
                         assert (ConePoint(v).isotropy_residual
                                 == _reference_residual(v))
-
-
-class TestOrthonormalize:
-    def test_rescales_axes(self):
-        out = orthonormalize_indefinite(
-            [basis_vector(SIG22, 1), 2.0 * basis_vector(SIG22, 2)], (1, 1)
-        )
-        np.testing.assert_array_equal(out[0].components, [0, 1, 0, 0])
-        np.testing.assert_array_equal(out[1].components, [0, 0, 1, 0])
-
-    def test_nearly_dependent_input(self):
-        vectors = [vec(SIG11, 1, 0.999), vec(SIG11, 0, 1)]
-        out = orthonormalize_indefinite(vectors, (1, 1))
-        gram = np.array([[form_eval(a, b) for b in out] for a in out])
-        np.testing.assert_allclose(gram, np.diag([1, -1]), atol=1e-9)
-
-    def test_isotropic_pair_recovery(self):
-        vectors = [vec(SIG11, 1, 1), vec(SIG11, 1, -1)]
-        out = orthonormalize_indefinite(vectors, (1, 1))
-        gram = np.array([[form_eval(a, b) for b in out] for a in out])
-        np.testing.assert_allclose(gram, np.diag([1, -1]), atol=1e-12)
-
-    def test_degenerate_span_rejected(self):
-        vectors = [vec(SIG11, 1, 1), vec(SIG11, 2, 2)]
-        with pytest.raises(DegenerateSubspaceError):
-            orthonormalize_indefinite(vectors, (1, 1))
-        with pytest.raises(DegenerateSubspaceError):
-            orthonormalize_indefinite([vec(SIG11, 1, 1)], (1, 0))
-
-    def test_dependent_input_rejected(self):
-        e1, e2 = basis_vector(SIG22, 0), basis_vector(SIG22, 1)
-        with pytest.raises(DegenerateSubspaceError, match="linearly dependent"):
-            orthonormalize_indefinite([e1, 2.0 * e1], (2, 0))
-        with pytest.raises(DegenerateSubspaceError, match="linearly dependent"):
-            orthonormalize_indefinite([e1 + e2, e1, e2], (3, 0))
-
-    def test_wrong_target_count(self):
-        with pytest.raises(ValueError):
-            orthonormalize_indefinite([basis_vector(SIG22, 0)], (1, 1))
-
-    def test_wrong_span_signature(self):
-        with pytest.raises(DegenerateSubspaceError):
-            orthonormalize_indefinite(
-                [basis_vector(SIG22, 1), basis_vector(SIG22, 2)], (2, 0)
-            )
-
-    def test_empty_input(self):
-        assert orthonormalize_indefinite([], (0, 0)) == []
-
-    def test_signature_target_object(self):
-        out = orthonormalize_indefinite(
-            [basis_vector(SIG11, 0), basis_vector(SIG11, 1)], SIG11
-        )
-        assert len(out) == 2
-
-    def test_random_spans(self):
-        for sig in BATTERY:
-            rng = make_rng(17, sig.p, sig.q)
-            u = sample_pseudo_unitary(sig, 17 + sig.n)
-            cols = [CVector(u.matrix[:, j], sig) for j in range(sig.n)]
-            mix = np.eye(sig.n) + 0.25 * rng.standard_normal((sig.n, sig.n))
-            mixed = [
-                sum((complex(mix[i, j]) * cols[i] for i in range(sig.n)),
-                    start=CVector(np.zeros(sig.n), sig))
-                for j in range(sig.n)
-            ]
-            out = orthonormalize_indefinite(mixed, sig)
-            gram = np.array([[form_eval(a, b) for b in out] for a in out])
-            np.testing.assert_allclose(gram, np.diag(sig.eta), atol=1e-9)
-
-
-    def test_signature_mismatch(self):
-        vectors = [basis_vector(Signature(1, 3), 0), basis_vector(SIG22, 2)]
-        with pytest.raises(SignatureMismatchError):
-            orthonormalize_indefinite(vectors, (1, 1))
-
-    @pytest.mark.parametrize("p", [2, 3, 5])
-    def test_isotropic_pairs_recombine_exactly(self, p):
-        sig = Signature(p, p)
-        vectors = [basis_vector(sig, j) + s * basis_vector(sig, p + j)
-                   for j in range(p) for s in (1.0, -1.0)]
-        out = orthonormalize_indefinite(vectors, sig)
-        gram = np.array([[form_eval(a, b) for b in out] for a in out])
-        np.testing.assert_array_equal(gram, np.diag(sig.eta))
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1),
-           st.booleans())
-    def test_pseudo_unitary_mixed_spans(self, p, q, seed, isotropic):
-        # The image under a pseudo-unitary U of either the isotropic pairs
-        # e_j +- e_{p+j}, which reach the recombination step, or a span of
-        # standard basis vectors mixed within itself.
-        sig = Signature(p, q)
-        rng = make_rng(seed)
-        u = sample_pseudo_unitary(sig, seed).matrix
-        if isotropic:
-            k = min(p, q)
-            pairs = np.zeros((sig.n, 2 * k))
-            for j in range(k):
-                pairs[j, 2 * j : 2 * j + 2] = 1.0
-                pairs[p + j, 2 * j : 2 * j + 2] = (1.0, -1.0)
-            span, tp, tq = u @ pairs, k, k
-        else:
-            k = int(rng.integers(1, sig.n + 1))
-            columns = np.sort(rng.choice(sig.n, size=k, replace=False))
-            tp = int(np.sum(columns < p))
-            tq = k - tp
-            span = u[:, columns] @ (np.eye(k) + 0.3 * rng.standard_normal((k, k)))
-        out = orthonormalize_indefinite([CVector(c, sig) for c in span.T], (tp, tq))
-        cols = np.column_stack([v.components for v in out])
-        # Positive block first: the target Gram lists +1 before -1.
-        want = np.diag([1.0] * tp + [-1.0] * tq)
-        assert np.max(np.abs(_gram(cols, cols, sig) - want)) <= 1e-12
-        coef = np.linalg.lstsq(cols, span, rcond=None)[0]
-        resid = np.linalg.norm(cols @ coef - span, axis=0) / np.linalg.norm(span, axis=0)
-        assert np.max(resid) <= 1e-10
 
 
 class TestRng:

@@ -73,6 +73,14 @@ class TestMetricMatrix:
         with pytest.raises(ValueError):
             MetricMatrix.from_entries([[0.0, 1.0], [0.0, 0.0]], ("a", "b"))
 
+    @pytest.mark.parametrize("lam", [10.0 ** k for k in range(-12, 13, 2)])
+    def test_symmetry_check_is_scale_free(self, lam):
+        # The skew part is half the largest entry at every scale, so the
+        # skew matrix is always rejected and the symmetric one accepted.
+        with pytest.raises(ValueError, match="deviate from symmetric"):
+            metric_signature(lam * np.array([[1.0, 0.5], [-0.5, 1.0]]))
+        assert metric_signature(lam * np.array([[1.0, 0.5], [0.5, 1.0]])) == (2, 0, 0)
+
     def test_label_count_checked(self):
         with pytest.raises(ValueError):
             MetricMatrix.from_entries(np.eye(2), ("a",))

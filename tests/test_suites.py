@@ -44,12 +44,10 @@ def test_skew_form_pairing_identity():
     assert (rep.passes, rep.failures) == (rep.trials, 0)
 
 
-def test_orthonormalize_ill_conditioned_mix():
-    # Trial 49 mixes all six columns of a pseudo-unitary matrix by a mix of
-    # condition number 1.9e6; the span is all of C^6, so it is
-    # nondegenerate and must orthonormalize.
-    rep = run_suite("orthonormalize", Signature(3, 3), seed=9205)[0]
-    assert (rep.passes, rep.failures) == (rep.trials, 0)
+@pytest.mark.parametrize("trials", [0, -2])
+def test_fewer_than_one_trial_is_rejected(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        run_suite("hermitian", SIG22, trials=trials)
 
 
 def test_default_battery_expansion():
