@@ -14,6 +14,7 @@ coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +29,7 @@ from .core import (
     _check_same_signature,
     _gram,
     _norm,
+    _owned,
     _pow2_scale,
     basis_vector,
     form_eval,
@@ -71,25 +73,47 @@ def hyperbolic_partner(x: ConePoint, v_hint: CVector | None = None) -> CVector:
     (v - f(v, v) x / (2 conj f(v, x))) / f(v, x) so that no 1/|f(v, x)|^2
     overflows when x is small.
     """
+    return _owned(_partner(x, v_hint), x.signature)
+
+
+def _partner(x: ConePoint, v_hint: CVector | None) -> np.ndarray:
+    """The components of hyperbolic_partner(x, v_hint), as a fresh array."""
     vec = x.vector
-    if v_hint is not None:
-        v = v_hint
+    c = vec.components
+    if v_hint is None:
+        # v = e_j: f(v, x), f(v, v) and ||v|| to the bit of form_eval and
+        # CVector.norm, without their loops over the zero components.
+        j = int(np.argmax(np.abs(c)))
+        eta, cj = float(x.signature.eta[j]), complex(c[j])
+        v = np.zeros(c.shape[0], dtype=np.complex128)
+        v[j] = 1.0
+        pairing = complex(eta * cj.real + 0.0, 0.0 - eta * cj.imag)
+        self_pairing, v_norm = complex(eta, 0.0), 1.0
     else:
-        j = int(np.argmax(np.abs(vec.components)))
-        v = basis_vector(x.signature, j)
-    pairing = form_eval(v, vec)
-    if abs(pairing) <= 1e-12 * v.norm() * vec.norm():
+        v = v_hint.components
+        pairing = form_eval(v_hint, vec)
+        self_pairing, v_norm = form_eval(v_hint, v_hint), v_hint.norm()
+    if abs(pairing) <= 1e-12 * v_norm * vec.norm():
         raise InternalContractError(
             "candidate vector is orthogonal to x; pick a different hint"
         )
-    shift = 0.5 * form_eval(v, v) / pairing.conjugate()
-    return (v - shift * vec) * (1.0 / pairing)
+    shift = 0.5 * self_pairing / pairing.conjugate()
+    return (v - c * shift) * (1.0 / pairing)
 
 
-def _reflection_complement(a: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of a^perp in C^k: the columns other than j of the
-    Householder reflection I - 2 v v^H / (v^H v) that maps a onto e_j, for
-    the largest-modulus a_j (ties to the lowest index) and
+@functools.lru_cache(maxsize=128)
+def _without_column(k: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """The indices other than j in range(k), and the columns of I_k at them."""
+    keep = np.flatnonzero(np.arange(k) != j)
+    eye = np.eye(k)[:, keep]
+    keep.flags.writeable = eye.flags.writeable = False
+    return keep, eye
+
+
+def _reflection_complement(a: np.ndarray, out: np.ndarray) -> None:
+    """Write into out an orthonormal basis of a^perp in C^k: the columns other
+    than j of the Householder reflection I - 2 v v^H / (v^H v) that maps a
+    onto e_j, for the largest-modulus a_j (ties to the lowest index) and
     v = a + (a_j / |a_j|) ||a|| e_j, so that v_j does not cancel (Golub &
     Van Loan, Matrix Computations, 5.1)."""
     mods = np.abs(a)
@@ -97,14 +121,16 @@ def _reflection_complement(a: np.ndarray) -> np.ndarray:
     # Scale-free; a unit pivot keeps v^H v from overflow and underflow.
     v = a / mods[j]
     v[j] += v[j] * np.sqrt(np.vdot(v, v).real)
-    keep = np.arange(a.shape[0]) != j
-    return (np.eye(a.shape[0])[:, keep]
-            - np.outer(v, v[keep].conj()) * (2.0 / np.vdot(v, v).real))
+    keep, eye = _without_column(a.shape[0], j)
+    np.subtract(eye, v[:, None] * v[keep].conj() * (2.0 / np.vdot(v, v).real),
+                out=out)
 
 
-def _middles(x: ConePoint, u: CVector) -> list[CVector]:
-    """Eta-orthonormal basis (positive block first) of the orthogonal
-    complement of the hyperbolic plane span{x, u}.
+def _frame_block(x: ConePoint, v_hint: CVector | None) -> np.ndarray:
+    """The chart frame at x as one read-only (n, n - 1) array: the partner
+    hyperbolic_partner(x, v_hint), then an eta-orthonormal basis m_2, ...,
+    m_{n-1} (positive block first) of the orthogonal complement of the
+    hyperbolic plane span{x, u}.
 
     Write x = (a, b) in the standard split.  The partner u_s = (a, -b) /
     ||x||^2 spans with x a plane whose complement is a^perp + b^perp, with
@@ -117,11 +143,47 @@ def _middles(x: ConePoint, u: CVector) -> list[CVector]:
     sig = x.signature
     p = sig.p
     c = x.components
-    mids = np.zeros((sig.n, sig.n - 2), dtype=np.complex128)
-    mids[:p, :p - 1] = _reflection_complement(c[:p])
-    mids[p:, p - 1:] = _reflection_complement(c[p:])
-    mids -= c[:, None] * _gram(mids, u.components, sig)
-    return [CVector(m, sig) for m in mids.T]
+    cols = np.zeros((sig.n, sig.n - 1), dtype=np.complex128)
+    u = _partner(x, v_hint)
+    cols[:, 0] = u
+    _reflection_complement(c[:p], cols[:p, 1:p])
+    _reflection_complement(c[p:], cols[p:, p:])
+    mids = cols[:, 1:]
+    mids -= c[:, None] * _gram(mids, u, sig)
+    cols.flags.writeable = False
+    return cols
+
+
+@functools.lru_cache(maxsize=128)
+def _frame_target(sig: Signature) -> np.ndarray:
+    """[f(c_i, a_j)] that a chart frame's columns c = [u, m_2, ...] must have
+    against a = [x, u, m_2, ...]: f(u, x) = 1, f(m_j, m_k) = eta_jk, and
+    every other pairing zero."""
+    target = np.zeros((sig.n - 1, sig.n), dtype=np.complex128)
+    target[0, 0] = 1.0
+    target[1:, 2:] = np.diag(sig.eta[1:-1])
+    target.flags.writeable = False
+    return target
+
+
+def _certify_frame(x: ConePoint, cols: np.ndarray) -> None:
+    """The chart identities of the frame columns cols = [u, m_2, ...] at x,
+    each deviation relative to its norm product, so that the check does not
+    depend on the scale of x: UnsupportedChartError otherwise."""
+    sig = x.signature
+    against = np.column_stack((x.components, cols))
+    # np.linalg.norm(against, axis=0), without the wrapper's dispatch.
+    norms = np.sqrt(np.add.reduce((against.conj() * against).real, axis=0))
+    deviation = (np.abs(_gram(cols, against, sig) - _frame_target(sig))
+                 / (norms[1:, None] * norms))
+    certify(float(deviation.max()), DEFAULT_TOL, UnsupportedChartError,
+            "chart identities fail by {residual:.3e}")
+
+
+def _frame_views(cols: np.ndarray, sig: Signature) -> tuple:
+    """(u, mu_basis, cols): read-only CVector views of the frame columns."""
+    return (_owned(cols[:, 0], sig),
+            tuple(_owned(m, sig) for m in cols[:, 1:].T), cols)
 
 
 def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
@@ -135,38 +197,29 @@ def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
 @dataclass(frozen=True, eq=False)
 class ChartFrame:
     """Chart center x, hyperbolic partner u, and an eta-orthonormal basis of
-    the orthogonal complement M (positive directions first)."""
+    the orthogonal complement M (positive directions first).
+
+    u and mu_basis are views of one read-only (n, n - 1) array of columns
+    [u, m_2, ..., m_{n-1}], which the chart maps multiply by."""
 
     x: ConePoint
     u: CVector
     mu_basis: tuple[CVector, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "mu_basis", tuple(self.mu_basis))
         sig = self.x.signature
-        if len(self.mu_basis) != sig.n - 2:
+        mu_basis = tuple(self.mu_basis)
+        if len(mu_basis) != sig.n - 2:
             raise UnsupportedChartError(
-                f"need {sig.n - 2} middle vectors, got {len(self.mu_basis)}"
+                f"need {sig.n - 2} middle vectors, got {len(mu_basis)}"
             )
-        for v in (self.u, *self.mu_basis):
+        for v in (self.u, *mu_basis):
             _check_same_signature(v, self.x)
-        # Columns u, m_2, ..., m_{n-1}, which the chart maps multiply by.
         cols = np.column_stack([self.u.components]
-                               + [m.components for m in self.mu_basis])
+                               + [m.components for m in mu_basis])
         cols.flags.writeable = False
-        object.__setattr__(self, "_columns", cols)
-        # f(u, x) = 1, f(m_j, m_k) = eta, all other pairings vanish; each
-        # deviation is taken relative to its norm product, so that the
-        # check does not depend on the scale of x.
-        target = np.zeros((sig.n - 1, sig.n), dtype=np.complex128)
-        target[0, 0] = 1.0
-        target[1:, 2:] = np.diag(sig.eta[1:-1])
-        against = np.column_stack([self.x.components, cols])
-        norms = np.linalg.norm(against, axis=0)
-        deviation = (np.abs(_gram(cols, against, sig) - target)
-                     / np.outer(norms[1:], norms))
-        certify(float(deviation.max()), DEFAULT_TOL, UnsupportedChartError,
-                "chart identities fail by {residual:.3e}")
+        _certify_frame(self.x, cols)
+        _set_frame(self, *_frame_views(cols, sig))
 
     @property
     def signature(self) -> Signature:
@@ -189,31 +242,30 @@ class ChartFrame:
         }
 
 
+def _set_frame(chart: ChartFrame, u: CVector, mu_basis: tuple[CVector, ...],
+               cols: np.ndarray) -> None:
+    object.__setattr__(chart, "u", u)
+    object.__setattr__(chart, "mu_basis", mu_basis)
+    object.__setattr__(chart, "_columns", cols)
+
+
 def make_chart(x: ConePoint, v_hint: CVector | None = None) -> ChartFrame:
     """Witt extension of x, with partner hyperbolic_partner(x, v_hint),
     packaged as a chart frame.
 
-    The default frame (no hint) is built and certified once per point: its
-    partner, middles and read-only columns are kept on x, and later calls
-    wrap them without running the chart check again."""
-    if v_hint is None and "witt" in x._derived:
-        return _certified_chart(x, *x._derived["witt"])
-    u = hyperbolic_partner(x, v_hint)
-    chart = ChartFrame(x, u, tuple(_middles(x, u)))
-    if v_hint is None:
-        x._derived["witt"] = (chart.u, chart.mu_basis, chart._columns)
-    return chart
-
-
-def _certified_chart(x: ConePoint, u: CVector, mu_basis: tuple[CVector, ...],
-                     columns: np.ndarray) -> ChartFrame:
-    """ChartFrame on data that already passed its chart check at x, made
-    without running the check again."""
+    Hinted and default frames are built by one array pass and certified
+    once.  The default frame (no hint) is kept on x, and later calls wrap
+    it without running the chart check again."""
+    frame = x._derived.get("witt") if v_hint is None else None
+    if frame is None:
+        cols = _frame_block(x, v_hint)
+        _certify_frame(x, cols)
+        frame = _frame_views(cols, x.signature)
+        if v_hint is None:
+            x._derived["witt"] = frame
     chart = object.__new__(ChartFrame)
     object.__setattr__(chart, "x", x)
-    object.__setattr__(chart, "u", u)
-    object.__setattr__(chart, "mu_basis", mu_basis)
-    object.__setattr__(chart, "_columns", columns)
+    _set_frame(chart, *frame)
     return chart
 
 
@@ -232,7 +284,7 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     r = float(r)
     if not (math.isfinite(r) and np.isfinite(coords).all()):
         raise NotIsotropicError(f"chart point r = {r}, y = {coords} is not finite")
-    y = CVector(chart._columns[:, 1:] @ coords, sig)
+    y = _owned(chart._columns[:, 1:] @ coords, sig)
     beta = complex(-0.5 * form_eval(y, y).real, r)
     vec = y + chart.u + beta * chart.x.vector
     out = ConePoint(vec, tol=1e-10)

@@ -142,9 +142,9 @@ class CVector:
 
 
 def _owned(components: np.ndarray, sig: Signature) -> CVector:
-    """CVector on the result of arithmetic on components: a fresh complex
-    array of length n that no caller holds, so it is made read-only in place
-    instead of copied."""
+    """CVector on a complex array of length n that no caller can write
+    through: the fresh result of arithmetic, or a view of a read-only array.
+    It is made read-only in place instead of copied."""
     components.flags.writeable = False
     vec = object.__new__(CVector)
     object.__setattr__(vec, "components", components)

@@ -20,6 +20,7 @@ from .core import (
     ConePoint,
     CVector,
     _gram,
+    _owned,
     form_eval,
 )
 from .errors import (
@@ -75,11 +76,14 @@ class MetricMatrix:
         labels = tuple(basis_labels)
         if len(labels) != e.shape[0]:
             raise ValueError("one label per basis vector required")
-        skew = float(np.abs(e - e.T).max()) if e.size else 0.0
+        # Both are formed from halves, so that no finite entry overflows;
+        # halving a normal float is exact, so neither changes a bit there.
+        half, half_t = e * 0.5, e.T * 0.5
+        skew = 2.0 * float(np.abs(half - half_t).max()) if e.size else 0.0
         sym_scale = float(np.abs(e).max()) if e.size else 0.0
         if skew > 1e-8 * sym_scale:
             raise ValueError(f"entries deviate from symmetric by {skew:.3e}")
-        e = (e + e.T) / 2.0
+        e = half + half_t
         e.flags.writeable = False
         if e.size:
             evals, evecs = np.linalg.eigh(e)
@@ -167,7 +171,9 @@ def _quotient_labels(n: int) -> tuple[str, ...]:
 def adapted_frame(x: ConePoint) -> AdaptedFrame:
     """Build the adapted tangent and quotient frames at x."""
     sig = x.signature
-    quotient = tuple(CVector(c, sig) for c in _quotient_columns(x).T)
+    cols = _quotient_columns(x)
+    cols.flags.writeable = False
+    quotient = tuple(_owned(c, sig) for c in cols.T)
     return AdaptedFrame(
         x,
         tuple(extend_to_witt_basis(x)),

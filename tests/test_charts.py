@@ -206,6 +206,95 @@ class TestChartFrame:
         assert len(data["mu_basis"]) == 2
 
 
+def _reference_partner(x, v_hint=None):
+    """Reference partner in CVector arithmetic, from v = v_hint or the
+    standard basis vector at the largest-modulus component of x."""
+    vec = x.vector
+    if v_hint is None:
+        v = basis_vector(x.signature, int(np.argmax(np.abs(vec.components))))
+    else:
+        v = v_hint
+    pairing = form_eval(v, vec)
+    shift = 0.5 * form_eval(v, v) / pairing.conjugate()
+    return (v - shift * vec) * (1.0 / pairing)
+
+
+def _reference_reflection_complement(a):
+    mods = np.abs(a)
+    j = int(np.argmax(mods))
+    v = a / mods[j]
+    v[j] += v[j] * np.sqrt(np.vdot(v, v).real)
+    keep = np.arange(a.shape[0]) != j
+    return (np.eye(a.shape[0])[:, keep]
+            - np.outer(v, v[keep].conj()) * (2.0 / np.vdot(v, v).real))
+
+
+def _reference_frame(x, v_hint=None):
+    """Reference frame (u, middles, columns), built one CVector per middle
+    and restacked into the columns."""
+    sig, p, c = x.signature, x.signature.p, x.components
+    u = _reference_partner(x, v_hint)
+    mids = np.zeros((sig.n, sig.n - 2), dtype=np.complex128)
+    mids[:p, :p - 1] = _reference_reflection_complement(c[:p])
+    mids[p:, p - 1:] = _reference_reflection_complement(c[p:])
+    mids -= c[:, None] * (mids.T @ (sig.eta * u.components.conj()))
+    middles = [CVector(m, sig) for m in mids.T]
+    cols = np.column_stack([u.components] + [m.components for m in middles])
+    return u, middles, cols
+
+
+class TestFrameMatchesReference:
+    """The array builder writes the same bits, signed zeros included, as
+    the per-vector reference construction, for default and hinted charts
+    and for the ChartFrame constructor."""
+
+    @staticmethod
+    def centres(sig, seed):
+        x = sample_cone_point(sig, seed)
+        yield x
+        yield ConePoint(1j * x.vector)
+        # Real and imaginary components with exact zeros in the other part.
+        rng = make_rng(seed, 13)
+        a, b = rng.standard_normal(sig.p), rng.standard_normal(sig.q)
+        real = np.concatenate([a / np.linalg.norm(a), b / np.linalg.norm(b)])
+        yield ConePoint(CVector(real.astype(complex), sig))
+        yield ConePoint(CVector(real * 1j, sig))
+
+    @staticmethod
+    def assert_same_frame(chart, reference):
+        u, middles, cols = reference
+        assert chart._columns.tobytes() == cols.tobytes()
+        assert chart.u.components.tobytes() == u.components.tobytes()
+        assert len(chart.mu_basis) == len(middles)
+        for m, ref in zip(chart.mu_basis, middles):
+            assert m.components.tobytes() == ref.components.tobytes()
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_bit_for_bit(self, p, q):
+        sig = Signature(p, q)
+        for seed in range(10):
+            rng = make_rng(seed, 12)
+            hint = CVector(rng.standard_normal(sig.n)
+                           + 1j * rng.standard_normal(sig.n), sig)
+            for x in self.centres(sig, seed):
+                reference = _reference_frame(x)
+                self.assert_same_frame(make_chart(x), reference)
+                # Served again from the point.
+                self.assert_same_frame(make_chart(x), reference)
+                self.assert_same_frame(
+                    ChartFrame(x, reference[0], reference[1]), reference)
+                self.assert_same_frame(make_chart(x, hint),
+                                       _reference_frame(x, hint))
+
+    def test_frame_vectors_are_read_only_views(self):
+        chart = make_chart(sample_cone_point(Signature(3, 2), 1))
+        for v in (chart.u, *chart.mu_basis):
+            assert np.shares_memory(v.components, chart._columns)
+            with pytest.raises(ValueError):
+                v.components[0] = 0.0
+
+
 class TestKappa:
     def test_pinned_value(self):
         out = kappa0(make_chart(null22()), 2.0, [1.0, 0.0])

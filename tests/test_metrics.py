@@ -85,6 +85,18 @@ class TestMetricMatrix:
         with pytest.raises(ValueError):
             MetricMatrix.from_entries(np.eye(2), ("a",))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_entries_near_the_float_maximum(self):
+        # e - e.T and e + e.T would overflow here; halves do not.
+        assert metric_signature(np.diag([1e308, -1e308])) == (1, 1, 0)
+        g = MetricMatrix.from_entries([[1e308, 1e308], [1e308, -1e308]],
+                                      ("a", "b"))
+        assert g.signature == (1, 1, 0)
+        np.testing.assert_array_equal(g.entries, [[1e308, 1e308],
+                                                  [1e308, -1e308]])
+        with pytest.raises(ValueError, match="deviate from symmetric"):
+            metric_signature(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+
     def test_json(self):
         g = MetricMatrix.from_entries(np.diag([2.0, 0.0]), ("a", "b"))
         data = g.to_json()
@@ -332,13 +344,13 @@ class TestOneFramePerPoint:
     @pytest.mark.parametrize("sig", SIGS, ids=str)
     def test_witt_frame_built_once(self, sig, monkeypatch):
         calls = []
-        middles = charts._middles
+        builder = charts._frame_block
 
-        def counting(x, u):
+        def counting(x, v_hint):
             calls.append(x)
-            return middles(x, u)
+            return builder(x, v_hint)
 
-        monkeypatch.setattr(charts, "_middles", counting)
+        monkeypatch.setattr(charts, "_frame_block", counting)
         x = sample_cone_point(sig, 4)
         make_chart(x)
         induced_metric(x)
@@ -386,16 +398,17 @@ class TestOneFramePerPoint:
 
     @pytest.mark.parametrize("sig", [SIG11] + SIGS, ids=str)
     def test_chart_check_runs_once(self, sig, monkeypatch):
-        # The chart identity check runs in ChartFrame.__post_init__; the
-        # kept default frame is wrapped without it.
+        # The chart identity check is charts._certify_frame, which
+        # make_chart and the ChartFrame constructor share; the kept default
+        # frame is wrapped without it.
         calls = []
-        check = charts.ChartFrame.__post_init__
+        check = charts._certify_frame
 
-        def counting(chart):
-            calls.append(chart)
-            check(chart)
+        def counting(x, cols):
+            calls.append(x)
+            check(x, cols)
 
-        monkeypatch.setattr(charts.ChartFrame, "__post_init__", counting)
+        monkeypatch.setattr(charts, "_certify_frame", counting)
         x = sample_cone_point(sig, 4)
         make_chart(x)
         charts.extend_to_witt_basis(x)
