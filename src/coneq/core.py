@@ -260,8 +260,11 @@ class ConePoint:
     tol: InitVar[float] = DEFAULT_TOL
     isotropy_residual: float = field(init=False)
     # Data derived from x alone, kept by the modules that compute it: the
-    # default chart partner and middles, and the default quotient Gram.  No
-    # entry refers back to the point, so it is freed as soon as it is dropped.
+    # default chart partner and middles ("witt"), the default quotient Gram
+    # ("quotient_gram"), the ray representative under the standard split
+    # ("ray"), and, on a ray representative's point, its projective
+    # representative ("proj").  No entry refers back to the point it is kept
+    # on, so a dropped point is freed by its reference count.
     _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, tol):
@@ -356,9 +359,9 @@ def sample_cone_point(sig: Signature, seed: int) -> ConePoint:
 
     def unit_block(k):
         z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        while _norm(z) < 1e-6:
+        while (size := _norm(z)) < 1e-6:
             z = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        return z / _norm(z)
+        return z / size
 
     xp = unit_block(p)
     xm = unit_block(q)

@@ -240,15 +240,25 @@ def canonicalize_ray(x, split: Split | None = None) -> RayRep:
     """Scale a cone point so both split blocks land on unit spheres.
 
     Canonical representatives pass through unchanged, which makes the map
-    idempotent on the nose rather than up to rounding.
+    idempotent on the nose rather than up to rounding.  Under the default
+    split the representative is built and certified once per point and kept
+    on it; other splits compute it on every call.
     """
     if isinstance(x, RayRep):
         if split is None or split is x.split:
             return x
         x = x.point
     point = x if isinstance(x, ConePoint) else ConePoint(x)
-    if split is None:
-        split = standard_split(point.signature)
+    default = standard_split(point.signature)
+    if split is not None and split is not default:
+        return _ray_rep(point, split)
+    ray = point._derived.get("ray")
+    if ray is None:
+        ray = point._derived["ray"] = _ray_rep(point, default)
+    return ray
+
+
+def _ray_rep(point: ConePoint, split: Split) -> RayRep:
     _, r = _ray_scale(point, split)
     scaled = ConePoint(point.vector * (1.0 / r))
     # Block norms in the split's own (f-orthonormal) coordinates; these are
@@ -272,12 +282,24 @@ def _pivot_index(components: np.ndarray) -> int:
 
 def canonicalize_phase(x, split: Split | None = None) -> ProjRep:
     """Canonical projective representative: ray-normalize, then divide out
-    the phase of the largest-modulus component (ties to the lowest index)."""
+    the phase of the largest-modulus component (ties to the lowest index).
+
+    Under the default split the result is kept on the ray representative's
+    point, so each point is ray-normalized and rotated once."""
     if isinstance(x, ProjRep):
         if split is None or split is x.split:
             return x
         x = x.point
     ray = canonicalize_ray(x, split)
+    if ray.split is not standard_split(ray.signature):
+        return _proj_rep(ray)
+    proj = ray.point._derived.get("proj")
+    if proj is None:
+        proj = ray.point._derived["proj"] = _proj_rep(ray)
+    return proj
+
+
+def _proj_rep(ray: RayRep) -> ProjRep:
     comps = ray.components
     j = _pivot_index(comps)
     phase = comps[j] / abs(comps[j])
@@ -305,7 +327,9 @@ def torus_coords(x) -> tuple[float, float]:
         raise UnsupportedSignatureError(
             f"torus coordinates need signature (1,1), got {vec.signature}"
         )
-    ray = canonicalize_ray(ConePoint(vec))
+    # A representative's point, not the representative, which would pass
+    # through unscaled; a point keeps its ray representative for reuse.
+    ray = canonicalize_ray(x.point if isinstance(x, (RayRep, ProjRep)) else x)
     angles = np.mod(np.angle(ray.components), 2.0 * np.pi)
     # mod can return 2*pi when the angle underflows from below
     angles[angles >= 2.0 * np.pi] = 0.0

@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import itertools
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -313,6 +315,81 @@ class TestProjEquivalent:
         assert proj_equivalent(x, y, split=sample_split(SIG22, 5))
 
 
+class TestKeptRepresentatives:
+    SIGS = [SIG11, SIG22, Signature(2, 3), Signature(5, 5)]
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        assert a.components.tobytes() == b.components.tobytes()
+        assert a.to_json() == b.to_json()
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_repeated_calls_return_the_kept_object(self, sig):
+        x = sample_cone_point(sig, 4)
+        ray = canonicalize_ray(x)
+        proj = canonicalize_phase(x)
+        assert canonicalize_ray(x) is ray
+        assert canonicalize_phase(x) is proj
+        assert canonicalize_phase(ray) is proj
+        assert proj_equivalent(x, x)
+        assert canonicalize_ray(x) is ray and canonicalize_phase(x) is proj
+        fresh = ConePoint(x.vector)
+        self.assert_same_bits(ray, canonicalize_ray(fresh))
+        self.assert_same_bits(proj, canonicalize_phase(fresh))
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_kept_objects_match_an_uncached_split(self, sig):
+        # A split equal to the standard one, but not it, computes afresh on
+        # every call and gets the same bits as the kept representatives.
+        x = sample_cone_point(sig, 7)
+        axes = Split(tuple(basis_vector(sig, j) for j in range(sig.n)))
+        ray = canonicalize_ray(x, axes)
+        assert canonicalize_ray(x, axes) is not ray
+        self.assert_same_bits(ray, canonicalize_ray(x))
+        self.assert_same_bits(canonicalize_phase(x, axes), canonicalize_phase(x))
+
+    def test_explicit_standard_split_returns_the_kept_object(self):
+        x = sample_cone_point(SIG22, 5)
+        split = standard_split(SIG22)
+        assert canonicalize_ray(x, split) is canonicalize_ray(x)
+        assert canonicalize_phase(x, split) is canonicalize_phase(x)
+        assert canonicalize_phase(x) is canonicalize_phase(x, split)
+
+    def test_transported_split_neither_reads_nor_writes(self):
+        sig = Signature(3, 2)
+        split = sample_split(sig, 21)
+        x = sample_cone_point(sig, 6)
+        moved = canonicalize_ray(x, split)
+        assert moved.split is split
+        assert "ray" not in x._derived
+        ray = canonicalize_ray(x)
+        proj = canonicalize_phase(x)
+        again = canonicalize_ray(x, split)
+        assert again.split is split and again is not moved
+        assert again.components.tobytes() == moved.components.tobytes()
+        moved_proj = canonicalize_phase(x, split)
+        assert moved_proj.split is split
+        assert "proj" not in moved.point._derived
+        assert x._derived["ray"] is ray and ray.point._derived["proj"] is proj
+        assert canonicalize_ray(x) is ray and canonicalize_phase(x) is proj
+
+    def test_no_reference_cycle(self):
+        # The point and both representatives must die by reference counting
+        # alone: a cycle through what the point keeps would leave them to the
+        # cyclic collector, and memory would grow with the points made.
+        x = sample_cone_point(Signature(5, 5), 0)
+        ray = canonicalize_ray(x)
+        proj = canonicalize_phase(x)
+        assert proj_equivalent(x, ConePoint(2j * x.vector))
+        refs = [weakref.ref(x), weakref.ref(ray.point), weakref.ref(proj.point)]
+        gc.disable()
+        try:
+            del x, ray, proj
+            assert [r() for r in refs] == [None, None, None]
+        finally:
+            gc.enable()
+
+
 class TestTorusCoords:
     def test_base_point(self):
         assert torus_coords(vec(SIG11, 1, 1)) == (0.0, 0.0)
@@ -345,6 +422,19 @@ class TestTorusCoords:
     def test_wrong_signature_rejected(self):
         with pytest.raises(UnsupportedSignatureError):
             torus_coords(sample_cone_point(SIG22, 0))
+
+    def test_a_point_keeps_its_ray_representative(self):
+        x = sample_cone_point(SIG11, 9)
+        angles = torus_coords(x)
+        assert x._derived["ray"] is canonicalize_ray(x)
+        assert torus_coords(x) == angles == torus_coords(x.vector)
+
+    def test_representatives_give_their_points_angles(self):
+        # A representative is not passed through unscaled: its point is
+        # ray-normalized again, as a fresh copy of that point would be.
+        x = sample_cone_point(SIG11, 11)
+        for rep in (canonicalize_ray(x), canonicalize_phase(x)):
+            assert torus_coords(rep) == torus_coords(ConePoint(rep.point.vector))
 
 
 @pytest.mark.filterwarnings("error")
