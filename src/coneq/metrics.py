@@ -36,15 +36,13 @@ TANGENCY_TOL = 1e-8
 
 __all__ = [
     "MetricMatrix",
-    "AdaptedFrame",
-    "adapted_frame",
+    "quotient_basis",
     "tangency_residual",
     "induced_metric",
     "metric_signature",
     "skew_form",
     "cotangent_metric_qtilde",
     "dualize_degenerate",
-    "quotient_coefficients",
     "conformal_factor",
 ]
 
@@ -126,29 +124,13 @@ def metric_signature(g, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
     ).signature
 
 
-@dataclass(frozen=True, eq=False)
-class AdaptedFrame:
-    """Witt-aligned frames at a cone point x.
-
-    tangent_basis is {f1 = x, f2 = ix, f3 = i(e_1 - e_n)} followed by the
-    middle vectors m_j, i m_j; quotient_basis drops f1 and spans the tangent
-    space modulo the ray direction.
-    """
-
-    x: ConePoint
-    witt_basis: tuple[CVector, ...]
-    tangent_basis: tuple[CVector, ...]
-    quotient_basis: tuple[CVector, ...]
-    quotient_labels: tuple[str, ...]
-
-
 def _quotient_columns(x: ConePoint) -> np.ndarray:
     """The adapted quotient frame [i x, i(e_1 - e_n), m_2, i m_2, ...] at x
     as the columns of one (n, 2n - 2) array, from make_chart(x)'s frame.
 
     f3 is formed as the difference of e_1 = x/2 + u and e_n = x/2 - u,
     with the same float operations as CVector arithmetic on the Witt basis,
-    so this array equals adapted_frame(x).quotient_basis bit for bit."""
+    so this array equals that frame built vector by vector, bit for bit."""
     chart_cols = make_chart(x)._columns
     xc = x.components
     u = chart_cols[:, 0]
@@ -168,19 +150,12 @@ def _quotient_labels(n: int) -> tuple[str, ...]:
     return tuple(labels)
 
 
-def adapted_frame(x: ConePoint) -> AdaptedFrame:
-    """Build the adapted tangent and quotient frames at x."""
-    sig = x.signature
+def quotient_basis(x: ConePoint) -> tuple[CVector, ...]:
+    """Read-only CVector views of the columns of _quotient_columns(x), the
+    basis of induced_metric(x); its basis_labels name them."""
     cols = _quotient_columns(x)
     cols.flags.writeable = False
-    quotient = tuple(_owned(c, sig) for c in cols.T)
-    return AdaptedFrame(
-        x,
-        tuple(extend_to_witt_basis(x)),
-        (x.vector, *quotient),
-        quotient,
-        _quotient_labels(sig.n),
-    )
+    return tuple(_owned(c, x.signature) for c in cols.T)
 
 
 def _tangency_residuals(x: ConePoint, cols: np.ndarray) -> np.ndarray:
@@ -319,51 +294,39 @@ def dualize_degenerate(inclusion, f1, tol: float = DEFAULT_TOL) -> MetricMatrix:
     return MetricMatrix.from_entries(dual, labels, tol)
 
 
-def quotient_coefficients(x: ConePoint, basis, vectors):
-    """Real coefficients of `vectors` in `basis`, modulo the ray direction.
-
-    Solves the real least-squares problem over span(basis + {x}) and drops
-    the x coefficient.  Returns (coefficient matrix, relative residual);
-    column k holds the coefficients of vectors[k].
-    """
-    def realify(v: CVector) -> np.ndarray:
-        return np.concatenate([v.components.real, v.components.imag])
-
-    cols = [realify(b) for b in basis] + [realify(x.vector)]
-    a = np.column_stack(cols)
-    b = np.column_stack([realify(v) for v in vectors])
-    sol, _, _, _ = np.linalg.lstsq(a, b, rcond=None)
-    residual = float(np.linalg.norm(a @ sol - b) / max(np.linalg.norm(b), 1e-30))
-    return sol[: len(basis), :], residual
+def _quotient_fit(xa: ConePoint, cols: np.ndarray) -> tuple[np.ndarray, float]:
+    """(C, residual): C = g^-1 Re f(Q, cols), the real coefficients of the
+    tangent columns cols in the adapted quotient frame Q at xa, g its kept
+    Gram; residual = ||cols - Q C minus its part along xa|| / ||cols||."""
+    q = _quotient_columns(xa)
+    coeffs = np.linalg.solve(_frame_gram(xa, None, None)[0],
+                             _gram(q, cols, xa.signature).real)
+    rest = cols - q @ coeffs
+    xc = xa.components
+    rest -= np.outer(xc, (xc.conj() @ rest).real / (xc.conj() @ xc).real)
+    return coeffs, float(np.linalg.norm(rest) / np.linalg.norm(cols))
 
 
 def conformal_factor(x, split_a: Split, split_b: Split):
     """Factor between the quotient metrics built from two different splits.
 
-    Canonicalizes x with each split, builds independent adapted frames, and
-    expresses one metric in the other's frame on the shared ray-quotient
-    tangent space.  Returns (factor, relative residual); the two metrics
-    agree up to this positive factor when the residual is small.
+    Canonicalizes x with each split to xa and xb, solves for xb's adapted
+    quotient frame in xa's against the kept Gram at xa (TangencyError if
+    the fit's residual exceeds 1e-8), and expresses the metric at xb in
+    xa's frame.  Returns (factor, relative residual); the two metrics agree
+    up to this positive factor when the residual is small.
     """
-    ray_a = canonicalize_ray(x, split_a)
-    ray_b = canonicalize_ray(x, split_b)
-    xa, xb = ray_a.point, ray_b.point
+    xa = canonicalize_ray(x, split_a).point
+    xb = canonicalize_ray(x, split_b).point
     g_a = _frame_gram(xa, None, None)[0]
     g_b = _frame_gram(xb, None, None)[0]
     mu = xb.vector.norm() / xa.vector.norm()
-    coeffs, fit_residual = quotient_coefficients(
-        xa, adapted_frame(xa).quotient_basis, adapted_frame(xb).quotient_basis
-    )
+    coeffs, fit_residual = _quotient_fit(xa, _quotient_columns(xb))
     certify(fit_residual, 1e-8, TangencyError,
             "frames do not span a common quotient (residual {residual:.3e})")
-    change = coeffs / mu
-    inv_change = np.linalg.inv(change)
+    inv_change = np.linalg.inv(coeffs / mu)
     in_frame_a = inv_change.T @ g_b @ inv_change
-    num = float(np.tensordot(in_frame_a, g_a))
-    den = float(np.tensordot(g_a, g_a))
-    factor = num / den
-    residual = float(
-        np.linalg.norm(in_frame_a - factor * g_a)
-        / (abs(factor) * np.linalg.norm(g_a))
-    )
+    factor = float(np.tensordot(in_frame_a, g_a)) / float(np.tensordot(g_a, g_a))
+    residual = float(np.linalg.norm(in_frame_a - factor * g_a)
+                     / (abs(factor) * np.linalg.norm(g_a)))
     return factor, residual

@@ -228,13 +228,13 @@ def _u1_action(sig, rng, tol):
 
 def _metric_scaling(sig, rng, tol):
     x = _cone_point(sig, rng)
-    frame = metrics.adapted_frame(x)
+    basis = metrics.quotient_basis(x)
     g = metrics.induced_metric(x)
     scale = float(np.max(np.abs(g.entries)))
     res = 0.0
     for lam in (0.5, 2.0, 3.7):
         scaled_point = ConePoint(lam * x.vector)
-        scaled_basis = [lam * v for v in frame.quotient_basis]
+        scaled_basis = [lam * v for v in basis]
         g_lam = metrics.induced_metric(scaled_point, basis=scaled_basis)
         res = max(
             res,
@@ -301,20 +301,17 @@ def _cometric_rank(sig, rng, tol):
 
 def _skew_form(sig, rng, tol):
     x = quotients.canonicalize_ray(_cone_point(sig, rng)).point
-    frame = metrics.adapted_frame(x)
-    tangent = _columns(frame.tangent_basis)
+    tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
     coeffs = rng.standard_normal((2, tangent.shape[1]))
     va = CVector(tangent @ coeffs[0], sig)
     vb = CVector(tangent @ coeffs[1], sig)
     anti = (abs(metrics.skew_form(x, va, vb) + metrics.skew_form(x, vb, va))
             / max(1.0, abs(form_eval(va, vb))))
-    e1, en = frame.witt_basis[0], frame.witt_basis[-1]
+    chart = charts.make_chart(x)
+    e1, en = chart.witt_plus(), chart.witt_minus()
     pinned = abs(abs(metrics.skew_form(x, x.vector, 1j * e1)) - 1.0)
-    best = 0.0
-    for y in frame.tangent_basis:
-        best = max(
-            best, abs(metrics.skew_form(x, x.vector, y * (1.0 / y.norm())))
-        )
+    best = max(abs(metrics.skew_form(x, x.vector, y * (1.0 / y.norm())))
+               for y in (CVector(c, sig) for c in tangent.T))
     # x pairs only with f3 = i(e_1 - e_n) in the tangent basis, where
     # |Im f(x, f3)| = f(e_1, e_1) - f(e_n, e_n) = 2.
     res = max(anti, pinned, abs(best - 2.0 / (e1 - en).norm()))

@@ -12,7 +12,6 @@ from fractions import Fraction
 from coneq import (
     ConePoint,
     Signature,
-    adapted_frame,
     aperp_classify,
     aperp_dimension_estimate,
     canonicalize_ray,
@@ -27,6 +26,7 @@ from coneq import (
     make_chart,
     make_rng,
     proj_equivalent,
+    quotient_basis,
     sample_aperp_point,
     sample_cone_point,
     sample_split,
@@ -74,15 +74,14 @@ def test_metric_scales_with_square_of_ray_parameter():
     for sig in ALL_SIGNATURES:
         for trial in range(100):
             x = sample_cone_point(sig, 2000 + trial)
-            fr = adapted_frame(x)
-            g = induced_metric(x, basis=fr.quotient_basis,
-                               labels=fr.quotient_labels)
+            basis = quotient_basis(x)
+            labels = induced_metric(x).basis_labels
+            g = induced_metric(x, basis=basis, labels=labels)
             norm_g = np.linalg.norm(g.entries)
             for lam in (0.5, 2.0, 3.7):
                 x2 = ConePoint(lam * x.vector)
-                basis2 = tuple(lam * v for v in fr.quotient_basis)
-                g2 = induced_metric(x2, basis=basis2,
-                                    labels=fr.quotient_labels)
+                basis2 = tuple(lam * v for v in basis)
+                g2 = induced_metric(x2, basis=basis2, labels=labels)
                 defect = np.linalg.norm(g2.entries - lam**2 * g.entries)
                 assert defect <= 1e-9 * norm_g
 

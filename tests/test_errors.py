@@ -23,7 +23,6 @@ from coneq import (
     Split,
     TangencyError,
     UnsupportedChartError,
-    adapted_frame,
     basis_vector,
     chart_inverse,
     conformal_factor,
@@ -32,6 +31,7 @@ from coneq import (
     induced_metric,
     kappa0,
     make_chart,
+    quotient_basis,
     sample_cone_point,
     sample_split,
     skew_form,
@@ -106,7 +106,7 @@ class TestCertificatesSetThem:
         # The partner u has f(u, x) = 1, so it is not tangent at x.
         x = sample_cone_point(SIG22, 2)
         u = hyperbolic_partner(x)
-        basis = list(adapted_frame(x).quotient_basis)
+        basis = list(quotient_basis(x))
         basis[2] = u
         with pytest.raises(TangencyError) as info:
             induced_metric(x, basis=basis)
@@ -121,7 +121,7 @@ class TestCertificatesSetThem:
         # A nearly dependent pair of frame vectors leaves the Gram invertible
         # in floating point, with an inversion residual above 1e-6.
         x = sample_cone_point(SIG22, 1)
-        base = list(adapted_frame(x).quotient_basis)
+        base = list(quotient_basis(x))
         raised = []
         for eps in (1e-5, 1e-6, 1e-7):
             basis = base[:]
@@ -142,7 +142,7 @@ class TestCertificatesSetThem:
         # G G^-1 = I holds to rounding at eps = 1e-8 and below, where
         # cond(G) is about 1e16; the residual is then kappa(G) eps.
         x = sample_cone_point(SIG22, 1)
-        basis = list(adapted_frame(x).quotient_basis)
+        basis = list(quotient_basis(x))
         basis[3] = basis[2] + eps * basis[3]
         with pytest.raises(NondegeneracyError) as info:
             cotangent_metric_qtilde(x, basis=basis)
@@ -154,7 +154,7 @@ class TestCertificatesSetThem:
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
     def test_cometric_keeps_a_well_conditioned_gram(self, eps):
         x = sample_cone_point(SIG22, 1)
-        basis = list(adapted_frame(x).quotient_basis)
+        basis = list(quotient_basis(x))
         basis[3] = basis[2] + eps * basis[3]
         assert cotangent_metric_qtilde(x, basis=basis).signature == (2, 2, 1)
 
@@ -228,7 +228,7 @@ class TestCertificatesSetThem:
     def test_skew_form_tangency(self):
         x = sample_cone_point(SIG22, 2)
         u = hyperbolic_partner(x)
-        tangent = adapted_frame(x).quotient_basis[0]
+        tangent = quotient_basis(x)[0]
         with pytest.raises(TangencyError) as info:
             skew_form(x, tangent, u)
         exc = info.value
@@ -239,12 +239,12 @@ class TestCertificatesSetThem:
                             f"{exc.residual:.3e}")
 
     def test_conformal_factor_fit(self, monkeypatch):
-        fit = metrics.quotient_coefficients
+        fit = metrics._quotient_fit
 
-        def loose_fit(x, basis, vectors):
-            return fit(x, basis, vectors)[0], 1e-3
+        def loose_fit(xa, cols):
+            return fit(xa, cols)[0], 1e-3
 
-        monkeypatch.setattr(metrics, "quotient_coefficients", loose_fit)
+        monkeypatch.setattr(metrics, "_quotient_fit", loose_fit)
         x = sample_cone_point(SIG22, 4)
         with pytest.raises(TangencyError) as info:
             conformal_factor(x, standard_split(SIG22), sample_split(SIG22, 1))
@@ -302,12 +302,12 @@ def _nan_chart_inverse(mp):
 def _nan_frame_gram(mp):
     x = sample_cone_point(SIG22, 2)
     mp.setattr(metrics, "_tangency_residuals", _nan_residuals)
-    induced_metric(x, basis=adapted_frame(x).quotient_basis)
+    induced_metric(x, basis=quotient_basis(x))
 
 
 def _nan_skew_form(mp):
     x = sample_cone_point(SIG22, 2)
-    tangent = adapted_frame(x).quotient_basis[0]
+    tangent = quotient_basis(x)[0]
     mp.setattr(metrics, "_tangency_residuals", _nan_residuals)
     skew_form(x, tangent, tangent)
 
@@ -319,9 +319,8 @@ def _nan_cometric(mp):
 
 
 def _nan_conformal_fit(mp):
-    fit = metrics.quotient_coefficients
-    mp.setattr(metrics, "quotient_coefficients",
-               lambda x, basis, vectors: (fit(x, basis, vectors)[0], np.nan))
+    fit = metrics._quotient_fit
+    mp.setattr(metrics, "_quotient_fit", lambda xa, cols: (fit(xa, cols)[0], np.nan))
     conformal_factor(sample_cone_point(SIG22, 4), standard_split(SIG22),
                      sample_split(SIG22, 1))
 

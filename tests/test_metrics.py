@@ -14,17 +14,17 @@ from coneq import (
     Signature,
     TangencyError,
     UnsupportedFrameError,
-    adapted_frame,
     basis_vector,
     conformal_factor,
     cotangent_metric_qtilde,
     dualize_degenerate,
+    extend_to_witt_basis,
     form_eval,
     hyperbolic_partner,
     induced_metric,
     make_chart,
     metric_signature,
-    quotient_coefficients,
+    quotient_basis,
     sample_cone_point,
     sample_split,
     skew_form,
@@ -111,25 +111,34 @@ class TestMetricMatrix:
 
 
 class TestAdaptedFrame:
+    """The adapted quotient frame [ix, i(e_1 - e_n), m_j, i m_j], served by
+    quotient_basis and labelled by induced_metric(x).basis_labels."""
+
     def test_structure_at_standard_point(self):
-        fr = adapted_frame(null22())
-        assert len(fr.witt_basis) == 4
-        assert len(fr.tangent_basis) == 7
-        assert len(fr.quotient_basis) == 6
-        assert fr.quotient_labels == ("f2", "f3", "e2", "ie2", "e3", "ie3")
-        np.testing.assert_array_equal(
-            fr.tangent_basis[0].components, fr.x.components
-        )
+        x = null22()
+        basis = quotient_basis(x)
+        assert len(extend_to_witt_basis(x)) == 4
+        assert len(basis) == 6
+        assert induced_metric(x).basis_labels == ("f2", "f3", "e2", "ie2",
+                                                  "e3", "ie3")
         np.testing.assert_allclose(
-            fr.quotient_basis[0].components, 1j * fr.x.components, atol=1e-15
+            basis[0].components, 1j * x.components, atol=1e-15
         )
 
     def test_members_are_tangent(self):
         for sig in (SIG11, Signature(1, 2), SIG22, Signature(3, 2)):
             x = sample_cone_point(sig, 12)
-            fr = adapted_frame(x)
-            for v in fr.tangent_basis:
+            assert tangency_residual(x, x.vector) <= 1e-10
+            for v in quotient_basis(x):
                 assert tangency_residual(x, v) <= 1e-10
+
+    def test_members_are_read_only_views(self):
+        x = sample_cone_point(SIG22, 3)
+        basis = quotient_basis(x)
+        assert all(v.components.base is basis[0].components.base for v in basis)
+        for v in basis:
+            with pytest.raises(ValueError):
+                v.components[0] = 0.0
 
     def test_tangency_residual_detects_normal_direction(self):
         x = null22()
@@ -175,8 +184,8 @@ class TestInducedMetric:
             induced_metric(null22(), frame="nope")
 
     def test_full_tangent_basis_is_degenerate(self):
-        fr = adapted_frame(null22())
-        g = induced_metric(fr.x, basis=fr.tangent_basis)
+        x = null22()
+        g = induced_metric(x, basis=(x.vector, *quotient_basis(x)))
         assert g.signature == (3, 3, 1)
 
     def test_non_tangent_basis_rejected(self):
@@ -188,8 +197,7 @@ class TestInducedMetric:
 class TestSkewForm:
     def test_pairs_ray_with_phase_direction(self):
         x = ConePoint(vec(SIG11, 1, 1))
-        fr = adapted_frame(x)
-        e1 = fr.witt_basis[0]
+        e1 = extend_to_witt_basis(x)[0]
         value = skew_form(x, x.vector, 1j * e1)
         assert value == -1.0
 
@@ -198,14 +206,13 @@ class TestSkewForm:
         # ray direction with i e1 is -1 regardless of scale
         for seed in range(20):
             x = sample_cone_point(SIG22, seed)
-            fr = adapted_frame(x)
-            value = skew_form(x, x.vector, 1j * fr.witt_basis[0])
+            value = skew_form(x, x.vector, 1j * extend_to_witt_basis(x)[0])
             assert abs(value + 1.0) <= 1e-9
 
     def test_antisymmetric(self):
         x = sample_cone_point(SIG22, 4)
-        fr = adapted_frame(x)
-        a, b = fr.quotient_basis[0], fr.quotient_basis[2]
+        basis = quotient_basis(x)
+        a, b = basis[0], basis[2]
         assert skew_form(x, a, b) == -skew_form(x, b, a)
 
     def test_non_tangent_rejected(self):
@@ -235,14 +242,13 @@ class TestCotangentMetric:
 
     def test_inverse_square_scaling(self):
         x = sample_cone_point(SIG22, 6)
-        fr = adapted_frame(x)
+        basis = quotient_basis(x)
+        labels = induced_metric(x).basis_labels
         lam = 1.7
-        g = cotangent_metric_qtilde(x, basis=fr.quotient_basis,
-                                    labels=fr.quotient_labels)
+        g = cotangent_metric_qtilde(x, basis=basis, labels=labels)
         x2 = ConePoint(lam * x.vector)
-        scaled_basis = tuple(lam * v for v in fr.quotient_basis)
-        g2 = cotangent_metric_qtilde(x2, basis=scaled_basis,
-                                     labels=fr.quotient_labels)
+        scaled_basis = tuple(lam * v for v in basis)
+        g2 = cotangent_metric_qtilde(x2, basis=scaled_basis, labels=labels)
         np.testing.assert_allclose(
             g2.entries, g.entries / lam**2, atol=1e-10 * g.scale
         )
@@ -277,22 +283,19 @@ class TestDualizeDegenerate:
 
 
 class TestQuotientCoefficients:
+    """conformal_factor's fit: coefficients in the adapted quotient frame,
+    modulo the ray direction."""
+
     def test_recovers_frame_member(self):
+        # Every frame member's coefficients are its unit column.
         x = null22()
-        fr = adapted_frame(x)
-        coeffs, residual = quotient_coefficients(
-            x, fr.quotient_basis, [fr.quotient_basis[1]]
-        )
-        want = np.zeros((6, 1))
-        want[1, 0] = 1.0
-        np.testing.assert_allclose(coeffs, want, atol=1e-12)
+        coeffs, residual = metrics._quotient_fit(x, metrics._quotient_columns(x))
+        np.testing.assert_allclose(coeffs, np.eye(6), atol=1e-12)
         assert residual <= 1e-12
 
     def test_ray_direction_projects_out(self):
         x = null22()
-        fr = adapted_frame(x)
-        coeffs, residual = quotient_coefficients(x, fr.quotient_basis,
-                                                 [x.vector])
+        coeffs, residual = metrics._quotient_fit(x, x.components[:, None])
         np.testing.assert_allclose(coeffs, np.zeros((6, 1)), atol=1e-12)
         assert residual <= 1e-12
 
@@ -414,7 +417,7 @@ class TestOneFramePerPoint:
         charts.extend_to_witt_basis(x)
         induced_metric(x)
         cotangent_metric_qtilde(x)
-        adapted_frame(x)
+        quotient_basis(x)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("sig", [SIG11] + SIGS, ids=str)
@@ -484,16 +487,14 @@ class TestQuotientColumns:
                 x = ConePoint(s * sample_cone_point(sig, seed).vector)
                 cols = metrics._quotient_columns(x)
                 reference = _parent_quotient_basis(x)
-                fr = adapted_frame(x)
-                wrapped = np.column_stack([v.components
-                                           for v in fr.quotient_basis])
+                basis = quotient_basis(x)
+                wrapped = np.column_stack([v.components for v in basis])
                 assert cols.shape == (sig.n, 2 * sig.n - 2)
                 assert np.all(cols == reference)
                 assert np.all(wrapped == reference)
                 assert cols.tobytes() == reference.tobytes()
-                assert fr.tangent_basis[0] is x.vector
-                assert fr.tangent_basis[1:] == fr.quotient_basis
-                assert len(fr.quotient_labels) == 2 * sig.n - 2
+                assert wrapped.tobytes() == reference.tobytes()
+                assert len(basis) == 2 * sig.n - 2
 
     @pytest.mark.parametrize("sig", SIGS, ids=str)
     def test_default_gram_equals_the_explicit_frame(self, sig):
@@ -502,17 +503,17 @@ class TestQuotientColumns:
         for seed in range(8):
             for s in self.SCALES:
                 v = s * sample_cone_point(sig, seed).vector
-                fr = adapted_frame(ConePoint(v))
+                basis = quotient_basis(ConePoint(v))
+                labels = metrics._quotient_labels(sig.n)
                 try:
-                    explicit = metrics._frame_gram(
-                        ConePoint(v), fr.quotient_basis, fr.quotient_labels)
+                    explicit = metrics._frame_gram(ConePoint(v), basis, labels)
                 except TangencyError as exc:
                     with pytest.raises(TangencyError, match=re.escape(str(exc))):
                         metrics._frame_gram(ConePoint(v), None, None)
                     continue
-                gram, labels = metrics._frame_gram(ConePoint(v), None, None)
+                gram, default_labels = metrics._frame_gram(ConePoint(v), None, None)
                 assert gram.tobytes() == explicit[0].tobytes()
-                assert labels == explicit[1] == fr.quotient_labels
+                assert default_labels == explicit[1] == labels
 
 
 @pytest.mark.filterwarnings("error")
@@ -537,7 +538,7 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("metric", [induced_metric, cotangent_metric_qtilde])
     def test_a_non_finite_basis_column_is_not_tangent(self, metric, bad):
         x = sample_cone_point(SIG22, 1)
-        basis = list(adapted_frame(x).quotient_basis)
+        basis = list(quotient_basis(x))
         basis[1] = vec(SIG22, 1, bad, 0, 1)
         with pytest.raises(TangencyError) as info:
             metric(x, basis=basis)

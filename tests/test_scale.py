@@ -21,10 +21,13 @@ from coneq import (
     canonicalize_phase,
     canonicalize_ray,
     chart_inverse,
+    conformal_factor,
     kappa0,
     make_chart,
     sample_aperp_point,
     sample_cone_point,
+    sample_split,
+    standard_split,
 )
 
 signatures = st.sampled_from(
@@ -110,12 +113,15 @@ def test_power_of_two_rescale_keeps_every_bit(sig):
             ray = canonicalize_ray(x).components
             proj = canonicalize_phase(x).components
             inverse = chart_inverse(chart, b)
+            splits = (standard_split(sig), sample_split(sig, seed + 50))
+            factor = conformal_factor(x, *splits)
             for k in POW2_EXPONENTS:
                 lam = math.ldexp(1.0, k)
                 y = ConePoint(lam * x.vector)
                 assert y.isotropy_residual == x.isotropy_residual
                 assert np.array_equal(canonicalize_ray(y).components, ray)
                 assert np.array_equal(canonicalize_phase(y).components, proj)
+                assert conformal_factor(y, *splits) == factor
                 got = chart_inverse(chart, lam * b.vector)
                 if inverse is IN_APERP:
                     assert got is IN_APERP
