@@ -31,7 +31,6 @@ from .core import (
     _norm,
     _owned,
     _pow2_scale,
-    basis_vector,
     form_eval,
     make_rng,
 )
@@ -232,14 +231,6 @@ class ChartFrame:
     def witt_minus(self) -> CVector:
         """e_n = x/2 - u."""
         return 0.5 * self.x.vector - self.u
-
-    def to_json(self) -> dict:
-        return {
-            "signature": self.signature.to_json(),
-            "x": self.x.vector.to_json()["components"],
-            "u": self.u.to_json()["components"],
-            "mu_basis": [m.to_json()["components"] for m in self.mu_basis],
-        }
 
 
 def _set_frame(chart: ChartFrame, u: CVector, mu_basis: tuple[CVector, ...],

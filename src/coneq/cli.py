@@ -197,7 +197,7 @@ def _cmd_chart(args) -> int:
     b = ConePoint(CVector(_parse_components(args.b, sig), sig))
     result = charts.chart_inverse(chart, b, tol=_tol(args))
     if result is charts.IN_APERP:
-        _emit_json(args, {"result": "InAperp"}, "point is orthogonal to the chart center")
+        _emit_json(args, charts.IN_APERP.to_json(), "point is orthogonal to the chart center")
         return EXIT_OK
     r_val, y = result
     payload = {"result": "chart", "r": r_val, "y": _pairs(y)}

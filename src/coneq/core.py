@@ -134,12 +134,6 @@ class CVector:
             "components": [[float(c.real), float(c.imag)] for c in self.components],
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "CVector":
-        sig = Signature(int(data["signature"]["p"]), int(data["signature"]["q"]))
-        comps = [complex(re, im) for re, im in data["components"]]
-        return cls(np.array(comps), sig)
-
 
 def _owned(components: np.ndarray, sig: Signature) -> CVector:
     """CVector on a complex array of length n that no caller can write
@@ -317,19 +311,8 @@ class GroupElement:
                 "||U^H eta U - eta||_max = {residual:.3e} exceeds tol {threshold:.3e}")
 
     def apply(self, v: CVector) -> CVector:
-        if v.signature != self.signature:
-            raise SignatureMismatchError(
-                f"signature mismatch: {v.signature} vs {self.signature}"
-            )
+        _check_same_signature(v, self)
         return CVector(self.matrix @ v.components, self.signature)
-
-    def to_json(self) -> dict:
-        return {
-            "signature": self.signature.to_json(),
-            "matrix": [
-                [[float(z.real), float(z.imag)] for z in row] for row in self.matrix
-            ],
-        }
 
 
 def verify_isometry(u, signature: Signature | None = None, tol: float = DEFAULT_TOL) -> bool:

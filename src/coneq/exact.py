@@ -103,14 +103,6 @@ class QGaussian:
     def to_complex(self) -> complex:
         return complex(float(self.re), float(self.im))
 
-    def to_json(self) -> dict:
-        return {"re": f"{self.re.numerator}/{self.re.denominator}",
-                "im": f"{self.im.numerator}/{self.im.denominator}"}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QGaussian":
-        return cls(Fraction(data["re"]), Fraction(data["im"]))
-
 
 def _coerce(value) -> QGaussian:
     if isinstance(value, QGaussian):
@@ -197,15 +189,6 @@ class QVector:
         # int / int rounds correctly, as float(Fraction) does.
         return CVector(np.array([complex(a / self.den, b / self.den)
                                  for a, b in zip(self.re, self.im)]), self.signature)
-
-    def to_json(self) -> dict:
-        return {"signature": self.signature.to_json(),
-                "components": [c.to_json() for c in self.components]}
-
-    @classmethod
-    def from_json(cls, data: dict) -> "QVector":
-        sig = Signature(int(data["signature"]["p"]), int(data["signature"]["q"]))
-        return cls(tuple(QGaussian.from_json(c) for c in data["components"]), sig)
 
 
 def _vector(re, im, den: int, sig: Signature, vec: QVector | None = None) -> QVector:

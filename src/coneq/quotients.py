@@ -33,7 +33,6 @@ from .core import (
 from .errors import (
     DegenerateInputError,
     NotIsometryError,
-    SignatureMismatchError,
     UnsupportedSignatureError,
     certify,
 )
@@ -109,13 +108,6 @@ class Split:
         return CVector(self.matrix @ np.asarray(coeffs, dtype=np.complex128),
                        self.signature)
 
-    def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "signature": self.signature.to_json(),
-            "basis": [v.to_json()["components"] for v in self.basis],
-        }
-
 
 @cache
 def standard_split(sig: Signature) -> Split:
@@ -190,26 +182,21 @@ class RayRep:
     def components(self) -> np.ndarray:
         return self.point.components
 
+    @cached_property
+    def _coefficients(self) -> np.ndarray:
+        """Split coordinates of the point, formed once and read-only; both
+        sphere accessors are views of it."""
+        c = self.split.coefficients(self.point)
+        c.flags.writeable = False
+        return c
+
     def sphere_plus(self) -> np.ndarray:
         """Unit vector in C^p: split coordinates of the positive block."""
-        return self.split.coefficients(self.point)[: self.signature.p]
+        return self._coefficients[: self.signature.p]
 
     def sphere_minus(self) -> np.ndarray:
         """Unit vector in C^q: split coordinates of the negative block."""
-        return self.split.coefficients(self.point)[self.signature.p :]
-
-    def x_plus(self) -> CVector:
-        return split_decompose(self.point, self.split)[0]
-
-    def x_minus(self) -> CVector:
-        return split_decompose(self.point, self.split)[1]
-
-    def to_json(self) -> dict:
-        out = self.point.to_json()
-        out["split"] = self.split.label
-        out["plus_norm"] = self.plus_norm
-        out["minus_norm"] = self.minus_norm
-        return out
+        return self._coefficients[self.signature.p :]
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,10 +298,7 @@ def proj_equivalent(x, y, tol: float = DEFAULT_TOL, split: Split | None = None) 
     """Whether x and y represent the same point of the projective quadric."""
     a = canonicalize_phase(x, split)
     b = canonicalize_phase(y, split)
-    if a.signature != b.signature:
-        raise SignatureMismatchError(
-            f"signature mismatch: {a.signature} vs {b.signature}"
-        )
+    _check_same_signature(a, b)
     scale = max(_norm(a.components), _norm(b.components))
     return float(_norm(a.components - b.components)) <= tol * scale
 

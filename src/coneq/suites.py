@@ -12,8 +12,9 @@ signature (p, q).  Reports are therefore reproducible byte for byte
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -62,17 +63,7 @@ class RunReport:
         return self.failures == 0
 
     def to_json(self) -> dict:
-        return {
-            "suite": self.suite,
-            "signature": self.signature,
-            "seed": self.seed,
-            "trials": self.trials,
-            "passes": self.passes,
-            "failures": self.failures,
-            "worst_residual": self.worst_residual,
-            "elapsed_seconds": self.elapsed_seconds,
-            "counterexample": self.counterexample,
-        }
+        return asdict(self)
 
 
 def _seed(rng) -> int:
@@ -435,20 +426,22 @@ def _field_axioms(sig, rng, tol):
     return ok, 0.0 if ok else 1.0, {}
 
 
-def _exact_roundtrip(chart, rng, tol):
-    ok = exact.exact_kappa_roundtrip(chart, *_rational_input(chart.signature, rng))
+def _exact_roundtrip(sig, rng, tol):
+    chart = exact.standard_rational_chart(sig)
+    ok = exact.exact_kappa_roundtrip(chart, *_rational_input(sig, rng))
     return ok, 0.0 if ok else 1.0, {}
 
 
+@cache
 def _twin_charts(sig):
     """The standard rational chart and the float chart at its center."""
     rational = exact.standard_rational_chart(sig)
     return rational, charts.make_chart(ConePoint(rational.x.to_cvector()))
 
 
-def _twin_agreement(twins, rng, tol):
-    rational, floated = twins
-    r, y = _rational_input(rational.signature, rng)
+def _twin_agreement(sig, rng, tol):
+    rational, floated = _twin_charts(sig)
+    r, y = _rational_input(sig, rng)
     exact_point = exact.exact_kappa0(rational, r, y)
     float_point = charts.kappa0(floated, float(r), [c.to_complex() for c in y])
     res = (float(_norm(float_point.components
@@ -469,18 +462,13 @@ def _twin_agreement(twins, rng, tol):
 
 @dataclass(frozen=True)
 class SuiteDef:
-    """A suite: its trial function fn, default trial count and tolerance.
-
-    setup, when given, builds a per-signature fixture once per run; fn then
-    receives it in place of the signature.
-    """
+    """A suite: its trial function fn, default trial count and tolerance."""
 
     fn: object
     trials: int
     tol: float
     description: str
     per_signature: bool = True
-    setup: object = None
 
 
 SUITES: dict[str, SuiteDef] = {
@@ -528,11 +516,9 @@ SUITES: dict[str, SuiteDef] = {
                              "Gaussian rationals satisfy exact field identities",
                              per_signature=False),
     "exact-roundtrip": SuiteDef(_exact_roundtrip, 50, 0.0,
-                                "exact chart round trips return inputs verbatim",
-                                setup=exact.standard_rational_chart),
+                                "exact chart round trips return inputs verbatim"),
     "twin-agreement": SuiteDef(_twin_agreement, 50, 1e-12,
-                               "float chart agrees with the exact oracle on rational charts",
-                               setup=_twin_charts),
+                               "float chart agrees with the exact oracle on rational charts"),
 }
 
 
@@ -570,25 +556,20 @@ def run_suite(name: str, signature: Signature | None = None,
         passes = failures = 0
         worst = 0.0
         counterexample = None
-        try:
-            fixture = sig if defn.setup is None else defn.setup(sig)
-        except QuadricError as exc:
-            failures, worst, counterexample = n_trials, float("inf"), _error(exc)
-        else:
-            for k in range(n_trials):
-                rng = make_rng(seed, sig.p, sig.q, k)
-                try:
-                    ok, residual, detail = defn.fn(fixture, rng, threshold)
-                except QuadricError as exc:
-                    ok, residual, detail = False, float("inf"), _error(exc)
-                worst = max(worst, residual)
-                if ok:
-                    passes += 1
-                else:
-                    failures += 1
-                    if counterexample is None:
-                        counterexample = {"trial": k, "residual": residual,
-                                          **detail}
+        for k in range(n_trials):
+            rng = make_rng(seed, sig.p, sig.q, k)
+            try:
+                ok, residual, detail = defn.fn(sig, rng, threshold)
+            except QuadricError as exc:
+                ok, residual, detail = False, float("inf"), _error(exc)
+            worst = max(worst, residual)
+            if ok:
+                passes += 1
+            else:
+                failures += 1
+                if counterexample is None:
+                    counterexample = {"trial": k, "residual": residual,
+                                      **detail}
         reports.append(
             RunReport(
                 suite=name,

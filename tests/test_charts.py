@@ -200,11 +200,6 @@ class TestChartFrame:
         assert chart.signature == Signature(2, 3)
         assert len(chart.mu_basis) == 3
 
-    def test_json_keys(self):
-        data = make_chart(null22()).to_json()
-        assert set(data) == {"signature", "x", "u", "mu_basis"}
-        assert len(data["mu_basis"]) == 2
-
 
 def _reference_partner(x, v_hint=None):
     """Reference partner in CVector arithmetic, from v = v_hint or the

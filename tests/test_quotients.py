@@ -15,6 +15,7 @@ from coneq import (
     ProjRep,
     RayRep,
     Signature,
+    SignatureMismatchError,
     Split,
     UnsupportedSignatureError,
     basis_vector,
@@ -71,12 +72,6 @@ class TestSplit:
         s = standard_split(SIG22)
         x = vec(SIG22, 1j, 2, 0, 1 - 1j)
         np.testing.assert_array_equal(s.coefficients(x), x.components)
-
-    def test_json_shape(self):
-        data = sample_split(SIG11, 0).to_json()
-        assert data["label"] == "transported-0"
-        assert data["signature"] == {"p": 1, "q": 1}
-        assert len(data["basis"]) == 2
 
 
 SIGNATURES = [Signature(p, q) for p, q in itertools.product(range(1, 6), repeat=2)]
@@ -188,10 +183,30 @@ class TestCanonicalizeRay:
         ray = canonicalize_ray(vec(SIG22, 1, 0, 0, 1j))
         np.testing.assert_allclose(ray.sphere_plus(), [1, 0], atol=1e-15)
         np.testing.assert_allclose(ray.sphere_minus(), [0, 1j], atol=1e-15)
-        np.testing.assert_allclose(ray.x_plus().components, [1, 0, 0, 0],
-                                   atol=1e-15)
-        np.testing.assert_allclose(ray.x_minus().components, [0, 0, 0, 1j],
-                                   atol=1e-15)
+        x_plus, x_minus, _ = split_decompose(ray, ray.split)
+        np.testing.assert_allclose(x_plus.components, [1, 0, 0, 0], atol=1e-15)
+        np.testing.assert_allclose(x_minus.components, [0, 0, 0, 1j], atol=1e-15)
+
+    def test_sphere_accessors_share_one_coefficient_product(self, monkeypatch):
+        sig = Signature(3, 2)
+        split = sample_split(sig, 21)
+        ray = canonicalize_ray(sample_cone_point(sig, 6), split)
+        fresh = split.coefficients(ray.point)
+        calls = []
+        coefficients = Split.coefficients
+
+        def counted(self, v):
+            calls.append(v)
+            return coefficients(self, v)
+
+        monkeypatch.setattr(Split, "coefficients", counted)
+        sp, sm = ray.sphere_plus(), ray.sphere_minus()
+        assert ray.sphere_plus().tobytes() == sp.tobytes()
+        assert len(calls) == 1
+        assert np.concatenate([sp, sm]).tobytes() == fresh.tobytes()
+        for block in (sp, sm):
+            with pytest.raises(ValueError):
+                block[0] = 0.0
 
     def test_rep_constructor_enforces_unit_norms(self):
         point = ConePoint(vec(SIG11, 2, 2))
@@ -205,12 +220,6 @@ class TestCanonicalizeRay:
             RayRep(point, standard_split(SIG11), bad, 1.0)
         with pytest.raises(DegenerateInputError):
             RayRep(point, standard_split(SIG11), 1.0, bad)
-
-    def test_json(self):
-        ray = canonicalize_ray(vec(SIG11, 1, 1))
-        data = ray.to_json()
-        assert data["split"] == "standard"
-        assert data["plus_norm"] == 1.0 and data["minus_norm"] == 1.0
 
 
 class TestRayScaleFree:
@@ -314,6 +323,13 @@ class TestProjEquivalent:
         y = ConePoint(-2.0 * x.vector)
         assert proj_equivalent(x, y, split=sample_split(SIG22, 5))
 
+    def test_signature_mismatch_names_both(self):
+        a = sample_cone_point(Signature(1, 2), 0)
+        b = sample_cone_point(SIG11, 0)
+        with pytest.raises(SignatureMismatchError,
+                           match=r"^signature mismatch: \(1,2\) vs \(1,1\)$"):
+            proj_equivalent(a, b)
+
 
 class TestKeptRepresentatives:
     SIGS = [SIG11, SIG22, Signature(2, 3), Signature(5, 5)]
@@ -321,7 +337,13 @@ class TestKeptRepresentatives:
     @staticmethod
     def assert_same_bits(a, b):
         assert a.components.tobytes() == b.components.tobytes()
-        assert a.to_json() == b.to_json()
+        if isinstance(a, RayRep):
+            assert a.signature == b.signature
+            assert a.split.label == b.split.label
+            assert a.plus_norm == b.plus_norm and a.minus_norm == b.minus_norm
+            assert a.point.isotropy_residual == b.point.isotropy_residual
+        else:
+            assert a.to_json() == b.to_json()
 
     @pytest.mark.parametrize("sig", SIGS, ids=str)
     def test_repeated_calls_return_the_kept_object(self, sig):

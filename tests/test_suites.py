@@ -90,18 +90,6 @@ def test_raising_trial_fails_only_itself(monkeypatch):
                                   "message": "planted"}
 
 
-def test_failing_setup_fails_every_trial(monkeypatch):
-    def setup(sig):
-        raise NotIsotropicError("planted")
-
-    monkeypatch.setitem(SUITES, "bad-setup",
-                        SuiteDef(None, 4, 0.0, "setup raises", setup=setup))
-    rep = run_suite("bad-setup", SIG22)[0]
-    assert (rep.passes, rep.failures) == (0, 4)
-    assert rep.counterexample == {"error": "NotIsotropicError",
-                                  "message": "planted"}
-
-
 def test_failure_reports_counterexample():
     rep = run_suite("witt-extension", SIG22, trials=5, seed=0, tol=1e-30)[0]
     assert not rep.ok
@@ -113,10 +101,10 @@ def test_failure_reports_counterexample():
 def test_json_shape():
     rep = run_suite("hermitian", SIG22, trials=3)[0]
     data = rep.to_json()
-    assert set(data) == {
+    assert list(data) == [
         "suite", "signature", "seed", "trials", "passes", "failures",
         "worst_residual", "elapsed_seconds", "counterexample",
-    }
+    ]
 
 
 def test_run_many_covers_requested_names():
