@@ -343,12 +343,18 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     bv = _balanced(_as_vector(b))
     xv = chart.x.vector
     pairing = form_eval(bv, xv)
-    if abs(pairing) <= tol * bv.norm() * xv.norm():
+    b_norm = bv.norm()
+    if abs(pairing) <= tol * b_norm * xv.norm():
         return IN_APERP
     bp = bv * (1.0 / pairing)
     beta, y = _frame_coords(chart, bp)
-    fyy = float(np.add.reduce(chart.signature.eta[1:-1] * np.abs(y) ** 2))
-    certify(abs(beta.real + 0.5 * fyy) / bp.norm() ** 2, 1e-6, InternalContractError,
+    # ||b'|| = ||b|| / |f(b, x)| reaches 1e154 on a chart centred near
+    # ||x|| = 1e-154; the drift is then summed on b' times _pow2_scale(||b'||).
+    s = _pow2_scale(b_norm / abs(pairing))
+    drift, ys, bs = ((beta.real, y, bp) if s == 1.0
+                     else (beta.real * s * s, y * s, bp * s))
+    fyy = float(np.add.reduce(chart.signature.eta[1:-1] * np.abs(ys) ** 2))
+    certify(abs(drift + 0.5 * fyy) / bs.norm() ** 2, 1e-6, InternalContractError,
             "recovered Re(beta) deviates from -f(y,y)/2 by {residual:.3e} "
             "relative to ||b'||^2")
     return float(beta.imag), y

@@ -10,6 +10,8 @@ quotient metric and restrict to the annihilator of the phase direction.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,8 +21,11 @@ from .core import (
     DEFAULT_TOL,
     ConePoint,
     CVector,
+    Signature,
     _gram,
+    _norm,
     _owned,
+    _pow2_scale,
     form_eval,
 )
 from .errors import (
@@ -37,12 +42,9 @@ TANGENCY_TOL = 1e-8
 __all__ = [
     "MetricMatrix",
     "quotient_basis",
-    "tangency_residual",
     "induced_metric",
-    "metric_signature",
     "skew_form",
     "cotangent_metric_qtilde",
-    "dualize_degenerate",
     "conformal_factor",
 ]
 
@@ -55,6 +57,8 @@ class MetricMatrix:
     tol * scale; radical_basis rows span the numerical kernel.  scale
     defaults to the largest |eigenvalue| but can be pinned externally, which
     matters when the matrix itself is a near-zero block of a larger object.
+    The default quotient metrics take signature, radical and scale from
+    their exact Gram G0 instead (see _quotient_gram).
     """
 
     entries: np.ndarray
@@ -116,43 +120,47 @@ class MetricMatrix:
         }
 
 
-def metric_signature(g, tol: float = DEFAULT_TOL) -> tuple[int, int, int]:
-    """Eigenvalue signs of a symmetric matrix at threshold tol * max|eig|."""
-    entries = g.entries if isinstance(g, MetricMatrix) else np.asarray(g, dtype=float)
-    return MetricMatrix.from_entries(
-        entries, [f"v{i}" for i in range(entries.shape[0])], tol
-    ).signature
+def _quotient_columns(x: ConePoint, s: float = 1.0) -> np.ndarray:
+    """The adapted quotient frame [i s x, 2i u / s, m_2, i m_2, ...] at x as
+    the columns of one (n, 2n - 2) array, from make_chart(x)'s frame.
 
-
-def _quotient_columns(x: ConePoint) -> np.ndarray:
-    """The adapted quotient frame [i x, i(e_1 - e_n), m_2, i m_2, ...] at x
-    as the columns of one (n, 2n - 2) array, from make_chart(x)'s frame.
-
-    f3 is formed as the difference of e_1 = x/2 + u and e_n = x/2 - u,
-    with the same float operations as CVector arithmetic on the Witt basis,
-    so this array equals that frame built vector by vector, bit for bit."""
+    f3 = i(e_1 - e_n) is formed as 2iu, not as the difference of
+    e_1 = x/2 + u and e_n = x/2 - u, which cancels when ||x|| >> ||u||.
+    s = 1 gives quotient_basis(x); a power of two s scales the first two
+    columns exactly, and s = _balance(x) gives both norm O(1)."""
     chart_cols = make_chart(x)._columns
-    xc = x.components
-    u = chart_cols[:, 0]
-    half = xc * complex(0.5)
-    cols = np.empty((xc.shape[0], 2 * xc.shape[0] - 2), dtype=np.complex128)
-    cols[:, 0] = xc * 1j
-    cols[:, 1] = ((half + u) - (half - u)) * 1j
+    n = chart_cols.shape[0]
+    cols = np.empty((n, 2 * n - 2), dtype=np.complex128)
+    cols[:, 0] = x.components * complex(0.0, s)
+    cols[:, 1] = chart_cols[:, 0] * complex(0.0, 2.0 / s)
     cols[:, 2::2] = chart_cols[:, 1:]
     cols[:, 3::2] = chart_cols[:, 1:] * 1j
     return cols
 
 
-def _quotient_labels(n: int) -> tuple[str, ...]:
+def _balance(x: ConePoint) -> float:
+    """s = 2^-e for ||x|| = m 2^e, 1/2 <= m < 1, so that s x has norm m.
+    The norm is taken on x times core._pow2_scale(max|x_j|), where it
+    neither overflows nor underflows; a rescale of x by 2^k keeps s x."""
+    c = x.components
+    t = _pow2_scale(float(np.abs(c).max()))
+    return math.ldexp(t, -math.frexp(float(_norm(c * t)))[1])
+
+
+@functools.lru_cache(maxsize=128)
+def _quotient_labels(n: int, suffix: str = "") -> tuple[str, ...]:
     labels = ["f2", "f3"]
     for k in range(2, n):
         labels.extend([f"e{k}", f"ie{k}"])
-    return tuple(labels)
+    return tuple(label + suffix for label in labels)
 
 
 def quotient_basis(x: ConePoint) -> tuple[CVector, ...]:
     """Read-only CVector views of the columns of _quotient_columns(x), the
-    basis of induced_metric(x); its basis_labels name them."""
+    adapted quotient frame [ix, 2iu, m_j, i m_j]; induced_metric(x)'s
+    basis_labels name them.  induced_metric(x) takes its Gram on the same
+    frame with ix and 2iu rescaled by reciprocal powers of two (_balance),
+    which in exact arithmetic changes no entry."""
     cols = _quotient_columns(x)
     cols.flags.writeable = False
     return tuple(_owned(c, x.signature) for c in cols.T)
@@ -170,44 +178,100 @@ def _tangency_residuals(x: ConePoint, cols: np.ndarray) -> np.ndarray:
     return np.divide(along_x, denom, out=np.zeros_like(along_x), where=denom > 0)
 
 
-def tangency_residual(x: ConePoint, vec: CVector) -> float:
-    """|Re f(X, x)| relative to the norms; zero means tangent at x."""
-    return float(_tangency_residuals(x, vec.components[:, None])[0])
+_BASIS_MESSAGE = "basis vector {index} has tangency residual {residual:.3e} at x"
+
+
+def _certify_tangency(residuals: np.ndarray, message: str) -> None:
+    """TangencyError, message formatted at the first column whose residual
+    is not within TANGENCY_TOL."""
+    index = int(np.argmax(~(residuals <= TANGENCY_TOL)))
+    certify(float(residuals[index]), TANGENCY_TOL, TangencyError, message,
+            index=index)
 
 
 def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Read-only Gram [Re f(v_i, v_j)] and labels of a tangent frame at x;
-    raises TangencyError off the tangent space.  The default, the adapted
-    quotient frame, is certified and computed once per point and kept on x."""
-    if basis is None:
-        if "quotient_gram" not in x._derived:
-            x._derived["quotient_gram"] = (
-                _tangent_gram(x, _quotient_columns(x)),
-                _quotient_labels(x.signature.n),
-            )
-        return x._derived["quotient_gram"]
+    """Read-only Gram [Re f(v_i, v_j)] and labels of an explicit tangent
+    basis at x, after certifying each member tangent (TangencyError)."""
     basis = tuple(basis)
     if labels is None:
         labels = tuple(f"v{i}" for i in range(len(basis)))
     cols = np.column_stack([v.components for v in basis])
-    return _tangent_gram(x, cols), labels
-
-
-def _certify_tangent(x: ConePoint, cols: np.ndarray, message: str) -> None:
-    """TangencyError, message formatted at the first non-tangent column's index."""
-    res = _tangency_residuals(x, cols)
-    index = int(np.argmax(~(res <= TANGENCY_TOL)))
-    certify(float(res[index]), TANGENCY_TOL, TangencyError, message, index=index)
-
-
-def _tangent_gram(x: ConePoint, cols: np.ndarray) -> np.ndarray:
-    """Read-only Gram [Re f(c_i, c_j)] of the columns of cols, after
-    certifying each column tangent at x (TangencyError otherwise)."""
-    _certify_tangent(x, cols, "basis vector {index} has tangency residual "
-                              "{residual:.3e} at x")
+    _certify_tangency(_tangency_residuals(x, cols), _BASIS_MESSAGE)
     gram = _gram(cols, cols, x.signature).real
     gram.flags.writeable = False
-    return gram
+    return gram, labels
+
+
+@functools.lru_cache(maxsize=128)
+def _quotient_target(sig: Signature) -> np.ndarray:
+    """G0 = [[0, 2], [2, 0]] + diag(eta_mid (x) (1, 1)), the Gram of the
+    adapted quotient frame [ix, 2iu, m_j, i m_j] in exact arithmetic at
+    every scale of x: f(x, x) = f(u, u) = 0, f(u, x) = 1, f(m_j, x) =
+    f(m_j, u) = 0 and f(m_j, m_k) = eta_jk, positive middles first."""
+    dim = 2 * sig.n - 2
+    target = np.zeros((dim, dim))
+    target[0, 1] = target[1, 0] = 2.0
+    target[2:, 2:] = np.diag(np.repeat(sig.eta[1:-1], 2))
+    target.flags.writeable = False
+    return target
+
+
+def _g0_threshold(tol: float) -> float:
+    """The largest ||G - G0||_F that _quotient_gram accepts at tol."""
+    return (1.0 - 2.0 * tol) / 4.0
+
+
+def _quotient_gram(x: ConePoint, tol: float,
+                   cols: np.ndarray | None = None) -> tuple[np.ndarray, float]:
+    """(G, delta): the read-only Gram [Re f(c_i, c_j)] of the balanced
+    quotient frame cols = _quotient_columns(x, _balance(x)), symmetrized
+    from halves, and delta = ||G - G0||_F; computed once per point and kept
+    on x, then certified at tol: NondegeneracyError unless
+    delta <= _g0_threshold(tol) = (1 - 2 tol) / 4.
+
+    The one pairing pass also certifies tangency: column 0 is i s x and
+    f(c, i s x) = -i f(c, s x) exactly, so |Im f(c_j, c_0)| / (||c_j||
+    ||c_0||) is column j's tangency residual (TangencyError).
+
+    What the threshold fixes, with ||G - G0||_2 <= delta <= 1/4 and Weyl's
+    inequality (each eigenvalue of a symmetric matrix moves by at most the
+    2-norm of a symmetric perturbation):
+      - G0's eigenvalues are +-2 and, for n >= 3, +-1; its scale is 2.
+        Each eigenvalue of G keeps its sign and exceeds 2 tol in modulus,
+        as 1 - delta > 2 tol for tol < 1/2: signature (2p-1, 2q-1, 0).
+      - G0^-1 = [[0, 1/2], [1/2, 0]] + diag(eta_mid (x) (1, 1)) has norm
+        s0 = 1 (n >= 3) or 1/2 (n = 2), and G^-1 - G0^-1 = -G0^-1 (G - G0)
+        G^-1 gives ||G^-1 - G0^-1||_2 <= delta / (1 - delta) <= 1/3.  The
+        cometric S = (G^-1)[1:, 1:] is 0 + diag(eta_mid (x) (1, 1)) at G0;
+        write S = [[a, b^T], [b, D]].  Against [[a, 0], [0, D]], Weyl keeps
+        every eigenvalue of S but one beyond 1 - 2 delta / (1 - delta) >
+        tol s0, with the sign of D's, and the last within |a| + ||b|| of 0.
+        The inversion certificate keeps the computed inverse within
+        (4/3) dim 1e-6 of G^-1, far inside that margin.
+      - So cotangent_metric_qtilde certifies |a| + ||b|| <= tol s0 on the
+        S it returns.  A bound on delta alone that fixed the zero would be
+        about tol, and it rejects points that ConePoint accepts: the f3
+        entry f(2iu, 2iu) grows like n^2 / |x_j|^4 times the isotropy
+        residual, where the zero moves only by G[0, 0] / 4.
+      - ||G|| <= 2 + delta and ||G^-1|| <= 1 / (1 - delta) bound kappa(G)
+        by (2 + delta) / (1 - delta) <= 3, the cometric's inversion floor.
+    """
+    kept = x._derived.get("quotient_gram")
+    if kept is None:
+        if cols is None:
+            cols = _quotient_columns(x, _balance(x))
+        pairings = _gram(cols, cols, x.signature)
+        norms = np.sqrt(np.add.reduce((cols.conj() * cols).real, axis=0))
+        _certify_tangency(np.abs(pairings[:, 0].imag) / (norms * norms[0]),
+                          _BASIS_MESSAGE)
+        real = pairings.real
+        gram = real * 0.5 + real.T * 0.5
+        gram.flags.writeable = False
+        kept = x._derived["quotient_gram"] = (
+            gram, float(np.linalg.norm(gram - _quotient_target(x.signature))))
+    certify(kept[1], _g0_threshold(tol), NondegeneracyError,
+            "quotient Gram deviates from G0 by {residual:.3e}")
+    return kept
 
 
 def induced_metric(x: ConePoint, frame: str = "adapted", *,
@@ -215,13 +279,22 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
                    tol: float = DEFAULT_TOL) -> MetricMatrix:
     """Matrix [Re f(v_i, v_j)] of the induced metric in a tangent frame.
 
-    frame="adapted" uses the quotient basis of the adapted frame at x (the
-    metric there is nondegenerate of signature (2p-1, 2q-1)).
-    frame="epsilon" is the two-dimensional case only: {i e_1, i e_n} of the
-    Witt basis, where the matrix is diag(1, -1).  An explicit `basis`
-    overrides the named frame, e.g. to evaluate at a transported frame or
-    over the full tangent basis.
+    frame="adapted" uses the quotient basis of the adapted frame at x, on
+    which the metric is nondegenerate of signature (2p-1, 2q-1): the Gram
+    of its balanced form is certified against G0, whose signature, empty
+    radical and scale 2 it takes (_quotient_gram).  frame="epsilon" is the
+    two-dimensional case only: {i e_1, i e_n} of the Witt basis, where the
+    matrix is diag(1, -1).  An explicit `basis` overrides the named frame,
+    e.g. to evaluate at a transported frame or over the full tangent basis;
+    it and the epsilon frame read signature and radical off the eigenvalues.
     """
+    if basis is None and frame == "adapted":
+        sig = x.signature
+        gram, _ = _quotient_gram(x, tol)
+        radical = np.zeros((0, gram.shape[0]))
+        radical.flags.writeable = False
+        return MetricMatrix(gram, _quotient_labels(sig.n),
+                            (2 * sig.p - 1, 2 * sig.q - 1, 0), radical, 2.0)
     if basis is None and frame == "epsilon":
         if x.signature.n != 2:
             raise UnsupportedFrameError(
@@ -230,7 +303,7 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
         witt = extend_to_witt_basis(x)
         basis = (1j * witt[0], 1j * witt[1])
         labels = ("eps1", "eps2")
-    elif basis is None and frame != "adapted":
+    elif basis is None:
         raise ValueError(f"unknown frame {frame!r}")
     entries, labels = _frame_gram(x, basis, labels)
     return MetricMatrix.from_entries(entries, labels, tol)
@@ -238,8 +311,9 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
 
 def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector) -> float:
     """Value Im f(X, Y) of the induced skew form on tangent vectors at x."""
-    _certify_tangent(x, np.column_stack([vec_a.components, vec_b.components]),
-                     "skew form argument has tangency residual {residual:.3e}")
+    cols = np.column_stack([vec_a.components, vec_b.components])
+    _certify_tangency(_tangency_residuals(x, cols),
+                      "skew form argument has tangency residual {residual:.3e}")
     return float(form_eval(vec_a, vec_b).imag)
 
 
@@ -250,57 +324,58 @@ def cotangent_metric_qtilde(x: ConePoint, *, basis=None, labels=None,
     Inverts the quotient metric and restricts to the annihilator of the
     phase direction (the first quotient frame member, the class of ix).
     Rank is 2n-4 with a one-dimensional radical for n >= 3, and zero for
-    n = 2; the rank threshold is pinned to the largest singular value of
-    the full inverse before restriction.
+    n = 2.  The default frame's Gram is certified against G0, and the f3*
+    row of the result against the radical (NondegeneracyError); the
+    signature (2p-2, 2q-2, 1), the f3* radical axis and the scale, the norm
+    of G0^-1, are then G0's (_quotient_gram).  An explicit basis pins the rank
+    threshold to the largest singular value of the full inverse before
+    restriction.  Either way the inversion residual is at least kappa(G)
+    eps, so a numerically singular Gram fails it.
     """
-    gram, labels = _frame_gram(x, basis, labels)
+    if basis is None:
+        gram, delta = _quotient_gram(x, tol)
+        kappa = (2.0 + delta) / (1.0 - delta)
+    else:
+        gram, labels = _frame_gram(x, basis, labels)
     try:
         inverse = np.linalg.inv(gram)
-        sv = np.linalg.svd(inverse, compute_uv=False)
+        if basis is not None:
+            sv = np.linalg.svd(inverse, compute_uv=False)
+            kappa = sv[0] / sv[-1]
     except np.linalg.LinAlgError as exc:
         raise NondegeneracyError("quotient metric is singular") from exc
     # G G^-1 = I can hold to rounding for a numerically singular G, so the
     # residual is at least kappa(G) eps; np.maximum keeps a nan from either.
     residual = float(np.maximum(np.abs(gram @ inverse - np.eye(gram.shape[0])).max(),
-                                sv[0] / sv[-1] * np.finfo(float).eps))
+                                kappa * np.finfo(float).eps))
     certify(residual, 1e-6, NondegeneracyError,
             "quotient metric inversion failed (residual {residual:.3e})")
-    full_scale = float(sv[0])
     sub = inverse[1:, 1:]
-    dual_labels = tuple(f"{l}*" for l in labels[1:])
-    return MetricMatrix.from_entries(sub, dual_labels, tol, scale=full_scale)
-
-
-def dualize_degenerate(inclusion, f1, tol: float = DEFAULT_TOL) -> MetricMatrix:
-    """Degenerate dual form iota f1^{-1} iota^T on the ambient dual space.
-
-    inclusion: real (w_dim, v_dim) matrix of full column rank embedding the
-    nondegenerate piece; f1: real symmetric invertible (v_dim, v_dim) matrix.
-    The result has rank v_dim and the radical is returned with it.
-    """
-    a = np.asarray(inclusion, dtype=float)
-    f = np.asarray(f1, dtype=float)
-    if a.ndim != 2:
-        raise ValueError("inclusion must be a matrix")
-    if not (np.isfinite(a).all() and np.isfinite(f).all()):
-        raise ValueError("inclusion and f1 must be finite")
-    if f.shape != (a.shape[1], a.shape[1]):
-        raise ValueError("f1 must be square matching inclusion columns")
-    sv = np.linalg.svd(f, compute_uv=False) if f.size else np.zeros(0)
-    if f.size and sv[-1] <= tol * sv[0]:
-        raise NondegeneracyError("f1 is singular at tolerance")
-    dual = a @ np.linalg.inv(f) @ a.T if f.size else np.zeros((a.shape[0],) * 2)
-    labels = tuple(f"w{i}*" for i in range(a.shape[0]))
-    return MetricMatrix.from_entries(dual, labels, tol)
+    if basis is not None:
+        return MetricMatrix.from_entries(sub, tuple(f"{l}*" for l in labels[1:]),
+                                         tol, scale=float(sv[0]))
+    sig = x.signature
+    entries = sub * 0.5 + sub.T * 0.5
+    entries.flags.writeable = False
+    scale = 1.0 if sig.n >= 3 else 0.5
+    certify(abs(float(entries[0, 0])) + float(_norm(entries[1:, 0])), tol * scale,
+            NondegeneracyError,
+            "cometric row f3* deviates from its radical by {residual:.3e}")
+    radical = np.zeros((1, sub.shape[0]))
+    radical[0, 0] = 1.0
+    radical.flags.writeable = False
+    return MetricMatrix(entries, _quotient_labels(sig.n, "*")[1:],
+                        (2 * sig.p - 2, 2 * sig.q - 2, 1), radical, scale)
 
 
 def _quotient_fit(xa: ConePoint, cols: np.ndarray) -> tuple[np.ndarray, float]:
-    """(C, residual): C = g^-1 Re f(Q, cols), the real coefficients of the
-    tangent columns cols in the adapted quotient frame Q at xa, g its kept
-    Gram; residual = ||cols - Q C minus its part along xa|| / ||cols||."""
-    q = _quotient_columns(xa)
-    coeffs = np.linalg.solve(_frame_gram(xa, None, None)[0],
-                             _gram(q, cols, xa.signature).real)
+    """(C, residual): C = G^-1 Re f(Q, cols), the real coefficients of the
+    tangent columns cols in the balanced quotient frame
+    Q = _quotient_columns(xa, _balance(xa)), G its certified Gram;
+    residual = ||cols - Q C minus its part along xa|| / ||cols||."""
+    q = _quotient_columns(xa, _balance(xa))
+    gram, _ = _quotient_gram(xa, DEFAULT_TOL, q)
+    coeffs = np.linalg.solve(gram, _gram(q, cols, xa.signature).real)
     rest = cols - q @ coeffs
     xc = xa.components
     rest -= np.outer(xc, (xc.conj() @ rest).real / (xc.conj() @ xc).real)
@@ -310,20 +385,22 @@ def _quotient_fit(xa: ConePoint, cols: np.ndarray) -> tuple[np.ndarray, float]:
 def conformal_factor(x, split_a: Split, split_b: Split):
     """Factor between the quotient metrics built from two different splits.
 
-    Canonicalizes x with each split to xa and xb, solves for xb's adapted
-    quotient frame in xa's against the kept Gram at xa (TangencyError if
-    the fit's residual exceeds 1e-8), and expresses the metric at xb in
-    xa's frame.  Returns (factor, relative residual); the two metrics agree
-    up to this positive factor when the residual is small.
+    Canonicalizes x with each split to xa and xb, solves for xb's balanced
+    quotient frame in xa's against the certified Gram at xa (TangencyError
+    if the fit's residual exceeds 1e-8), and expresses the metric at xb in
+    xa's frame.  Each frame array is built once, and each Gram is the one
+    kept on its point.  Returns (factor, relative residual); the two
+    metrics agree up to this positive factor when the residual is small.
     """
     xa = canonicalize_ray(x, split_a).point
     xb = canonicalize_ray(x, split_b).point
-    g_a = _frame_gram(xa, None, None)[0]
-    g_b = _frame_gram(xb, None, None)[0]
+    cols_b = _quotient_columns(xb, _balance(xb))
+    g_b, _ = _quotient_gram(xb, DEFAULT_TOL, cols_b)
     mu = xb.vector.norm() / xa.vector.norm()
-    coeffs, fit_residual = _quotient_fit(xa, _quotient_columns(xb))
+    coeffs, fit_residual = _quotient_fit(xa, cols_b)
     certify(fit_residual, 1e-8, TangencyError,
             "frames do not span a common quotient (residual {residual:.3e})")
+    g_a, _ = _quotient_gram(xa, DEFAULT_TOL)
     inv_change = np.linalg.inv(coeffs / mu)
     in_frame_a = inv_change.T @ g_b @ inv_change
     factor = float(np.tensordot(in_frame_a, g_a)) / float(np.tensordot(g_a, g_a))

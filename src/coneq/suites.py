@@ -282,10 +282,10 @@ def _cometric_rank(sig, rng, tol):
         res = float(np.max(np.abs(co.entries)))
         ok = ok and res <= 1e-10
     else:
-        mids_eta = [1.0] * (2 * (sig.p - 1)) + [-1.0] * (2 * (sig.q - 1))
-        inclusion = np.vstack([np.zeros(2 * n - 4), np.eye(2 * n - 4)])
-        dual = metrics.dualize_degenerate(inclusion, np.diag(mids_eta))
-        res = float(np.max(np.abs(co.entries - dual.entries)))
+        # 0 + diag(eta_mid (x) (1, 1)): the [1:, 1:] block of G0^-1 exactly.
+        want = np.zeros((2 * n - 3, 2 * n - 3))
+        want[1:, 1:] = np.diag(np.repeat(sig.eta[1:-1], 2))
+        res = float(np.max(np.abs(co.entries - want)))
         ok = ok and res <= max(tol, 1e-12)
     return ok, res, {"rank": co.rank, "signature": list(co.signature)}
 

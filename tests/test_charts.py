@@ -628,11 +628,16 @@ class TestKappa0NonFinite:
             kappa0(make_chart(null22()), r, y)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_chart_inverse_rejects_an_overflowed_drift():
-    # At a centre of norm about 1e-154, f(y, y) overflows and the drift
-    # reads nan; the certificate must not return (-6.4e306, y ~ 1e154).
-    chart = make_chart(ConePoint(1e-154 * sample_cone_point(SIG22, 3).vector))
-    with pytest.raises(InternalContractError) as info:
-        chart_inverse(chart, sample_cone_point(SIG22, 4))
-    assert np.isnan(info.value.residual) and info.value.threshold == 1e-6
+@pytest.mark.filterwarnings("error")
+def test_chart_inverse_near_a_tiny_centre_sums_without_overflow():
+    # At a centre eps x of norm about 1e-154, b' and y reach 1e154 and f(y, y)
+    # would overflow; summed at a power-of-two scale, the drift certificate
+    # holds, and the coordinates are those at x scaled by 1/eps^2 and 1/eps.
+    eps = 1e-154
+    x = sample_cone_point(SIG22, 3)
+    b = sample_cone_point(SIG22, 4)
+    chart = make_chart(ConePoint(eps * x.vector))
+    r, y = chart_inverse(chart, b)
+    r0, y0 = chart_inverse(make_chart(x), b)
+    assert r == pytest.approx(r0 / eps**2, rel=1e-9)
+    np.testing.assert_allclose(y * eps, y0, rtol=1e-9)

@@ -312,9 +312,22 @@ def _nan_skew_form(mp):
     skew_form(x, tangent, tangent)
 
 
+def _nan_quotient_gram(mp):
+    x = sample_cone_point(SIG22, 2)
+    mp.setattr(metrics, "_quotient_target", lambda sig: np.full((6, 6), np.nan))
+    induced_metric(x)
+
+
+def _nan_cometric_row(mp):
+    x = sample_cone_point(SIG22, 2)
+    induced_metric(x)
+    mp.setattr(metrics, "_norm", lambda a: np.float64(np.nan))
+    cotangent_metric_qtilde(x)
+
+
 def _nan_cometric(mp):
     x = sample_cone_point(SIG22, 2)
-    mp.setattr(np.linalg, "svd", lambda a, compute_uv=True: np.array([np.nan, 1.0]))
+    mp.setattr(np.linalg, "inv", lambda a: np.full(a.shape, np.nan))
     cotangent_metric_qtilde(x)
 
 
@@ -342,12 +355,17 @@ def _nan_conformal_fit(mp):
      "basis vector 0 has tangency residual nan at x"),
     (_nan_skew_form, TangencyError, TANGENCY_TOL,
      "skew form argument has tangency residual nan"),
+    (_nan_quotient_gram, NondegeneracyError, (1.0 - 2.0 * DEFAULT_TOL) / 4.0,
+     "quotient Gram deviates from G0 by nan"),
     (_nan_cometric, NondegeneracyError, 1e-6,
      "quotient metric inversion failed (residual nan)"),
+    (_nan_cometric_row, NondegeneracyError, DEFAULT_TOL,
+     "cometric row f3* deviates from its radical by nan"),
     (_nan_conformal_fit, TangencyError, 1e-8,
      "frames do not span a common quotient (residual nan)"),
 ], ids=["cone-point", "group-element", "split", "ray-rep", "chart-frame", "kappa0",
-        "chart-inverse", "frame-gram", "skew-form", "cometric", "conformal-fit"])
+        "chart-inverse", "frame-gram", "skew-form", "quotient-gram", "cometric",
+        "cometric-row", "conformal-fit"])
 def test_a_nan_residual_fails_every_certificate(monkeypatch, drive, error, threshold,
                                                 message):
     with pytest.raises(error) as info:

@@ -1,5 +1,4 @@
 import gc
-import re
 import weakref
 
 import numpy as np
@@ -17,19 +16,16 @@ from coneq import (
     basis_vector,
     conformal_factor,
     cotangent_metric_qtilde,
-    dualize_degenerate,
     extend_to_witt_basis,
     form_eval,
     hyperbolic_partner,
     induced_metric,
     make_chart,
-    metric_signature,
     quotient_basis,
     sample_cone_point,
     sample_split,
     skew_form,
     standard_split,
-    tangency_residual,
 )
 
 SIG11 = Signature(1, 1)
@@ -42,6 +38,16 @@ def vec(sig, *values):
 
 def null22():
     return ConePoint(basis_vector(SIG22, 0) + basis_vector(SIG22, 3))
+
+
+def signature_of(entries):
+    entries = np.asarray(entries)
+    labels = [f"v{i}" for i in range(entries.shape[0])]
+    return MetricMatrix.from_entries(entries, labels).signature
+
+
+def tangency(x, v):
+    return metrics._tangency_residuals(x, v.components[:, None])[0]
 
 
 class TestMetricMatrix:
@@ -78,8 +84,8 @@ class TestMetricMatrix:
         # The skew part is half the largest entry at every scale, so the
         # skew matrix is always rejected and the symmetric one accepted.
         with pytest.raises(ValueError, match="deviate from symmetric"):
-            metric_signature(lam * np.array([[1.0, 0.5], [-0.5, 1.0]]))
-        assert metric_signature(lam * np.array([[1.0, 0.5], [0.5, 1.0]])) == (2, 0, 0)
+            signature_of(lam * np.array([[1.0, 0.5], [-0.5, 1.0]]))
+        assert signature_of(lam * np.array([[1.0, 0.5], [0.5, 1.0]])) == (2, 0, 0)
 
     def test_label_count_checked(self):
         with pytest.raises(ValueError):
@@ -88,14 +94,14 @@ class TestMetricMatrix:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_entries_near_the_float_maximum(self):
         # e - e.T and e + e.T would overflow here; halves do not.
-        assert metric_signature(np.diag([1e308, -1e308])) == (1, 1, 0)
+        assert signature_of(np.diag([1e308, -1e308])) == (1, 1, 0)
         g = MetricMatrix.from_entries([[1e308, 1e308], [1e308, -1e308]],
                                       ("a", "b"))
         assert g.signature == (1, 1, 0)
         np.testing.assert_array_equal(g.entries, [[1e308, 1e308],
                                                   [1e308, -1e308]])
         with pytest.raises(ValueError, match="deviate from symmetric"):
-            metric_signature(np.array([[1.0, 1e308], [-1e308, 1.0]]))
+            signature_of(np.array([[1.0, 1e308], [-1e308, 1.0]]))
 
     def test_json(self):
         g = MetricMatrix.from_entries(np.diag([2.0, 0.0]), ("a", "b"))
@@ -105,13 +111,12 @@ class TestMetricMatrix:
         assert len(data["radical_basis"]) == 1
 
     def test_metric_signature_helper(self):
-        assert metric_signature(np.diag([3.0, -2.0, 0.0])) == (1, 1, 1)
-        g = MetricMatrix.from_entries(np.eye(2), ("a", "b"))
-        assert metric_signature(g) == (2, 0, 0)
+        assert signature_of(np.diag([3.0, -2.0, 0.0])) == (1, 1, 1)
+        assert signature_of(np.eye(2)) == (2, 0, 0)
 
 
 class TestAdaptedFrame:
-    """The adapted quotient frame [ix, i(e_1 - e_n), m_j, i m_j], served by
+    """The adapted quotient frame [ix, 2iu, m_j, i m_j], served by
     quotient_basis and labelled by induced_metric(x).basis_labels."""
 
     def test_structure_at_standard_point(self):
@@ -128,9 +133,9 @@ class TestAdaptedFrame:
     def test_members_are_tangent(self):
         for sig in (SIG11, Signature(1, 2), SIG22, Signature(3, 2)):
             x = sample_cone_point(sig, 12)
-            assert tangency_residual(x, x.vector) <= 1e-10
+            assert tangency(x, x.vector) <= 1e-10
             for v in quotient_basis(x):
-                assert tangency_residual(x, v) <= 1e-10
+                assert tangency(x, v) <= 1e-10
 
     def test_members_are_read_only_views(self):
         x = sample_cone_point(SIG22, 3)
@@ -142,7 +147,7 @@ class TestAdaptedFrame:
 
     def test_tangency_residual_detects_normal_direction(self):
         x = null22()
-        assert tangency_residual(x, basis_vector(SIG22, 0)) > 0.1
+        assert tangency(x, basis_vector(SIG22, 0)) > 0.1
 
 
 class TestInducedMetric:
@@ -254,32 +259,11 @@ class TestCotangentMetric:
         )
 
     def test_matches_abstract_dualization_exactly(self):
+        # The [1:, 1:] block of G0^-1: 0 + diag(1, 1, -1, -1).
         g = cotangent_metric_qtilde(null22())
-        inclusion = np.vstack([np.zeros(4), np.eye(4)])
-        dual = dualize_degenerate(inclusion, np.diag([1.0, 1.0, -1.0, -1.0]))
-        np.testing.assert_allclose(g.entries, dual.entries, atol=1e-14)
-        assert dual.signature == g.signature
-
-
-class TestDualizeDegenerate:
-    def test_pinned_example(self):
-        out = dualize_degenerate([[1.0], [0.0]], [[1.0]])
-        np.testing.assert_array_equal(out.entries, [[1.0, 0.0], [0.0, 0.0]])
-        assert out.signature == (1, 0, 1)
-        assert out.basis_labels == ("w0*", "w1*")
-
-    def test_singular_core_rejected(self):
-        with pytest.raises(NondegeneracyError):
-            dualize_degenerate([[1.0], [0.0]], [[0.0]])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            dualize_degenerate(np.eye(2), np.eye(3))
-
-    def test_empty_core_gives_zero_form(self):
-        out = dualize_degenerate(np.zeros((2, 0)), np.zeros((0, 0)))
-        np.testing.assert_array_equal(out.entries, np.zeros((2, 2)))
-        assert out.signature == (0, 0, 2)
+        np.testing.assert_allclose(g.entries, np.diag([0.0, 1.0, 1.0, -1.0, -1.0]),
+                                   atol=1e-14)
+        assert signature_of(np.diag([0.0, 1.0, 1.0, -1.0, -1.0])) == g.signature
 
 
 class TestQuotientCoefficients:
@@ -289,7 +273,8 @@ class TestQuotientCoefficients:
     def test_recovers_frame_member(self):
         # Every frame member's coefficients are its unit column.
         x = null22()
-        coeffs, residual = metrics._quotient_fit(x, metrics._quotient_columns(x))
+        frame = metrics._quotient_columns(x, metrics._balance(x))
+        coeffs, residual = metrics._quotient_fit(x, frame)
         np.testing.assert_allclose(coeffs, np.eye(6), atol=1e-12)
         assert residual <= 1e-12
 
@@ -466,13 +451,141 @@ class TestOneFramePerPoint:
             gc.enable()
 
 
+class TestClosedForm:
+    """The default metrics certify their Gram against G0 and take signature,
+    radical and scale from it, with one pairing pass and no eigh or svd."""
+
+    SIGS = [SIG11, Signature(1, 2), SIG22, Signature(3, 2), Signature(5, 5)]
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_one_pairing_pass_and_no_eigh_or_svd(self, sig, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the default metric path decomposed a matrix")
+
+        pairings = []
+        gram = metrics._gram
+
+        def counting(a, b, s):
+            pairings.append(a.shape)
+            return gram(a, b, s)
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(metrics, "_gram", counting)
+        x = sample_cone_point(sig, 5)
+        induced_metric(x)
+        cotangent_metric_qtilde(x)
+        assert len(pairings) == 1
+
+    @pytest.mark.parametrize("sig", SIGS, ids=str)
+    def test_invariants_are_those_of_g0(self, sig):
+        n = sig.n
+        for seed in range(5):
+            x = sample_cone_point(sig, seed)
+            g = induced_metric(x)
+            assert g.signature == (2 * sig.p - 1, 2 * sig.q - 1, 0)
+            assert g.radical_basis.shape == (0, 2 * n - 2) and g.scale == 2.0
+            # The eigenvalues agree with the closed form.
+            assert MetricMatrix.from_entries(g.entries, g.basis_labels).signature \
+                == g.signature
+            np.testing.assert_allclose(g.entries, metrics._quotient_target(sig),
+                                       atol=1e-12)
+            co = cotangent_metric_qtilde(x)
+            assert co.signature == (2 * sig.p - 2, 2 * sig.q - 2, 1)
+            assert co.radical_basis.tolist() == [[1.0] + [0.0] * (2 * n - 4)]
+            assert co.scale == (1.0 if n >= 3 else 0.5)
+            assert MetricMatrix.from_entries(co.entries, co.basis_labels,
+                                             scale=co.scale).signature == co.signature
+            assert not co.entries.flags.writeable
+            assert np.array_equal(co.entries, co.entries.T)
+
+    @pytest.mark.parametrize("metric", [induced_metric, cotangent_metric_qtilde])
+    def test_a_wrong_f3_column_fails_the_g0_certificate(self, metric, monkeypatch):
+        columns = metrics._quotient_columns
+
+        def half_f3(x, s=1.0):
+            cols = columns(x, s)
+            cols[:, 1] *= 0.5
+            return cols
+
+        monkeypatch.setattr(metrics, "_quotient_columns", half_f3)
+        with pytest.raises(NondegeneracyError) as info:
+            metric(sample_cone_point(SIG22, 3))
+        assert info.value.residual == pytest.approx(np.sqrt(2.0), rel=1e-12)
+        assert str(info.value) == (f"quotient Gram deviates from G0 by "
+                                   f"{info.value.residual:.3e}")
+
+    def test_a_non_tangent_column_fails_the_one_pairing_pass(self, monkeypatch):
+        columns = metrics._quotient_columns
+
+        def partner_in_slot_2(x, s=1.0):
+            cols = columns(x, s)
+            cols[:, 2] = make_chart(x).u.components
+            return cols
+
+        monkeypatch.setattr(metrics, "_quotient_columns", partner_in_slot_2)
+        with pytest.raises(TangencyError, match="basis vector 2 has tangency"):
+            induced_metric(sample_cone_point(SIG22, 3))
+
+    def test_threshold_follows_tol(self):
+        assert metrics._g0_threshold(1e-9) == (1.0 - 2e-9) / 4.0
+        assert metrics._g0_threshold(0.5) == 0.0
+        x = sample_cone_point(SIG22, 3)
+        assert induced_metric(x, tol=1e-12).signature == (3, 3, 0)
+        with pytest.raises(NondegeneracyError):
+            induced_metric(x, tol=0.5)
+
+    def test_the_cometric_row_is_certified_at_tol(self):
+        x = sample_cone_point(Signature(3, 3), 3)
+        co = cotangent_metric_qtilde(x)
+        row = abs(co.entries[0, 0]) + np.linalg.norm(co.entries[1:, 0])
+        assert 0.0 < row <= 1e-15
+        with pytest.raises(NondegeneracyError) as info:
+            cotangent_metric_qtilde(x, tol=row / 2.0)
+        assert info.value.residual == row and info.value.threshold == row / 2.0
+        assert str(info.value) == (f"cometric row f3* deviates from its radical "
+                                   f"by {row:.3e}")
+
+    @pytest.mark.parametrize("sig", SIGS[1:], ids=str)
+    def test_points_isotropic_to_1e_10_keep_their_answer(self, sig):
+        # Points ConePoint accepts at the default tolerance: f(2iu, 2iu)
+        # reads about n^2 / |x_j|^4 times the isotropy residual, above 1e-9
+        # here, but neither the signature nor the cometric's radical
+        # depends on it.
+        deviations = []
+        for seed in range(4):
+            c = sample_cone_point(sig, seed).components.copy()
+            c[0] *= 1.0 + 6e-10
+            x = ConePoint(CVector(c, sig))
+            deviations.append(metrics._quotient_gram(x, 1e-9)[1])
+            assert induced_metric(x).signature == (2 * sig.p - 1, 2 * sig.q - 1, 0)
+            co = cotangent_metric_qtilde(x)
+            assert co.signature == (2 * sig.p - 2, 2 * sig.q - 2, 1)
+            assert MetricMatrix.from_entries(co.entries, co.basis_labels,
+                                             scale=co.scale).signature == co.signature
+        assert max(deviations) > 1e-9
+
+    def test_conformal_factor_builds_two_frames(self, monkeypatch):
+        calls = []
+        columns = metrics._quotient_columns
+
+        def counting(x, s=1.0):
+            calls.append(s)
+            return columns(x, s)
+
+        monkeypatch.setattr(metrics, "_quotient_columns", counting)
+        sig = Signature(3, 3)
+        conformal_factor(sample_cone_point(sig, 4), standard_split(sig),
+                         sample_split(sig, 1))
+        assert len(calls) == 2
+
+
 def _parent_quotient_basis(x):
-    """Reference adapted quotient frame: CVector arithmetic on the Witt
-    basis, one vector at a time."""
-    basis = charts.extend_to_witt_basis(x)
-    e1, en = basis[0], basis[-1]
-    quotient = [1j * x.vector, 1j * (e1 - en)]
-    for m in basis[1:-1]:
+    """Reference adapted quotient frame [ix, 2iu, m_j, i m_j]: CVector
+    arithmetic on the chart frame, one vector at a time."""
+    chart = make_chart(x)
+    quotient = [1j * x.vector, 2j * chart.u]
+    for m in chart.mu_basis:
         quotient.extend([m, 1j * m])
     return np.column_stack([v.components for v in quotient])
 
@@ -501,22 +614,22 @@ class TestQuotientColumns:
 
     @pytest.mark.parametrize("sig", SIGS, ids=str)
     def test_default_gram_equals_the_explicit_frame(self, sig):
-        # The default Gram and the Gram of the same frame passed as an
-        # explicit basis agree bit for bit, or fail the same tangency check.
+        # The default Gram and the symmetrized Gram of the same balanced
+        # frame, passed as an explicit basis, agree bit for bit.
         for seed in range(8):
             for s in self.SCALES:
                 v = s * sample_cone_point(sig, seed).vector
-                basis = quotient_basis(ConePoint(v))
+                x = ConePoint(v)
+                frame = metrics._quotient_columns(x, metrics._balance(x))
+                basis = [CVector(c, sig) for c in frame.T]
                 labels = metrics._quotient_labels(sig.n)
-                try:
-                    explicit = metrics._frame_gram(ConePoint(v), basis, labels)
-                except TangencyError as exc:
-                    with pytest.raises(TangencyError, match=re.escape(str(exc))):
-                        metrics._frame_gram(ConePoint(v), None, None)
-                    continue
-                gram, default_labels = metrics._frame_gram(ConePoint(v), None, None)
-                assert gram.tobytes() == explicit[0].tobytes()
-                assert default_labels == explicit[1] == labels
+                explicit, _ = metrics._frame_gram(ConePoint(v), basis, labels)
+                gram, _ = metrics._quotient_gram(ConePoint(v), 1e-9)
+                want = explicit * 0.5 + explicit.T * 0.5
+                assert gram.tobytes() == want.tobytes()
+                g = induced_metric(ConePoint(v))
+                assert g.entries.tobytes() == want.tobytes()
+                assert g.basis_labels == labels
 
 
 @pytest.mark.filterwarnings("error")
@@ -527,8 +640,8 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_tangency_residual(self, bad):
         x = sample_cone_point(SIG22, 1)
-        assert tangency_residual(x, vec(SIG22, 1, bad, 0, 1)) == np.inf
-        assert tangency_residual(x, vec(SIG22, 0, 0, 0, 0)) == 0.0
+        assert tangency(x, vec(SIG22, 1, bad, 0, 1)) == np.inf
+        assert tangency(x, vec(SIG22, 0, 0, 0, 0)) == 0.0
 
     def test_skew_form_rejects_an_inf_argument(self):
         x = sample_cone_point(SIG22, 1)
@@ -551,12 +664,4 @@ class TestNonFiniteInput:
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_metric_signature(self, bad):
         with pytest.raises(ValueError, match="finite"):
-            metric_signature(np.array([[bad]]))
-
-    @pytest.mark.parametrize("inclusion, f1", [
-        (np.eye(2), [[np.nan, 0], [0, 1]]),
-        ([[np.inf, 0], [0, 1]], np.eye(2)),
-    ])
-    def test_dualize_degenerate(self, inclusion, f1):
-        with pytest.raises(ValueError, match="finite"):
-            dualize_degenerate(inclusion, f1)
+            signature_of(np.array([[bad]]))

@@ -1,5 +1,7 @@
 """Scale invariance: a positive rescale s of the input point, s = 10^u with
-u uniform in [-8, 8], leaves every quotient, chart and certificate unchanged.
+u uniform in [-8, 8], leaves every quotient, chart and certificate unchanged;
+the quotient metrics keep their signature, rank and radical for every
+s = 10^k, |k| <= 150.
 
 The chart centre is never rescaled in a round trip: a fixed (r, y) on
 make_chart(s x) names a different class, which nears the apex as s grows.
@@ -22,6 +24,8 @@ from coneq import (
     canonicalize_ray,
     chart_inverse,
     conformal_factor,
+    cotangent_metric_qtilde,
+    induced_metric,
     kappa0,
     make_chart,
     sample_aperp_point,
@@ -99,6 +103,8 @@ def test_chart_certificates_hold_at_every_scale(sig, seed, s, r):
 # the certificates and maps below, from deep in the subnormal-square range
 # (k = -1000) to the edge of overflow (k = 1000).
 POW2_EXPONENTS = [-1000, -700, -520, -200, 200, 700, 1000]
+# The metrics build make_chart(x), which holds to about 1e+-154 (2^+-511).
+METRIC_EXPONENTS = [-500, -200, 200, 500]
 
 
 @pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
@@ -115,6 +121,13 @@ def test_power_of_two_rescale_keeps_every_bit(sig):
             inverse = chart_inverse(chart, b)
             splits = (standard_split(sig), sample_split(sig, seed + 50))
             factor = conformal_factor(x, *splits)
+            metric = induced_metric(x).entries
+            cometric = cotangent_metric_qtilde(x).entries
+            for k in METRIC_EXPONENTS:
+                y = ConePoint(math.ldexp(1.0, k) * x.vector)
+                assert induced_metric(y).entries.tobytes() == metric.tobytes()
+                assert (cotangent_metric_qtilde(y).entries.tobytes()
+                        == cometric.tobytes())
             for k in POW2_EXPONENTS:
                 lam = math.ldexp(1.0, k)
                 y = ConePoint(lam * x.vector)
@@ -128,3 +141,21 @@ def test_power_of_two_rescale_keeps_every_bit(sig):
                 else:
                     assert got[0] == inverse[0]
                     assert np.array_equal(got[1], inverse[1])
+
+
+@pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
+                                 for q in range(1, 6)], ids=str)
+def test_quotient_metrics_are_right_at_every_scale(sig):
+    # At lambda x, lambda = 10^k, the induced metric has signature
+    # (2p-1, 2q-1, 0) and the cometric rank 2n-4 (0 at n = 2) with a line
+    # radical.  A QuadricError would be no wrong answer, but none is raised
+    # here, and numpy warns nothing.
+    want_rank = 2 * sig.n - 4 if sig.n >= 3 else 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(-150, 151):
+            x = ConePoint(10.0**k * sample_cone_point(sig, k % 7).vector)
+            g = induced_metric(x)
+            assert g.signature == (2 * sig.p - 1, 2 * sig.q - 1, 0), k
+            co = cotangent_metric_qtilde(x)
+            assert (co.rank, co.signature[2]) == (want_rank, 1), k
