@@ -36,7 +36,6 @@ __all__ = [
     "GroupElement",
     "make_rng",
     "form_eval",
-    "is_isotropic",
     "basis_vector",
     "sample_cone_point",
     "sample_pseudo_unitary",
@@ -224,7 +223,7 @@ def _pow2_scale(top: float) -> float:
 def _isotropy_sums(vec: CVector) -> tuple[float, float]:
     """(|f(x, x)|, ||x||^2) for x = vec, each summed once on x times
     _pow2_scale(max|x_j|).  A zero or non-finite x gives |f(x, x)| = nan
-    with ||x||^2 = 0, inf or nan, on which the callers reject it."""
+    with ||x||^2 = 0, inf or nan, on which ConePoint rejects it."""
     c = vec.components
     absx = np.abs(c)
     top = float(absx.max())
@@ -236,14 +235,6 @@ def _isotropy_sums(vec: CVector) -> tuple[float, float]:
         absx = s * absx
     nrm2 = float(np.add.reduce(absx**2))
     return abs(complex(np.add.reduce(vec.signature.eta * c * np.conj(c)))), nrm2
-
-
-def is_isotropic(x, tol: float = DEFAULT_TOL) -> bool:
-    """Whether |f(x, x)| <= tol * ||x||^2 for nonzero x."""
-    abs_f, nrm2 = _isotropy_sums(_as_vector(x))
-    if nrm2 == 0.0:
-        raise DegenerateInputError("isotropy is undefined for the zero vector")
-    return abs_f <= tol * nrm2
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,13 +1,12 @@
 """Exact oracle over the Gaussian rationals Q(i).
 
-Public scalars are pairs of Fractions; vectors keep integer numerators over
-one common denominator.  Inside, a scalar is an integer triple, so the
-vector arithmetic, the form and the chart maps are integer sums, and
-Fractions are built only for what is returned.
-Nothing is rounded, so identities over the rationals (isotropy of the chart
-map, chart round trips) are asserted with ==, not tolerances.  The oracle
-never orthonormalizes: it only accepts charts whose data already satisfy
-the chart identities exactly, such as the standard chart at x = e_1 + e_n.
+A scalar (QGaussian) is an integer triple (a, b, d), meaning (a + b i) / d,
+and a vector keeps integer numerators over one common denominator, so the
+arithmetic, the form and the chart maps are integer sums.  Nothing is
+rounded: identities over the rationals (isotropy of the chart map, chart
+round trips) are asserted with ==, not tolerances.  The oracle never
+orthonormalizes; it only accepts charts whose data already satisfy the chart
+identities exactly, such as the standard chart at x = e_1 + e_n.
 """
 
 from __future__ import annotations
@@ -15,17 +14,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import gcd, lcm
+from math import gcd, inf, lcm, ldexp, sqrt, ulp
 
 import numpy as np
 
 from .charts import IN_APERP
 from .core import CVector, Signature
 from .errors import (DegenerateInputError, InternalContractError,
-                     SignatureMismatchError, UnsupportedChartError)
+                     SignatureMismatchError, UnsupportedChartError, certify)
 
 __all__ = [
-    "QGaussian", "QVector", "RationalChart", "qi", "exact_form_eval",
+    "QGaussian", "QVector", "RationalChart", "exact_form_eval",
     "exact_isotropy", "exact_basis_vector", "exact_hyperbolic_partner",
     "standard_rational_chart", "exact_kappa0", "exact_chart_inverse",
     "exact_kappa_roundtrip", "random_qgaussian",
@@ -40,28 +39,41 @@ def _as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class QGaussian:
-    """Gaussian rational re + im*i with exact Fraction parts."""
+    """Gaussian rational (a + b i) / d in integers, d > 0 and gcd(a, b, d) = 1:
+    equal values have equal fields.  QGaussian(re, im) takes ints, Fractions
+    or fraction strings; floats are rejected."""
 
-    re: Fraction
-    im: Fraction
+    a: int
+    b: int
+    d: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "re", _as_fraction(self.re))
-        object.__setattr__(self, "im", _as_fraction(self.im))
+    def __init__(self, re=0, im=0):
+        re, im = _as_fraction(re), _as_fraction(im)
+        _gaussian(re.numerator * im.denominator, im.numerator * re.denominator,
+                  re.denominator * im.denominator, self)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @classmethod
     def zero(cls) -> "QGaussian":
-        return cls(Fraction(0), Fraction(0))
+        return _gaussian(0, 0, 1)
 
     @classmethod
     def one(cls) -> "QGaussian":
-        return cls(Fraction(1), Fraction(0))
+        return _gaussian(1, 0, 1)
 
     def __add__(self, other) -> "QGaussian":
-        other = _coerce(other)
-        return QGaussian(self.re + other.re, self.im + other.im)
+        o = _coerce(other)
+        return _gaussian(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d,
+                         self.d * o.d)
 
     __radd__ = __add__
 
@@ -69,78 +81,62 @@ class QGaussian:
         return self + -_coerce(other)
 
     def __rsub__(self, other) -> "QGaussian":
-        return _coerce(other) - self
+        return _coerce(other) + -self
 
     def __neg__(self) -> "QGaussian":
-        return QGaussian(-self.re, -self.im)
+        return _gaussian(-self.a, -self.b, self.d)
 
     def __mul__(self, other) -> "QGaussian":
         o = _coerce(other)
-        return QGaussian(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+        return _gaussian(self.a * o.a - self.b * o.b, self.a * o.b + self.b * o.a,
+                         self.d * o.d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "QGaussian":
+        # (a + b i)/d / ((c + e i)/f) = f (a + b i)(c - e i) / (d (c^2 + e^2))
         o = _coerce(other)
-        n2 = o.norm2()
-        if n2 == 0:
+        n2 = o.a * o.a + o.b * o.b
+        if not n2:
             raise ZeroDivisionError("division by zero Gaussian rational")
-        return self * QGaussian(o.re / n2, -o.im / n2)
+        return _gaussian(o.d * (self.a * o.a + self.b * o.b),
+                         o.d * (self.b * o.a - self.a * o.b), self.d * n2)
 
     def __rtruediv__(self, other) -> "QGaussian":
         return _coerce(other) / self
 
     def conjugate(self) -> "QGaussian":
-        return QGaussian(self.re, -self.im)
+        return _gaussian(self.a, -self.b, self.d)
 
     def norm2(self) -> Fraction:
-        """|z|^2 = re^2 + im^2, exact."""
-        return self.re * self.re + self.im * self.im
+        """|z|^2 = (a^2 + b^2) / d^2, exact."""
+        return Fraction(self.a * self.a + self.b * self.b, self.d * self.d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not (self.a or self.b)
 
     def to_complex(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # int / int rounds correctly, as float(Fraction) does.
+        return complex(self.a / self.d, self.b / self.d)
+
+
+def _gaussian(a: int, b: int, d: int, z: QGaussian | None = None) -> QGaussian:
+    """(a + b i) / d for d > 0, reduced; fills z when it is given."""
+    g = gcd(a, b, d)
+    z = object.__new__(QGaussian) if z is None else z
+    z.__dict__.update(a=a // g, b=b // g, d=d // g)
+    return z
 
 
 def _coerce(value) -> QGaussian:
     if isinstance(value, QGaussian):
         return value
     if isinstance(value, (int, Fraction)):
-        return QGaussian(Fraction(value), Fraction(0))
+        return QGaussian(value)
     raise TypeError(f"cannot coerce {type(value).__name__} to QGaussian")
 
 
-def qi(re=0, im=0) -> QGaussian:
-    """Shorthand constructor from ints, Fractions, or fraction strings;
-    floats are rejected, as by QGaussian."""
-    return QGaussian(re, im)
-
-
-# Inside the oracle a Gaussian rational is an integer triple (a, b, d),
-# meaning (a + b i) / d with d > 0.
-_UNIT = (1, 0, 1)
-
-
-def _one_den(z: QGaussian) -> tuple[int, int, int]:
-    """(a, b, d) with z = (a + b i) / d and d > 0."""
-    d = lcm(z.re.denominator, z.im.denominator)
-    return (z.re.numerator * (d // z.re.denominator),
-            z.im.numerator * (d // z.im.denominator), d)
-
-
-def _gaussian(a: int, b: int, d: int) -> QGaussian:
-    """The triple (a, b, d) as a QGaussian; its parts are Fractions already,
-    so QGaussian's coercion is skipped."""
-    z = object.__new__(QGaussian)
-    z.__dict__.update(re=Fraction(a, d), im=Fraction(b, d))
-    return z
-
-
-def _reciprocal(a: int, b: int, d: int) -> tuple[int, int, int]:
-    """1 / ((a + b i) / d) = d (a - b i) / (a^2 + b^2), for a + b i != 0."""
-    return d * a, -d * b, a * a + b * b
+_UNIT = QGaussian.one()
 
 
 @dataclass(frozen=True, init=False)
@@ -157,12 +153,12 @@ class QVector:
     signature: Signature
 
     def __init__(self, components, signature: Signature):
-        comps = [_one_den(_coerce(c)) for c in components]
+        comps = [_coerce(c) for c in components]
         if len(comps) != signature.n:
             raise ValueError(f"expected {signature.n} components, got {len(comps)}")
-        den = lcm(*(d for _, _, d in comps))
-        _vector([a * (den // d) for a, _, d in comps],
-                [b * (den // d) for _, b, d in comps], den, signature, self)
+        den = lcm(*(c.d for c in comps))
+        _vector([c.a * (den // c.d) for c in comps],
+                [c.b * (den // c.d) for c in comps], den, signature, self)
 
     @property
     def components(self) -> tuple[QGaussian, ...]:
@@ -180,7 +176,7 @@ class QVector:
                        self.den, self.signature)
 
     def scale(self, factor) -> "QVector":
-        return _combine(((_one_den(_coerce(factor)), self),), self.signature)
+        return _combine(((_coerce(factor), self),), self.signature)
 
     def is_zero(self) -> bool:
         return not any(self.re) and not any(self.im)
@@ -201,14 +197,14 @@ def _vector(re, im, den: int, sig: Signature, vec: QVector | None = None) -> QVe
 
 
 def _combine(terms, sig: Signature) -> QVector:
-    """sum c v over (c, v) in terms, each c an (a, b, d) triple, as integers
-    over the lcm of the products d * v.den.  Zero entries are skipped, so a
-    term on a basis vector costs one multiply-add."""
-    den = lcm(*(d * v.den for (_, _, d), v in terms))
+    """sum z v over (z, v) in terms, each z a QGaussian, as integers over the
+    lcm of the products z.d * v.den.  Zero entries are skipped, so a term on
+    a basis vector costs one multiply-add."""
+    den = lcm(*(z.d * v.den for z, v in terms))
     re, im = [0] * sig.n, [0] * sig.n
-    for (a, b, d), v in terms:
-        s = den // (d * v.den)
-        a, b = a * s, b * s
+    for z, v in terms:
+        s = den // (z.d * v.den)
+        a, b = z.a * s, z.b * s
         for j, (c, e) in enumerate(zip(v.re, v.im)):
             if c or e:
                 re[j] += a * c - b * e
@@ -267,9 +263,10 @@ def exact_hyperbolic_partner(x: QVector, v_hint: QVector | None = None) -> QVect
     if not (a or b):
         raise InternalContractError("candidate vector is orthogonal to x")
     sig = x.signature
-    vp = _combine(((_reciprocal(a, b, d), v),), sig)
+    # 1 / f(v, x) = d (a - b i) / (a^2 + b^2) for f(v, x) = (a + b i) / d.
+    vp = _combine(((_gaussian(d * a, -d * b, a * a + b * b), v),), sig)
     a, b, d = _pairing(vp, vp)
-    return _combine(((_UNIT, vp), ((-a, -b, 2 * d), x)), sig)
+    return _combine(((_UNIT, vp), (_gaussian(-a, -b, 2 * d), x)), sig)
 
 
 @dataclass(frozen=True)
@@ -297,16 +294,19 @@ class RationalChart:
         target = [[QGaussian.zero()] * sig.n for _ in rows]
         target[0][0] = QGaussian.one()
         for i in range(1, sig.n - 1):
-            target[i][i + 1] = qi(1 if i < sig.p else -1)
+            target[i][i + 1] = QGaussian(1 if i < sig.p else -1)
         fxx = exact_form_eval(self.x, self.x)
         if not fxx.is_zero() or gram != target:
-            deviations = [fxx] + [g - t for g_row, t_row in zip(gram, target)
-                                  for g, t in zip(g_row, t_row)]
-            raise UnsupportedChartError(
-                "chart data do not satisfy the chart identities exactly",
-                residual=max(abs(d.to_complex()) for d in deviations),
-                threshold=0.0,
-            )
+            # max |deviation|, via w / 4^e in [1/2, 4): inf past floats, never 0.
+            w = max(d.norm2() for d in [fxx] + [g - t for g_row, t_row in zip(gram, target)
+                                                for g, t in zip(g_row, t_row)])
+            e = (w.numerator.bit_length() - w.denominator.bit_length()) // 2
+            try:
+                residual = max(ldexp(sqrt(w / Fraction(4) ** e), e), ulp(0.0))
+            except OverflowError:
+                residual = inf
+            certify(residual, 0.0, UnsupportedChartError,
+                    "chart data do not satisfy the chart identities exactly")
 
     @property
     def signature(self) -> Signature:
@@ -325,7 +325,7 @@ def standard_rational_chart(sig: Signature) -> RationalChart:
 def exact_kappa0(chart: RationalChart, r, y_coords) -> QVector:
     """Exact chart map y + u + (-f(y,y)/2 + r i) x."""
     r = _as_fraction(r)
-    coords = [_one_den(_coerce(c)) for c in y_coords]
+    coords = [_coerce(c) for c in y_coords]
     sig = chart.signature
     if len(coords) != sig.n - 2:
         raise ValueError(f"expected {sig.n - 2} coordinates, got {len(coords)}")
@@ -334,7 +334,7 @@ def exact_kappa0(chart: RationalChart, r, y_coords) -> QVector:
     if b:
         raise InternalContractError("f(y, y) must be real")
     # beta = -f(y, y)/2 + r i over the denominator 2 d r.den
-    beta = (-a * r.denominator, 2 * d * r.numerator, 2 * d * r.denominator)
+    beta = _gaussian(-a * r.denominator, 2 * d * r.numerator, 2 * d * r.denominator)
     out = _combine(((_UNIT, y), (_UNIT, chart.u), (beta, chart.x)), sig)
     a, b, _ = _pairing(out, out)
     if a or b:
@@ -349,10 +349,10 @@ def exact_kappa0(chart: RationalChart, r, y_coords) -> QVector:
 
 def exact_chart_inverse(chart: RationalChart, b: QVector):
     """Exact chart coordinates of b, or IN_APERP when f(b, x) == 0."""
-    fbx = _pairing(b, chart.x)
-    if not (fbx[0] or fbx[1]):
+    fa, fb, fd = _pairing(b, chart.x)
+    if not (fa or fb):
         return IN_APERP
-    z = _combine(((_reciprocal(*fbx), b),), chart.signature)
+    z = _combine(((_gaussian(fd * fa, -fd * fb, fa * fa + fb * fb), b),), chart.signature)
     beta_re, beta_im, beta_den = _pairing(z, chart.u)
     # y_j = eta_j f(z, m_j), with eta_j = 1 for the first p - 1 middles.
     p = chart.signature.p - 1

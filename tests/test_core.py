@@ -18,7 +18,6 @@ from coneq import (
     Split,
     basis_vector,
     form_eval,
-    is_isotropic,
     make_rng,
     sample_cone_point,
     sample_pseudo_unitary,
@@ -181,23 +180,22 @@ class TestFormEval:
 
 class TestIsotropy:
     def test_positive_vector_not_isotropic(self):
-        assert not is_isotropic(vec(SIG11, 1, 0))
+        with pytest.raises(NotIsotropicError):
+            ConePoint(vec(SIG11, 1, 0))
 
     def test_standard_null_vector(self):
         x = basis_vector(SIG22, 0) + basis_vector(SIG22, 3)
-        assert is_isotropic(x)
+        assert ConePoint(x).isotropy_residual == 0.0
 
     def test_near_null_within_relative_tolerance(self):
         x = vec(SIG11, 1, 1 + 1e-12)
-        assert is_isotropic(x, tol=1e-9)
-        assert not is_isotropic(x, tol=1e-15)
+        assert ConePoint(x, tol=1e-9).isotropy_residual <= 1e-9
+        with pytest.raises(NotIsotropicError):
+            ConePoint(x, tol=1e-15)
 
     def test_zero_vector_rejected(self):
         with pytest.raises(DegenerateInputError):
-            is_isotropic(vec(SIG11, 0, 0))
-
-    def test_accepts_cone_point(self):
-        assert is_isotropic(ConePoint(vec(SIG11, 1, 1j)))
+            ConePoint(vec(SIG11, 0, 0))
 
 
 class TestConePoint:
@@ -277,7 +275,6 @@ class TestCertificateScale:
                 x = sample_cone_point(sig, 3).vector
                 pt = ConePoint(scale * x, tol=1e-12)
                 assert pt.isotropy_residual <= 1e-14
-                assert is_isotropic(scale * x, tol=1e-12)
 
     @pytest.mark.parametrize("scale", SCALES)
     def test_non_isotropic_rejected_without_warning(self, scale):
@@ -286,7 +283,6 @@ class TestCertificateScale:
             v = scale * vec(SIG22, 1, 0.5j, 0.2, 0)
             with pytest.raises(NotIsotropicError):
                 ConePoint(v)
-            assert not is_isotropic(v)
 
     @pytest.mark.parametrize("scale", [1e160, 1e-170])
     def test_mixed_scales(self, scale):
@@ -298,8 +294,6 @@ class TestCertificateScale:
     def test_zero_and_non_finite_errors_unchanged(self):
         with pytest.raises(DegenerateInputError, match="cone points must be nonzero"):
             ConePoint(vec(SIG22, 0, 0, 0, 0))
-        with pytest.raises(DegenerateInputError, match="zero vector"):
-            is_isotropic(vec(SIG22, 0, 0, 0, 0))
         with pytest.raises(NotIsotropicError, match=r"\|\|x\|\|\^2 = inf is not"):
             ConePoint(vec(SIG22, 1e160, np.inf, 1, 0))
         with pytest.raises(NotIsotropicError, match=r"\|\|x\|\|\^2 = nan is not"):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import numpy as np
 import pytest
@@ -28,11 +29,12 @@ from coneq import (
     kappa0,
     make_chart,
     make_rng,
-    qi,
     standard_rational_chart,
 )
 from coneq import exact
 from coneq.exact import random_qgaussian
+
+qi = QGaussian
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -195,6 +197,22 @@ class TestRationalChart:
         with pytest.raises(UnsupportedChartError):
             RationalChart(good.x, good.x, good.mu_basis)
 
+    @pytest.mark.parametrize("factor, residual", [
+        (qi(10**400), float("inf")),
+        (qi(10**200), 1e200),
+        (qi(1 + Fraction(1, 10**200)), 1e-200),
+        (qi(1 + Fraction(1, 10**400)), 5e-324),
+    ], ids=["overflow", "huge", "tiny", "subnormal"])
+    def test_residual_at_every_scale(self, factor, residual):
+        # f(u, x) - 1 = factor - 1 is the one deviation.  Its modulus is the
+        # residual within rounding: inf past the float range, and the least
+        # subnormal, not 0, below it.
+        std = standard_rational_chart(SIG11)
+        with pytest.raises(UnsupportedChartError) as err:
+            RationalChart(std.x, std.u.scale(factor), ())
+        assert err.value.residual > err.value.threshold == 0.0
+        assert err.value.residual == pytest.approx(residual, rel=1e-15, abs=0)
+
 
 class TestExactChart:
     def test_pinned_kappa0(self):
@@ -280,6 +298,31 @@ class TestIntegerRepresentation:
             im += sign * (a.im * b.re - a.re * b.im)
         assert exact_form_eval(QVector(us, sig), QVector(vs, sig)) == QGaussian(re, im)
 
+    @settings(max_examples=200, deadline=None)
+    @given(big_gaussians, big_gaussians, big_fractions)
+    def test_scalar_operations_match_fraction_parts(self, z, w, c):
+        (a, b), (e, f) = (z.re, z.im), (w.re, w.im)
+        n2 = e * e + f * f
+        cases = [
+            (z + w, (a + e, b + f)), (z - w, (a - e, b - f)),
+            (z * w, (a * e - b * f, a * f + b * e)), (-z, (-a, -b)),
+            (z, (a, b)), (z.conjugate(), (a, -b)), (z + c, (a + c, b)),
+            (c - z, (c - a, -b)), (c * z, (c * a, c * b)), (z - c, (a - c, b)),
+        ]
+        if n2:
+            cases += [(z / w, ((a * e + b * f) / n2, (b * e - a * f) / n2)),
+                      (c / w, (c * e / n2, -c * f / n2))]
+        else:
+            with pytest.raises(ZeroDivisionError):
+                z / w
+        for got, (re, im) in cases:
+            assert (got.re, got.im) == (re, im)
+            assert got.d > 0 and gcd(got.a, got.b, got.d) == 1
+            assert QGaussian(got.re, got.im) == got
+        assert z.norm2() == a * a + b * b
+        assert z.is_zero() == (a == 0 and b == 0)
+        assert z.to_complex() == complex(float(a), float(b))
+
     def test_equality_and_hash_ignore_how_values_are_written(self):
         pairs = [
             (qvec(SIG11, Fraction(2, 4), 1), qvec(SIG11, Fraction(1, 2), 1)),
@@ -287,10 +330,18 @@ class TestIntegerRepresentation:
             (qvec(SIG11, "6/8", 0), qvec(SIG11, Fraction(3, 4), Fraction(0, 5))),
             (qvec(SIG11, 0, 0), qvec(SIG11, Fraction(0, 7), 0).scale(qi(5, 3))),
         ]
-        for a, b in pairs:
+        scalars = [
+            (qi("2/4"), qi(Fraction(1, 2))),
+            (qi(3, "-6/3"), qi(Fraction(9, 3), -2)),
+            (qi(0, 0), qi(Fraction(0, 7), "0/5")),
+            (qi(1, 1) / qi(0, 2), qi(Fraction(1, 2), Fraction(-1, 2))),
+        ]
+        for a, b in pairs + scalars:
             assert a == b
             assert hash(a) == hash(b)
         assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+        assert len({a for a, _ in scalars} | {b for _, b in scalars}) == len(scalars)
+        assert (qi("2/4").a, qi("2/4").b, qi("2/4").d) == (1, 0, 2)
         # Arithmetic lands on the same reduced representation.
         third = qvec(SIG11, Fraction(1, 3), Fraction(2, 3))
         assert third + third + third == qvec(SIG11, 1, 2)
