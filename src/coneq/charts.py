@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedSignatureError,
     certify,
 )
-from .quotients import ProjRep, Split, _pivot_index, canonicalize_phase
+from .quotients import _pivot_index, canonicalize_phase
 
 __all__ = [
     "ChartFrame",
@@ -54,7 +54,6 @@ __all__ = [
     "extend_to_witt_basis",
     "make_chart",
     "kappa0",
-    "kappa",
     "chart_inverse",
     "is_perp",
     "aperp_classify",
@@ -284,11 +283,6 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
             InternalContractError,
             "chart normalization f(x, kappa0) = {pairing:.15g} != 1", pairing=pairing)
     return out
-
-
-def kappa(chart: ChartFrame, r: float, y_coords, split: Split | None = None) -> ProjRep:
-    """Projective chart map: the canonical class of kappa0(r, y)."""
-    return canonicalize_phase(kappa0(chart, r, y_coords), split)
 
 
 def _balanced(vec: CVector) -> CVector:

@@ -46,10 +46,11 @@ def _parse_sig(text: str) -> Signature:
 
 
 def _parse_reals(text: str, non_finite=UsageError) -> np.ndarray:
-    """Comma-separated reals.  A nan or inf raises ``non_finite`` here,
-    before numpy arithmetic on it can print a RuntimeWarning."""
+    """Comma-separated reals; the empty string is the empty list, and any
+    other empty field is a UsageError.  A nan or inf raises ``non_finite``
+    here, before numpy arithmetic on it can print a RuntimeWarning."""
     try:
-        values = np.array([float(v) for v in text.split(",") if v != ""])
+        values = np.array([float(v) for v in text.split(",")] if text else [])
     except ValueError as exc:
         raise UsageError(f"could not parse number list {text!r}") from exc
     if not np.isfinite(values).all():
@@ -176,14 +177,14 @@ def _cmd_chart(args) -> int:
     sig = _parse_sig(args.sig)
     chart = _chart_from_args(args, sig)
     if args.mode == "forward":
-        y_flat = _parse_reals(args.y) if args.y else np.zeros(0)
+        y_flat = _parse_reals(args.y)
         if y_flat.size != 2 * (sig.n - 2):
             raise UsageError(
                 f"--y expects {2 * (sig.n - 2)} numbers, got {y_flat.size}"
             )
         y = y_flat[0::2] + 1j * y_flat[1::2]
         point = charts.kappa0(chart, args.r, y)
-        rep = charts.kappa(chart, args.r, y)
+        rep = quotients.canonicalize_phase(point)
         payload = {
             "signature": sig.to_json(),
             "r": args.r,

@@ -306,23 +306,9 @@ class GroupElement:
         return CVector(self.matrix @ v.components, self.signature)
 
 
-def verify_isometry(u, signature: Signature | None = None, tol: float = DEFAULT_TOL) -> bool:
-    """Whether ||U^dagger eta U - eta||_max <= tol.
-
-    Accepts a GroupElement (signature taken from it) or a raw square matrix
-    together with an explicit signature.
-    """
-    if isinstance(u, GroupElement):
-        sig = u.signature
-        mat = u.matrix
-    else:
-        if signature is None:
-            raise ValueError("raw matrices need an explicit signature")
-        sig = signature
-        mat = np.asarray(u, dtype=np.complex128)
-        if mat.shape != (sig.n, sig.n):
-            raise ValueError(f"expected a {sig.n}x{sig.n} matrix, got {mat.shape}")
-    return _pseudo_unitarity_residual(mat, sig) <= tol
+def verify_isometry(u: GroupElement, tol: float = DEFAULT_TOL) -> bool:
+    """Whether ||U^dagger eta U - eta||_max <= tol for a GroupElement U."""
+    return _pseudo_unitarity_residual(u.matrix, u.signature) <= tol
 
 
 def sample_cone_point(sig: Signature, seed: int) -> ConePoint:

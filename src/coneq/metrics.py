@@ -54,11 +54,10 @@ class MetricMatrix:
     """Real symmetric matrix of a (possibly degenerate) metric in a basis.
 
     signature is the triple (n_plus, n_minus, n_zero) counted at threshold
-    tol * scale; radical_basis rows span the numerical kernel.  scale
-    defaults to the largest |eigenvalue| but can be pinned externally, which
-    matters when the matrix itself is a near-zero block of a larger object.
-    The default quotient metrics take signature, radical and scale from
-    their exact Gram G0 instead (see _quotient_gram).
+    tol * scale; radical_basis rows span the numerical kernel.  from_entries
+    reads all three off the eigenvalues, with scale the largest |eigenvalue|;
+    the default quotient metrics take them from their exact Gram G0 instead
+    (see _quotient_gram).
     """
 
     entries: np.ndarray
@@ -68,8 +67,8 @@ class MetricMatrix:
     scale: float
 
     @classmethod
-    def from_entries(cls, entries, basis_labels, tol: float = DEFAULT_TOL,
-                     scale: float | None = None) -> "MetricMatrix":
+    def from_entries(cls, entries, basis_labels,
+                     tol: float = DEFAULT_TOL) -> "MetricMatrix":
         e = np.array(entries, dtype=float)
         if e.ndim != 2 or e.shape[0] != e.shape[1]:
             raise ValueError(f"entries must be square, got {e.shape}")
@@ -91,16 +90,14 @@ class MetricMatrix:
             evals, evecs = np.linalg.eigh(e)
         else:
             evals, evecs = np.zeros(0), np.zeros((0, 0))
-        eff_scale = float(np.abs(evals).max()) if evals.size else 0.0
-        if scale is not None:
-            eff_scale = float(scale)
-        threshold = tol * eff_scale
+        scale = float(np.abs(evals).max()) if evals.size else 0.0
+        threshold = tol * scale
         n_plus = int(np.count_nonzero(evals > threshold))
         n_minus = int(np.count_nonzero(evals < -threshold))
         n_zero = e.shape[0] - n_plus - n_minus
         radical = evecs[:, np.abs(evals) <= threshold].T.copy()
         radical.flags.writeable = False
-        return cls(e, labels, (n_plus, n_minus, n_zero), radical, eff_scale)
+        return cls(e, labels, (n_plus, n_minus, n_zero), radical, scale)
 
     @property
     def rank(self) -> int:
@@ -189,19 +186,6 @@ def _certify_tangency(residuals: np.ndarray, message: str) -> None:
             index=index)
 
 
-def _frame_gram(x: ConePoint, basis, labels) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Read-only Gram [Re f(v_i, v_j)] and labels of an explicit tangent
-    basis at x, after certifying each member tangent (TangencyError)."""
-    basis = tuple(basis)
-    if labels is None:
-        labels = tuple(f"v{i}" for i in range(len(basis)))
-    cols = np.column_stack([v.components for v in basis])
-    _certify_tangency(_tangency_residuals(x, cols), _BASIS_MESSAGE)
-    gram = _gram(cols, cols, x.signature).real
-    gram.flags.writeable = False
-    return gram, labels
-
-
 @functools.lru_cache(maxsize=128)
 def _quotient_target(sig: Signature) -> np.ndarray:
     """G0 = [[0, 2], [2, 0]] + diag(eta_mid (x) (1, 1)), the Gram of the
@@ -254,7 +238,8 @@ def _quotient_gram(x: ConePoint, tol: float,
         entry f(2iu, 2iu) grows like n^2 / |x_j|^4 times the isotropy
         residual, where the zero moves only by G[0, 0] / 4.
       - ||G|| <= 2 + delta and ||G^-1|| <= 1 / (1 - delta) bound kappa(G)
-        by (2 + delta) / (1 - delta) <= 3, the cometric's inversion floor.
+        by (2 + delta) / (1 - delta) <= 3; kappa(G) eps is the floor of
+        the cometric's inversion residual.
     """
     kept = x._derived.get("quotient_gram")
     if kept is None:
@@ -274,8 +259,7 @@ def _quotient_gram(x: ConePoint, tol: float,
     return kept
 
 
-def induced_metric(x: ConePoint, frame: str = "adapted", *,
-                   basis=None, labels=None,
+def induced_metric(x: ConePoint, frame: str = "adapted", *, basis=None,
                    tol: float = DEFAULT_TOL) -> MetricMatrix:
     """Matrix [Re f(v_i, v_j)] of the induced metric in a tangent frame.
 
@@ -284,18 +268,22 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
     of its balanced form is certified against G0, whose signature, empty
     radical and scale 2 it takes (_quotient_gram).  frame="epsilon" is the
     two-dimensional case only: {i e_1, i e_n} of the Witt basis, where the
-    matrix is diag(1, -1).  An explicit `basis` overrides the named frame,
-    e.g. to evaluate at a transported frame or over the full tangent basis;
-    it and the epsilon frame read signature and radical off the eigenvalues.
+    matrix is diag(1, -1).  An explicit `basis`, labelled v0, v1, ...,
+    overrides the named frame, e.g. to evaluate at a transported frame or
+    over the full tangent basis; it and the epsilon frame certify each
+    member tangent (TangencyError) and read signature and radical off the
+    eigenvalues.
     """
-    if basis is None and frame == "adapted":
-        sig = x.signature
-        gram, _ = _quotient_gram(x, tol)
-        radical = np.zeros((0, gram.shape[0]))
-        radical.flags.writeable = False
-        return MetricMatrix(gram, _quotient_labels(sig.n),
-                            (2 * sig.p - 1, 2 * sig.q - 1, 0), radical, 2.0)
-    if basis is None and frame == "epsilon":
+    if basis is None:
+        if frame == "adapted":
+            sig = x.signature
+            gram, _ = _quotient_gram(x, tol)
+            radical = np.zeros((0, gram.shape[0]))
+            radical.flags.writeable = False
+            return MetricMatrix(gram, _quotient_labels(sig.n),
+                                (2 * sig.p - 1, 2 * sig.q - 1, 0), radical, 2.0)
+        if frame != "epsilon":
+            raise ValueError(f"unknown frame {frame!r}")
         if x.signature.n != 2:
             raise UnsupportedFrameError(
                 "epsilon frame exists only in signature (1,1)"
@@ -303,10 +291,12 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *,
         witt = extend_to_witt_basis(x)
         basis = (1j * witt[0], 1j * witt[1])
         labels = ("eps1", "eps2")
-    elif basis is None:
-        raise ValueError(f"unknown frame {frame!r}")
-    entries, labels = _frame_gram(x, basis, labels)
-    return MetricMatrix.from_entries(entries, labels, tol)
+    else:
+        basis = tuple(basis)
+        labels = tuple(f"v{i}" for i in range(len(basis)))
+    cols = np.column_stack([v.components for v in basis])
+    _certify_tangency(_tangency_residuals(x, cols), _BASIS_MESSAGE)
+    return MetricMatrix.from_entries(_gram(cols, cols, x.signature).real, labels, tol)
 
 
 def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector) -> float:
@@ -317,43 +307,32 @@ def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector) -> float:
     return float(form_eval(vec_a, vec_b).imag)
 
 
-def cotangent_metric_qtilde(x: ConePoint, *, basis=None, labels=None,
-                            tol: float = DEFAULT_TOL) -> MetricMatrix:
+def cotangent_metric_qtilde(x: ConePoint, *, tol: float = DEFAULT_TOL) -> MetricMatrix:
     """Degenerate cometric of the projective quadric at the class of x.
 
     Inverts the quotient metric and restricts to the annihilator of the
     phase direction (the first quotient frame member, the class of ix).
     Rank is 2n-4 with a one-dimensional radical for n >= 3, and zero for
-    n = 2.  The default frame's Gram is certified against G0, and the f3*
-    row of the result against the radical (NondegeneracyError); the
-    signature (2p-2, 2q-2, 1), the f3* radical axis and the scale, the norm
-    of G0^-1, are then G0's (_quotient_gram).  An explicit basis pins the rank
-    threshold to the largest singular value of the full inverse before
-    restriction.  Either way the inversion residual is at least kappa(G)
-    eps, so a numerically singular Gram fails it.
+    n = 2.  The adapted frame's balanced Gram G is certified against G0,
+    its inversion residual max|G G^-1 - I| against 1e-6, and the f3* row of
+    the result against the radical (NondegeneracyError); the signature
+    (2p-2, 2q-2, 1), the f3* radical axis and the scale, the norm of G0^-1,
+    are then G0's (_quotient_gram).
     """
-    if basis is None:
-        gram, delta = _quotient_gram(x, tol)
-        kappa = (2.0 + delta) / (1.0 - delta)
-    else:
-        gram, labels = _frame_gram(x, basis, labels)
+    gram, delta = _quotient_gram(x, tol)
     try:
         inverse = np.linalg.inv(gram)
-        if basis is not None:
-            sv = np.linalg.svd(inverse, compute_uv=False)
-            kappa = sv[0] / sv[-1]
     except np.linalg.LinAlgError as exc:
         raise NondegeneracyError("quotient metric is singular") from exc
     # G G^-1 = I can hold to rounding for a numerically singular G, so the
-    # residual is at least kappa(G) eps; np.maximum keeps a nan from either.
+    # residual is at least kappa(G) eps, with kappa(G) <= (2 + delta) /
+    # (1 - delta) (_quotient_gram); np.maximum keeps a nan from either.
+    kappa = (2.0 + delta) / (1.0 - delta)
     residual = float(np.maximum(np.abs(gram @ inverse - np.eye(gram.shape[0])).max(),
                                 kappa * np.finfo(float).eps))
     certify(residual, 1e-6, NondegeneracyError,
             "quotient metric inversion failed (residual {residual:.3e})")
     sub = inverse[1:, 1:]
-    if basis is not None:
-        return MetricMatrix.from_entries(sub, tuple(f"{l}*" for l in labels[1:]),
-                                         tol, scale=float(sv[0]))
     sig = x.signature
     entries = sub * 0.5 + sub.T * 0.5
     entries.flags.writeable = False

@@ -18,12 +18,12 @@ from coneq import (
     aperp_classify,
     aperp_dimension_estimate,
     basis_vector,
+    canonicalize_phase,
     chart_inverse,
     extend_to_witt_basis,
     form_eval,
     hyperbolic_partner,
     is_perp,
-    kappa,
     kappa0,
     make_chart,
     make_rng,
@@ -332,7 +332,7 @@ class TestKappa:
 
     def test_projective_version_matches(self):
         chart = make_chart(null22())
-        rep = kappa(chart, 2.0, [1.0, 0.0])
+        rep = canonicalize_phase(kappa0(chart, 2.0, [1.0, 0.0]))
         assert proj_equivalent(rep, kappa0(chart, 2.0, [1.0, 0.0]))
 
 
@@ -429,7 +429,7 @@ class TestIsPerp:
         assert not is_perp(chart.x, chart.u)
 
     def test_representative_mix(self):
-        from coneq import canonicalize_phase, canonicalize_ray
+        from coneq import canonicalize_ray
 
         chart = make_chart(null22())
         b = sample_aperp_point(chart, 23)

@@ -438,6 +438,26 @@ class TestUsage:
         assert "expected 4 numbers" in err
 
     @pytest.mark.parametrize("argv", [
+        ("metric", "--sig", "1,1", "--x=1,0,,1,0"),
+        ("metric", "--sig", "1,1", "--x=1,0,1,0,"),
+        ("cometric", "--sig", "1,1", "--x=,1,0,1,0"),
+        ("chart", "forward", "--sig", "1,1", "--y=,"),
+        ("chart", "forward", "--sig", "2,2", "--y=1,0,,0,0"),
+        ("chart", "inverse", "--sig", "1,1", "--b=1,0,1,0,"),
+        ("aperp", "classify", "--sig", "2,2", "--b=0,0,1,0,,1,0,0,0"),
+    ])
+    def test_an_empty_field_is_a_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "error: could not parse number list" in err
+        assert "Traceback" not in err
+
+    def test_an_empty_list_is_the_empty_list(self, capsys):
+        code, payload, _ = run_json(capsys, "chart", "forward", "--sig", "1,1",
+                                    "--y", "")
+        assert code == 0 and payload["y"] == []
+
+    @pytest.mark.parametrize("argv", [
         ("sample", "--sig", "1,1", "--trials", "0"),
         ("sample", "--sig", "1,1", "--trials", "-1"),
         ("verify", "--suite", "hermitian", "--sig", "1,1", "--trials", "0"),

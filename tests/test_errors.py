@@ -117,46 +117,55 @@ class TestCertificatesSetThem:
         assert str(exc) == (f"basis vector 2 has tangency residual "
                             f"{exc.residual:.3e} at x")
 
-    def test_cometric_inversion(self):
-        # A nearly dependent pair of frame vectors leaves the Gram invertible
-        # in floating point, with an inversion residual above 1e-6.
-        x = sample_cone_point(SIG22, 1)
-        base = list(quotient_basis(x))
-        raised = []
-        for eps in (1e-5, 1e-6, 1e-7):
-            basis = base[:]
-            basis[3] = base[2] + eps * base[3]
-            try:
-                cotangent_metric_qtilde(x, basis=basis)
-            except NondegeneracyError as exc:
-                raised.append(exc)
-        assert raised
-        for exc in raised:
-            assert exc.threshold == 1e-6
-            assert exc.residual > exc.threshold
-            assert str(exc) == (f"quotient metric inversion failed "
-                                f"(residual {exc.residual:.3e})")
-
-    @pytest.mark.parametrize("eps", [1e-5, 1e-8, 1e-10, 1e-13])
-    def test_cometric_rejects_a_numerically_singular_gram(self, eps):
-        # G G^-1 = I holds to rounding at eps = 1e-8 and below, where
-        # cond(G) is about 1e16; the residual is then kappa(G) eps.
-        x = sample_cone_point(SIG22, 1)
-        basis = list(quotient_basis(x))
-        basis[3] = basis[2] + eps * basis[3]
+    def test_cometric_inversion(self, monkeypatch):
+        # An inverse off by a relative 1e-5 leaves G G^-1 - I at 1e-5 I.
+        inv = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: inv(a) * (1.0 + 1e-5))
         with pytest.raises(NondegeneracyError) as info:
-            cotangent_metric_qtilde(x, basis=basis)
+            cotangent_metric_qtilde(sample_cone_point(SIG22, 1))
         exc = info.value
-        assert exc.threshold == 1e-6 and exc.residual > exc.threshold
-        assert str(exc) == ("quotient metric inversion failed "
+        assert exc.threshold == 1e-6
+        assert exc.residual == pytest.approx(1e-5, rel=1e-6)
+        assert str(exc) == (f"quotient metric inversion failed "
                             f"(residual {exc.residual:.3e})")
 
+    @pytest.mark.parametrize("eps", [1e-5, 1e-8, 1e-10, 1e-13])
+    def test_cometric_rejects_a_numerically_singular_gram(self, eps, monkeypatch):
+        # Column 3 := column 2 + eps column 3 leaves G within rounding of
+        # singular at eps = 1e-8 and below; the G0 certificate rejects it
+        # before any inversion.
+        columns = metrics._quotient_columns
+
+        def near_dependent(x, s=1.0):
+            cols = columns(x, s)
+            cols[:, 3] = cols[:, 2] + eps * cols[:, 3]
+            return cols
+
+        def refuse(a):
+            raise AssertionError("a rejected Gram reached the inversion")
+
+        monkeypatch.setattr(metrics, "_quotient_columns", near_dependent)
+        monkeypatch.setattr(np.linalg, "inv", refuse)
+        with pytest.raises(NondegeneracyError) as info:
+            cotangent_metric_qtilde(sample_cone_point(SIG22, 1))
+        exc = info.value
+        assert exc.threshold == (1.0 - 2.0 * DEFAULT_TOL) / 4.0
+        assert exc.residual > exc.threshold
+        assert str(exc) == f"quotient Gram deviates from G0 by {exc.residual:.3e}"
+
     @pytest.mark.parametrize("eps", [1e-4, 1e-3])
-    def test_cometric_keeps_a_well_conditioned_gram(self, eps):
-        x = sample_cone_point(SIG22, 1)
-        basis = list(quotient_basis(x))
-        basis[3] = basis[2] + eps * basis[3]
-        assert cotangent_metric_qtilde(x, basis=basis).signature == (2, 2, 1)
+    def test_cometric_keeps_a_well_conditioned_gram(self, eps, monkeypatch):
+        # Column 3 := column 3 + eps column 2 moves G off G0 by about
+        # sqrt(2) eps, well inside the certificate.
+        columns = metrics._quotient_columns
+
+        def mixed(x, s=1.0):
+            cols = columns(x, s)
+            cols[:, 3] = cols[:, 3] + eps * cols[:, 2]
+            return cols
+
+        monkeypatch.setattr(metrics, "_quotient_columns", mixed)
+        assert cotangent_metric_qtilde(sample_cone_point(SIG22, 1)).signature == (2, 2, 1)
 
     def test_rational_chart(self):
         good = standard_rational_chart(SIG22)

@@ -46,6 +46,15 @@ def signature_of(entries):
     return MetricMatrix.from_entries(entries, labels).signature
 
 
+def eigen_signature(entries, scale, tol=1e-9):
+    """(n_plus, n_minus, n_zero) of the eigenvalues at threshold tol * scale."""
+    evals = np.linalg.eigvalsh(entries)
+    threshold = tol * scale
+    n_plus = int(np.count_nonzero(evals > threshold))
+    n_minus = int(np.count_nonzero(evals < -threshold))
+    return n_plus, n_minus, evals.size - n_plus - n_minus
+
+
 def tangency(x, v):
     return metrics._tangency_residuals(x, v.components[:, None])[0]
 
@@ -65,15 +74,6 @@ class TestMetricMatrix:
         g = MetricMatrix.from_entries([[0.0]], ("z",))
         assert g.signature == (0, 0, 1)
         np.testing.assert_array_equal(g.radical_basis, [[1.0]])
-
-    def test_scale_pins_threshold(self):
-        # a lone 1e-15 entry is full rank against its own scale but sits in
-        # the radical once the threshold is pinned to an external scale
-        loose = MetricMatrix.from_entries([[1e-15]], ("z",))
-        assert loose.signature == (1, 0, 0)
-        pinned = MetricMatrix.from_entries([[1e-15]], ("z",), scale=1.0)
-        assert pinned.signature == (0, 0, 1)
-        assert pinned.scale == 1.0
 
     def test_asymmetric_rejected(self):
         with pytest.raises(ValueError):
@@ -243,19 +243,6 @@ class TestCotangentMetric:
         # radical is the f3* direction at the standard point
         np.testing.assert_allclose(
             np.abs(g.radical_basis[0]), [1, 0, 0, 0, 0], atol=1e-12
-        )
-
-    def test_inverse_square_scaling(self):
-        x = sample_cone_point(SIG22, 6)
-        basis = quotient_basis(x)
-        labels = induced_metric(x).basis_labels
-        lam = 1.7
-        g = cotangent_metric_qtilde(x, basis=basis, labels=labels)
-        x2 = ConePoint(lam * x.vector)
-        scaled_basis = tuple(lam * v for v in basis)
-        g2 = cotangent_metric_qtilde(x2, basis=scaled_basis, labels=labels)
-        np.testing.assert_allclose(
-            g2.entries, g.entries / lam**2, atol=1e-10 * g.scale
         )
 
     def test_matches_abstract_dualization_exactly(self):
@@ -494,13 +481,15 @@ class TestClosedForm:
             assert co.signature == (2 * sig.p - 2, 2 * sig.q - 2, 1)
             assert co.radical_basis.tolist() == [[1.0] + [0.0] * (2 * n - 4)]
             assert co.scale == (1.0 if n >= 3 else 0.5)
-            assert MetricMatrix.from_entries(co.entries, co.basis_labels,
-                                             scale=co.scale).signature == co.signature
+            assert eigen_signature(co.entries, co.scale) == co.signature
             assert not co.entries.flags.writeable
             assert np.array_equal(co.entries, co.entries.T)
 
     @pytest.mark.parametrize("metric", [induced_metric, cotangent_metric_qtilde])
     def test_a_wrong_f3_column_fails_the_g0_certificate(self, metric, monkeypatch):
+        # A halved f3 column, and a column 3 := column 2 + eps column 3 that
+        # leaves the Gram near-singular, each deviate from G0 by sqrt(2) and
+        # never return a metric.
         columns = metrics._quotient_columns
 
         def half_f3(x, s=1.0):
@@ -508,12 +497,20 @@ class TestClosedForm:
             cols[:, 1] *= 0.5
             return cols
 
-        monkeypatch.setattr(metrics, "_quotient_columns", half_f3)
-        with pytest.raises(NondegeneracyError) as info:
-            metric(sample_cone_point(SIG22, 3))
-        assert info.value.residual == pytest.approx(np.sqrt(2.0), rel=1e-12)
-        assert str(info.value) == (f"quotient Gram deviates from G0 by "
-                                   f"{info.value.residual:.3e}")
+        def near_dependent(eps):
+            def frame(x, s=1.0):
+                cols = columns(x, s)
+                cols[:, 3] = cols[:, 2] + eps * cols[:, 3]
+                return cols
+            return frame
+
+        for corrupt in [half_f3, *(near_dependent(10.0 ** -k) for k in range(3, 14))]:
+            monkeypatch.setattr(metrics, "_quotient_columns", corrupt)
+            with pytest.raises(NondegeneracyError) as info:
+                metric(sample_cone_point(SIG22, 3))
+            assert info.value.residual == pytest.approx(np.sqrt(2.0), rel=1e-12)
+            assert str(info.value) == (f"quotient Gram deviates from G0 by "
+                                       f"{info.value.residual:.3e}")
 
     def test_a_non_tangent_column_fails_the_one_pairing_pass(self, monkeypatch):
         columns = metrics._quotient_columns
@@ -561,8 +558,7 @@ class TestClosedForm:
             assert induced_metric(x).signature == (2 * sig.p - 1, 2 * sig.q - 1, 0)
             co = cotangent_metric_qtilde(x)
             assert co.signature == (2 * sig.p - 2, 2 * sig.q - 2, 1)
-            assert MetricMatrix.from_entries(co.entries, co.basis_labels,
-                                             scale=co.scale).signature == co.signature
+            assert eigen_signature(co.entries, co.scale) == co.signature
         assert max(deviations) > 1e-9
 
     def test_conformal_factor_builds_two_frames(self, monkeypatch):
@@ -614,22 +610,20 @@ class TestQuotientColumns:
 
     @pytest.mark.parametrize("sig", SIGS, ids=str)
     def test_default_gram_equals_the_explicit_frame(self, sig):
-        # The default Gram and the symmetrized Gram of the same balanced
-        # frame, passed as an explicit basis, agree bit for bit.
+        # The default Gram and the Gram of the same balanced frame, passed
+        # as an explicit basis and symmetrized there, agree bit for bit.
         for seed in range(8):
             for s in self.SCALES:
                 v = s * sample_cone_point(sig, seed).vector
                 x = ConePoint(v)
                 frame = metrics._quotient_columns(x, metrics._balance(x))
                 basis = [CVector(c, sig) for c in frame.T]
-                labels = metrics._quotient_labels(sig.n)
-                explicit, _ = metrics._frame_gram(ConePoint(v), basis, labels)
+                want = induced_metric(ConePoint(v), basis=basis).entries
                 gram, _ = metrics._quotient_gram(ConePoint(v), 1e-9)
-                want = explicit * 0.5 + explicit.T * 0.5
                 assert gram.tobytes() == want.tobytes()
                 g = induced_metric(ConePoint(v))
                 assert g.entries.tobytes() == want.tobytes()
-                assert g.basis_labels == labels
+                assert g.basis_labels == metrics._quotient_labels(sig.n)
 
 
 @pytest.mark.filterwarnings("error")
@@ -651,13 +645,12 @@ class TestNonFiniteInput:
         assert info.value.residual == np.inf
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
-    @pytest.mark.parametrize("metric", [induced_metric, cotangent_metric_qtilde])
-    def test_a_non_finite_basis_column_is_not_tangent(self, metric, bad):
+    def test_a_non_finite_basis_column_is_not_tangent(self, bad):
         x = sample_cone_point(SIG22, 1)
         basis = list(quotient_basis(x))
         basis[1] = vec(SIG22, 1, bad, 0, 1)
         with pytest.raises(TangencyError) as info:
-            metric(x, basis=basis)
+            induced_metric(x, basis=basis)
         assert info.value.residual == np.inf
         assert str(info.value) == "basis vector 1 has tangency residual inf at x"
 
