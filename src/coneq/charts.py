@@ -223,6 +223,11 @@ class ChartFrame:
     def signature(self) -> Signature:
         return self.x.signature
 
+    @functools.cached_property
+    def _x_norm(self) -> float:
+        """||x||, read once per chart by kappa0 and chart_inverse."""
+        return self.x.vector.norm()
+
     def witt_plus(self) -> CVector:
         """e_1 = x/2 + u."""
         return 0.5 * self.x.vector + self.u
@@ -276,10 +281,10 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
         raise NotIsotropicError(f"chart point r = {r}, y = {coords} is not finite")
     y = _owned(chart._columns[:, 1:] @ coords, sig)
     beta = complex(-0.5 * form_eval(y, y).real, r)
-    vec = y + chart.u + beta * chart.x.vector
-    out = ConePoint(vec, tol=1e-10)
+    vec = y.components + chart.u.components + chart.x.components * beta
+    out = ConePoint(_owned(vec, sig), tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
-    certify(abs(pairing - 1.0) / (chart.x.vector.norm() * vec.norm()), 1e-10,
+    certify(abs(pairing - 1.0) / (chart._x_norm * out.vector.norm()), 1e-10,
             InternalContractError,
             "chart normalization f(x, kappa0) = {pairing:.15g} != 1", pairing=pairing)
     return out
@@ -316,10 +321,10 @@ class InAperp:
 IN_APERP = InAperp()
 
 
-def _frame_coords(chart: ChartFrame, v: CVector) -> tuple[complex, np.ndarray]:
-    """f(v, u) and the coordinates eta_j f(v, m_j) of v along mu_basis."""
+def _frame_coords(chart: ChartFrame, v: np.ndarray) -> tuple[complex, np.ndarray]:
+    """f(v, u) and the coordinates eta_j f(v, m_j) along mu_basis, v an array."""
     sig = chart.signature
-    pairings = _gram(v.components, chart._columns, sig)
+    pairings = _gram(v, chart._columns, sig)
     return complex(pairings[0]), sig.eta[1:-1] * pairings[1:]
 
 
@@ -335,12 +340,11 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     every bit of the result.
     """
     bv = _balanced(_as_vector(b))
-    xv = chart.x.vector
-    pairing = form_eval(bv, xv)
+    pairing = form_eval(bv, chart.x.vector)
     b_norm = bv.norm()
-    if abs(pairing) <= tol * b_norm * xv.norm():
+    if abs(pairing) <= tol * b_norm * chart._x_norm:
         return IN_APERP
-    bp = bv * (1.0 / pairing)
+    bp = bv.components * (1.0 / pairing)
     beta, y = _frame_coords(chart, bp)
     # ||b'|| = ||b|| / |f(b, x)| reaches 1e154 on a chart centred near
     # ||x|| = 1e-154; the drift is then summed on b' times _pow2_scale(||b'||).
@@ -348,7 +352,7 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     drift, ys, bs = ((beta.real, y, bp) if s == 1.0
                      else (beta.real * s * s, y * s, bp * s))
     fyy = float(np.add.reduce(chart.signature.eta[1:-1] * np.abs(ys) ** 2))
-    certify(abs(drift + 0.5 * fyy) / bs.norm() ** 2, 1e-6, InternalContractError,
+    certify(abs(drift + 0.5 * fyy) / float(_norm(bs)) ** 2, 1e-6, InternalContractError,
             "recovered Re(beta) deviates from -f(y,y)/2 by {residual:.3e} "
             "relative to ||b'||^2")
     return float(beta.imag), y
@@ -390,7 +394,7 @@ def aperp_classify(chart: ChartFrame, b, tol: float = DEFAULT_TOL) -> AperpClass
         raise NotInAperpError(
             "point is not orthogonal to the chart center at tolerance"
         )
-    alpha, m = _frame_coords(chart, bv)
+    alpha, m = _frame_coords(chart, bv.components)
     total = np.sqrt(abs(alpha) ** 2 + float(np.sum(np.abs(m) ** 2)))
     if total == 0.0:
         raise NotInAperpError("zero coordinates in the boundary chart")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, inf, lcm, ldexp, sqrt, ulp
 
 import numpy as np
@@ -178,6 +178,13 @@ class QVector:
     def scale(self, factor) -> "QVector":
         return _combine(((_coerce(factor), self),), self.signature)
 
+    @cached_property
+    def _support(self) -> tuple[tuple[int, int, int, int], ...]:
+        """(j, re[j], im[j], eta_j) at each nonzero entry j; not a field."""
+        p = self.signature.p
+        return tuple((j, c, e, 1 if j < p else -1)
+                     for j, (c, e) in enumerate(zip(self.re, self.im)) if c or e)
+
     def is_zero(self) -> bool:
         return not any(self.re) and not any(self.im)
 
@@ -198,22 +205,21 @@ def _vector(re, im, den: int, sig: Signature, vec: QVector | None = None) -> QVe
 
 def _combine(terms, sig: Signature) -> QVector:
     """sum z v over (z, v) in terms, each z a QGaussian, as integers over the
-    lcm of the products z.d * v.den.  Zero entries are skipped, so a term on
-    a basis vector costs one multiply-add."""
+    lcm of the products z.d * v.den.  Each term runs over v's support, so a
+    term on a basis vector costs one multiply-add."""
     den = lcm(*(z.d * v.den for z, v in terms))
     re, im = [0] * sig.n, [0] * sig.n
     for z, v in terms:
         s = den // (z.d * v.den)
         a, b = z.a * s, z.b * s
-        for j, (c, e) in enumerate(zip(v.re, v.im)):
-            if c or e:
-                re[j] += a * c - b * e
-                im[j] += a * e + b * c
+        for j, c, e, _ in v._support:
+            re[j] += a * c - b * e
+            im[j] += a * e + b * c
     return _vector(re, im, den, sig)
 
 
 def _check_sig(u: QVector, v: QVector):
-    if u.signature != v.signature:
+    if u.signature is not v.signature and u.signature != v.signature:
         raise SignatureMismatchError(f"signature mismatch: {u.signature} vs {v.signature}")
 
 
@@ -225,18 +231,14 @@ def exact_basis_vector(sig: Signature, index: int) -> QVector:
 
 def _pairing(u: QVector, v: QVector) -> tuple[int, int, int]:
     """f(u, v) as (a, b, d) with f = (a + b i) / d: integer multiply-adds
-    over the product of the two denominators, one per nonzero entry of v."""
+    over the product of the two denominators, one per entry of v's support."""
     _check_sig(u, v)
-    p = u.signature.p
+    ure, uim = u.re, u.im
     re = im = 0
-    for j, (a, b, c, d) in enumerate(zip(u.re, u.im, v.re, v.im)):
-        if c or d:
-            if j < p:
-                re += a * c + b * d
-                im += b * c - a * d
-            else:
-                re -= a * c + b * d
-                im -= b * c - a * d
+    for j, c, d, eta in v._support:
+        a, b = (ure[j], uim[j]) if eta > 0 else (-ure[j], -uim[j])
+        re += a * c + b * d
+        im += b * c - a * d
     return re, im, u.den * v.den
 
 

@@ -31,6 +31,7 @@ from coneq import (
     sample_aperp_point,
     sample_cone_point,
 )
+from coneq.core import _pow2_scale
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -288,6 +289,89 @@ class TestFrameMatchesReference:
             assert np.shares_memory(v.components, chart._columns)
             with pytest.raises(ValueError):
                 v.components[0] = 0.0
+
+
+def _reference_kappa0(chart, r, y_coords):
+    """kappa0 in CVector arithmetic, f(y, y) through form_eval."""
+    sig = chart.signature
+    coords = np.asarray(y_coords, dtype=np.complex128).reshape(-1)
+    y = CVector(chart._columns[:, 1:] @ coords, sig)
+    beta = complex(-0.5 * form_eval(y, y).real, float(r))
+    vec = y + chart.u + beta * chart.x.vector
+    out = ConePoint(vec, tol=1e-10)
+    pairing = form_eval(chart.x.vector, out.vector)
+    assert abs(pairing - 1.0) / (chart.x.vector.norm() * vec.norm()) <= 1e-10
+    return out
+
+
+def _reference_chart_inverse(chart, b, tol=1e-9):
+    """chart_inverse in CVector arithmetic: b at a power-of-two scale, b'
+    = b / f(b, x), its frame pairings, and the drift summed at the scale of
+    ||b'||."""
+    sig = chart.signature
+    bv = b.vector if isinstance(b, ConePoint) else b
+    s = _pow2_scale(float(np.abs(bv.components).max()))
+    if s != 1.0:
+        bv = bv * s
+    xv = chart.x.vector
+    pairing = form_eval(bv, xv)
+    b_norm = bv.norm()
+    if abs(pairing) <= tol * b_norm * xv.norm():
+        return IN_APERP
+    bp = bv * (1.0 / pairing)
+    pairings = bp.components @ (sig.eta[:, None] * chart._columns.conj())
+    beta, y = complex(pairings[0]), sig.eta[1:-1] * pairings[1:]
+    s = _pow2_scale(b_norm / abs(pairing))
+    drift, ys, bs = ((beta.real, y, bp) if s == 1.0
+                     else (beta.real * s * s, y * s, bp * s))
+    fyy = float(np.add.reduce(sig.eta[1:-1] * np.abs(ys) ** 2))
+    assert abs(drift + 0.5 * fyy) / bs.norm() ** 2 <= 1e-6
+    return float(beta.imag), y
+
+
+class TestChartMapsMatchReference:
+    """kappa0 and chart_inverse write the same bits, signed zeros included,
+    as the CVector reference: at every signature up to (5,5), for b rescaled
+    by 2^k, |k| <= 1000, and for b on or near the boundary stratum."""
+
+    @staticmethod
+    def assert_same_point(got, want):
+        assert got.components.tobytes() == want.components.tobytes()
+        assert got.isotropy_residual == want.isotropy_residual
+
+    @staticmethod
+    def assert_same_coords(chart, b, tol=1e-9):
+        want = _reference_chart_inverse(chart, b, tol)
+        got = chart_inverse(chart, b, tol)
+        if want is IN_APERP:
+            assert got is IN_APERP
+            return
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("p", range(1, 6))
+    @pytest.mark.parametrize("q", range(1, 6))
+    def test_bit_for_bit(self, p, q):
+        sig = Signature(p, q)
+        k = sig.n - 2
+        for seed in range(3):
+            rng = make_rng(seed, 14)
+            chart = make_chart(sample_cone_point(sig, seed))
+            for scale in (1e-6, 1.0, 1e6):
+                r = float(scale * rng.standard_normal())
+                y = scale * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+                out = kappa0(chart, r, y)
+                self.assert_same_point(out, _reference_kappa0(chart, r, y))
+                self.assert_same_coords(chart, out, tol=0.0)
+            b = sample_cone_point(sig, seed + 20).vector
+            for e in (-1000, -999, -500, -1, 0, 1, 500, 999, 1000):
+                self.assert_same_coords(chart, CVector(b.components * 2.0**e, sig))
+            # On the boundary stratum, and near it, where ||b'|| is large.
+            self.assert_same_coords(chart, sample_aperp_point(chart, seed))
+            self.assert_same_coords(chart, chart.x)
+            self.assert_same_coords(chart, chart.x.vector + 1e-10 * chart.u, tol=0.0)
+            self.assert_same_coords(chart, kappa0(chart, 1e12, np.full(k, 1 + 1j)),
+                                    tol=0.0)
 
 
 class TestKappa:

@@ -45,6 +45,8 @@ fractions = st.builds(
     st.integers(min_value=1, max_value=12),
 )
 gaussians = st.builds(QGaussian, fractions, fractions)
+# About half the entries zero, so vectors with sparse support are common.
+sparse_gaussians = st.one_of(st.just(QGaussian(0)), gaussians)
 
 
 def qvec(sig, *values):
@@ -282,7 +284,8 @@ big_gaussians = st.builds(QGaussian, big_fractions, big_fractions)
 @st.composite
 def vector_pairs(draw):
     sig = Signature(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    comps = st.lists(big_gaussians, min_size=sig.n, max_size=sig.n)
+    entries = st.one_of(st.just(QGaussian(0)), big_gaussians)
+    comps = st.lists(entries, min_size=sig.n, max_size=sig.n)
     return sig, draw(comps), draw(comps)
 
 
@@ -297,6 +300,8 @@ class TestIntegerRepresentation:
             re += sign * (a.re * b.re + a.im * b.im)
             im += sign * (a.im * b.re - a.re * b.im)
         assert exact_form_eval(QVector(us, sig), QVector(vs, sig)) == QGaussian(re, im)
+        assert QVector(us, sig) + QVector(vs, sig) == QVector(
+            [a + b for a, b in zip(us, vs)], sig)
 
     @settings(max_examples=200, deadline=None)
     @given(big_gaussians, big_gaussians, big_fractions)
@@ -458,8 +463,8 @@ CHARTS = {
 @st.composite
 def chart_points(draw):
     sig = Signature(draw(st.integers(1, 5)), draw(st.integers(1, 5)))
-    y = draw(st.lists(gaussians, min_size=sig.n - 2, max_size=sig.n - 2))
-    b = draw(st.lists(gaussians, min_size=sig.n, max_size=sig.n))
+    y = draw(st.lists(sparse_gaussians, min_size=sig.n - 2, max_size=sig.n - 2))
+    b = draw(st.lists(sparse_gaussians, min_size=sig.n, max_size=sig.n))
     return sig, draw(fractions), y, QVector(b, sig)
 
 
