@@ -31,6 +31,7 @@ from .core import (
     _norm,
     _owned,
     _pow2_scale,
+    _stream,
     form_eval,
     make_rng,
 )
@@ -269,7 +270,9 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     point (r, y); certified with f(kappa0, kappa0) = 0 and f(x, kappa0) = 1
     at tolerance 1e-10, relative to ||kappa0||^2 and to ||x|| ||kappa0||
     (at least 1 by Cauchy-Schwarz), since the rounding grows like |y|^2.
-    A non-finite r or y raises NotIsotropicError before any arithmetic."""
+    A non-finite r or y raises NotIsotropicError before any arithmetic, and
+    so does an f(y, y) or r for which beta x would overflow, before the
+    representative is formed."""
     sig = chart.signature
     coords = np.asarray(y_coords, dtype=np.complex128).reshape(-1)
     if coords.shape != (sig.n - 2,):
@@ -280,7 +283,14 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     if not (math.isfinite(r) and np.isfinite(coords).all()):
         raise NotIsotropicError(f"chart point r = {r}, y = {coords} is not finite")
     y = _owned(chart._columns[:, 1:] @ coords, sig)
-    beta = complex(-0.5 * form_eval(y, y).real, r)
+    fyy = form_eval(y, y).real
+    beta = complex(-0.5 * fyy, r)
+    # |beta x_j| <= (|Re beta| + |Im beta|) ||x||; twice that bound finite
+    # leaves room to add y + u, whose entries are below sqrt(|f(y, y)|).
+    if not math.isfinite((abs(beta.real) + abs(beta.imag)) * 2.0 * chart._x_norm):
+        raise NotIsotropicError(
+            f"chart point r = {r}, y = {coords}: f(y, y) = {fyy:.6g} puts "
+            f"(-f(y, y)/2 + r i) x past the float range")
     vec = y.components + chart.u.components + chart.x.components * beta
     out = ConePoint(_owned(vec, sig), tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
@@ -421,17 +431,18 @@ def _boundary_point(chart: ChartFrame, alpha: complex, mp, mm) -> ConePoint:
     return ConePoint(CVector(alpha * chart.x.components + mids, chart.signature))
 
 
-def sample_aperp_point(chart: ChartFrame, seed: int,
+def sample_aperp_point(chart: ChartFrame, seed: int | np.random.Generator,
                        apex_probability: float = 0.1) -> ConePoint:
-    """Deterministic isotropic sample orthogonal to the chart center.
+    """Isotropic sample orthogonal to the chart center.
 
     With probability apex_probability the sample is a multiple of the center
     (the apex class); otherwise the middle blocks are drawn complex-normal
     and the negative block is rescaled to restore isotropy.  Signatures with
-    p = 1 or q = 1 only admit apex points.
+    p = 1 or q = 1 only admit apex points.  An int seed draws from
+    make_rng(seed, 3); a Generator is drawn from in place.
     """
     sig = chart.signature
-    rng = make_rng(seed, 3)
+    rng = _stream(seed, 3)
     alpha = rng.standard_normal() + 1j * rng.standard_normal()
     apex_only = sig.p < 2 or sig.q < 2
     if apex_only or rng.uniform() < apex_probability:

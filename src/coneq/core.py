@@ -53,6 +53,14 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+def _stream(seed: int | np.random.Generator, *path: int) -> np.random.Generator:
+    """The stream a seeded sampler draws from: seed itself when it is a
+    Generator, drawn from in place, else make_rng(seed, *path)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return make_rng(seed, *path)
+
+
 @dataclass(frozen=True)
 class Signature:
     """Signature (p, q) of an indefinite Hermitian space, p, q >= 1."""
@@ -153,15 +161,28 @@ def _check_same_signature(u, v):
 
 
 def _norm(a: np.ndarray) -> np.float64:
-    """2-norm of a 1-D real or complex array, bit-identical to
-    np.linalg.norm(a): the same dot products on the same raveled array,
-    without the wrapper's dispatch.  The np.float64 result keeps numpy's
-    scalar arithmetic (inf, not an exception, on overflow)."""
+    """2-norm of a real or complex array, right at every finite scale.
+
+    In range it is np.linalg.norm(a) bit for bit: the same sums of squares
+    on the same raveled array, taken by np.vdot, which unlike ndarray.dot
+    does not warn when a sum overflows.  When the sum is below 1e-290 (above
+    it, a subnormal square is off by under 2^-59 of the sum's last place)
+    or inf, and every entry is finite, it is taken again on a times
+    _pow2_balance(max|a_j|) and the scale undone, so a rescale by 2^k keeps
+    every bit of a normal result.  In range that costs one comparison."""
     a = a.ravel(order="K")
     if a.dtype.kind == "c":
         re, im = a.real, a.imag
-        return np.float64(math.sqrt(re.dot(re) + im.dot(im)))
-    return np.float64(math.sqrt(a.dot(a)))
+        ss = float(np.vdot(re, re)) + float(np.vdot(im, im))
+    else:
+        ss = float(np.vdot(a, a))
+    if not 1e-290 <= ss < math.inf:
+        top = float(np.abs(a).max()) if a.size else 0.0
+        if 0.0 < top < math.inf:
+            # The balanced array's sum is in range: one level of recursion.
+            s = _pow2_balance(top)
+            return np.float64(float(_norm(a * s)) / s)
+    return np.float64(math.sqrt(ss))
 
 
 def basis_vector(sig: Signature, index: int) -> CVector:
@@ -217,6 +238,12 @@ def _pow2_scale(top: float) -> float:
     wherever the unscaled one is a normal float."""
     if 1e-153 < top < 1e150:
         return 1.0
+    return _pow2_balance(top)
+
+
+def _pow2_balance(top: float) -> float:
+    """2^-e for top = m 2^e, 0.5 <= m < 1, at most 2^1023: the power of two
+    that brings top into [0.5, 1) (or above 2^-52 from a subnormal top)."""
     return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
@@ -311,10 +338,12 @@ def verify_isometry(u: GroupElement, tol: float = DEFAULT_TOL) -> bool:
     return _pseudo_unitarity_residual(u.matrix, u.signature) <= tol
 
 
-def sample_cone_point(sig: Signature, seed: int) -> ConePoint:
-    """Deterministic isotropic sample: unit complex-normal directions on the
-    positive and negative blocks, then a common log-normal scale and phase."""
-    rng = make_rng(seed)
+def sample_cone_point(sig: Signature, seed: int | np.random.Generator) -> ConePoint:
+    """Isotropic sample: unit complex-normal directions on the positive and
+    negative blocks, then a common log-normal scale and phase.  An int seed
+    draws from make_rng(seed), so it gives the same point on every call; a
+    Generator is drawn from in place."""
+    rng = _stream(seed)
     p, q = sig.p, sig.q
 
     def unit_block(k):
@@ -329,15 +358,18 @@ def sample_cone_point(sig: Signature, seed: int) -> ConePoint:
     return ConePoint(_owned(c * np.concatenate([xp, xm]), sig), tol=1e-12)
 
 
-def sample_pseudo_unitary(sig: Signature, seed: int) -> GroupElement:
-    """Deterministic pseudo-unitary sample: the Cayley transform
+def sample_pseudo_unitary(sig: Signature,
+                          seed: int | np.random.Generator) -> GroupElement:
+    """Pseudo-unitary sample: the Cayley transform
     U = (I - A/2)^-1 (I + A/2) of A = eta B, B anti-Hermitian.
 
     A^dagger eta + eta A = 0, so U preserves the form in exact arithmetic
     (Iserles et al., Acta Numerica 9, 2000).  A is normalized to Frobenius
     norm 1, so ||A||_2 <= 1 keeps I - A/2 invertible; a zero A gives I.
+    The seed is an int, for make_rng(seed), or a Generator drawn from in
+    place, as in sample_cone_point.
     """
-    rng = make_rng(seed)
+    rng = _stream(seed)
     n = sig.n
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     b = (g - g.conj().T) / 2.0

@@ -118,11 +118,14 @@ def standard_split(sig: Signature) -> Split:
     return Split(tuple(basis_vector(sig, j) for j in range(sig.n)), label="standard")
 
 
-def sample_split(sig: Signature, seed: int) -> Split:
-    """The standard split transported by a sampled pseudo-unitary map."""
+def sample_split(sig: Signature, seed: int | np.random.Generator) -> Split:
+    """The standard split transported by sample_pseudo_unitary(sig, seed),
+    labelled "transported-<seed>" for an int seed and "transported" for a
+    Generator, which is drawn from in place."""
     u = sample_pseudo_unitary(sig, seed)
     basis = tuple(CVector(u.matrix[:, j], sig) for j in range(sig.n))
-    return Split(basis, label=f"transported-{seed}")
+    stream = isinstance(seed, np.random.Generator)
+    return Split(basis, label="transported" if stream else f"transported-{seed}")
 
 
 def split_decompose(x, split: Split | None = None) -> tuple[CVector, CVector, float]:

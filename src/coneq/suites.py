@@ -5,8 +5,9 @@ reports pass/fail counts plus the worst residual seen.  A suite is one
 trial function trial(sig, rng, tol) -> (ok, residual, detail); run_suite
 runs it once per trial and gives trial k the generator
 make_rng(seed, p, q, k), an independent substream of the seed for the
-signature (p, q).  Reports are therefore reproducible byte for byte
-(timing aside).
+signature (p, q).  That one stream feeds everything the trial draws: its
+own numbers and the samplers, which take the Generator in place of an int
+seed.  Reports are therefore reproducible byte for byte (timing aside).
 """
 
 from __future__ import annotations
@@ -66,15 +67,6 @@ class RunReport:
         return asdict(self)
 
 
-def _seed(rng) -> int:
-    """A seed for the library's seeded samplers, drawn from the trial stream."""
-    return int(rng.integers(0, 2**32))
-
-
-def _cone_point(sig: Signature, rng) -> ConePoint:
-    return sample_cone_point(sig, _seed(rng))
-
-
 def _random_vector(sig: Signature, rng) -> CVector:
     return CVector(
         rng.standard_normal(sig.n) + 1j * rng.standard_normal(sig.n), sig
@@ -124,7 +116,7 @@ def _sesquilinearity(sig, rng, tol):
 
 
 def _unitary_invariance(sig, rng, tol):
-    u = sample_pseudo_unitary(sig, _seed(rng))
+    u = sample_pseudo_unitary(sig, rng)
     x = _random_vector(sig, rng)
     y = _random_vector(sig, rng)
     val = form_eval(x, y)
@@ -134,7 +126,7 @@ def _unitary_invariance(sig, rng, tol):
 
 
 def _cone_sampler(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     xp, xm, _ = quotients.split_decompose(x)
     res = max(x.isotropy_residual, abs(xp.norm() - xm.norm()) / x.vector.norm())
     return res <= tol, res, {}
@@ -144,7 +136,7 @@ def _cone_sampler(sig, rng, tol):
 
 
 def _cross_section(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     ray = quotients.canonicalize_ray(x)
     res = max(abs(ray.plus_norm - 1.0), abs(ray.minus_norm - 1.0))
     if quotients.canonicalize_ray(ray) is not ray:
@@ -161,11 +153,11 @@ def _cross_section(sig, rng, tol):
 
 def _sphere_chart(sig, rng, tol):
     split = (
-        quotients.sample_split(sig, _seed(rng))
+        quotients.sample_split(sig, rng)
         if rng.integers(2)
         else quotients.standard_split(sig)
     )
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     ray = quotients.canonicalize_ray(x, split)
     sp = ray.sphere_plus()
     sm = ray.sphere_minus()
@@ -180,7 +172,7 @@ def _sphere_chart(sig, rng, tol):
 
 
 def _phase_retraction(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     rep = quotients.canonicalize_phase(x)
     piv = rep.components[rep.pivot_index]
     res = abs(piv.imag) / abs(piv)
@@ -199,7 +191,7 @@ def _phase_retraction(sig, rng, tol):
 
 
 def _u1_action(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     theta = float(rng.uniform(0, 2 * np.pi))
     shifted = ConePoint(np.exp(1j * theta) * x.vector)
     if sig == Signature(1, 1):
@@ -218,7 +210,7 @@ def _u1_action(sig, rng, tol):
 
 
 def _metric_scaling(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     basis = metrics.quotient_basis(x)
     g = metrics.induced_metric(x)
     scale = float(np.max(np.abs(g.entries)))
@@ -235,7 +227,7 @@ def _metric_scaling(sig, rng, tol):
 
 
 def _radical(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
     z = tangent @ rng.standard_normal(tangent.shape[1])
     res = float(np.max(metrics._tangency_residuals(
@@ -246,13 +238,13 @@ def _radical(sig, rng, tol):
 
 
 def _metric_signature(sig, rng, tol):
-    g = metrics.induced_metric(_cone_point(sig, rng))
+    g = metrics.induced_metric(sample_cone_point(sig, rng))
     ok = g.signature == (2 * sig.p - 1, 2 * sig.q - 1, 0)
     return ok, 0.0 if ok else 1.0, {"signature": list(g.signature)}
 
 
 def _lift_independence(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     basis = metrics._quotient_columns(x)
     cv, cw = rng.standard_normal((2, basis.shape[1]))
     v = CVector(basis @ cv, sig)
@@ -266,15 +258,15 @@ def _lift_independence(sig, rng, tol):
 
 
 def _conformal_class(sig, rng, tol):
-    x = _cone_point(sig, rng)
-    other = quotients.sample_split(sig, _seed(rng))
+    x = sample_cone_point(sig, rng)
+    other = quotients.sample_split(sig, rng)
     factor, res = metrics.conformal_factor(x, quotients.standard_split(sig), other)
     return (factor > 0 and res <= tol), res, {"factor": factor}
 
 
 def _cometric_rank(sig, rng, tol):
     n = sig.n
-    co = metrics.cotangent_metric_qtilde(_cone_point(sig, rng))
+    co = metrics.cotangent_metric_qtilde(sample_cone_point(sig, rng))
     want_rank = 2 * n - 4 if n >= 3 else 0
     ok = co.rank == want_rank and co.signature[2] == 1
     res = 0.0
@@ -291,7 +283,7 @@ def _cometric_rank(sig, rng, tol):
 
 
 def _skew_form(sig, rng, tol):
-    x = quotients.canonicalize_ray(_cone_point(sig, rng)).point
+    x = quotients.canonicalize_ray(sample_cone_point(sig, rng)).point
     tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
     coeffs = rng.standard_normal((2, tangent.shape[1]))
     va = CVector(tangent @ coeffs[0], sig)
@@ -313,7 +305,7 @@ def _skew_form(sig, rng, tol):
 
 
 def _witt_extension(sig, rng, tol):
-    x = _cone_point(sig, rng)
+    x = sample_cone_point(sig, rng)
     basis = _columns(charts.extend_to_witt_basis(x))
     res = float(np.max(np.abs(_gram(basis, basis, sig) - np.diag(sig.eta))))
     rebuilt = basis[:, 0] + basis[:, -1]
@@ -323,7 +315,7 @@ def _witt_extension(sig, rng, tol):
 
 
 def _kappa_certificates(sig, rng, tol):
-    chart = charts.make_chart(_cone_point(sig, rng))
+    chart = charts.make_chart(sample_cone_point(sig, rng))
     r, y = _float_input(sig, rng)
     point = charts.kappa0(chart, r, y)
     res = max(
@@ -334,7 +326,7 @@ def _kappa_certificates(sig, rng, tol):
 
 
 def _kappa_roundtrip(sig, rng, tol):
-    chart = charts.make_chart(_cone_point(sig, rng))
+    chart = charts.make_chart(sample_cone_point(sig, rng))
     r, y = _float_input(sig, rng)
     back = charts.chart_inverse(chart, charts.kappa0(chart, r, y))
     if back is charts.IN_APERP:
@@ -344,7 +336,7 @@ def _kappa_roundtrip(sig, rng, tol):
         abs(r2 - r) / max(1.0, abs(r)),
         float(_norm(y2 - y)) / max(1.0, float(_norm(y))),
     )
-    b = _cone_point(sig, rng)
+    b = sample_cone_point(sig, rng)
     inv = charts.chart_inverse(chart, b)
     if inv is not charts.IN_APERP:
         rb, yb = inv
@@ -354,11 +346,11 @@ def _kappa_roundtrip(sig, rng, tol):
 
 
 def _chart_domain(sig, rng, tol):
-    chart = charts.make_chart(_cone_point(sig, rng))
-    boundary = charts.sample_aperp_point(chart, _seed(rng))
+    chart = charts.make_chart(sample_cone_point(sig, rng))
+    boundary = charts.sample_aperp_point(chart, rng)
     if charts.chart_inverse(chart, boundary) is not charts.IN_APERP:
         return False, 1.0, {"check": "boundary point not flagged"}
-    interior = _cone_point(sig, rng)
+    interior = sample_cone_point(sig, rng)
     pairing = abs(form_eval(interior.vector, chart.x.vector))
     scale = interior.vector.norm() * chart.x.vector.norm()
     if pairing > 1e-6 * scale:
@@ -371,8 +363,8 @@ def _chart_domain(sig, rng, tol):
 
 
 def _aperp_partition(sig, rng, tol):
-    chart = charts.make_chart(_cone_point(sig, rng))
-    b = charts.sample_aperp_point(chart, _seed(rng), apex_probability=0.3)
+    chart = charts.make_chart(sample_cone_point(sig, rng))
+    b = charts.sample_aperp_point(chart, rng, apex_probability=0.3)
     cls = charts.aperp_classify(chart, b)
     res = 0.0
     if cls.kind == "Apex":
@@ -392,7 +384,7 @@ def _aperp_partition(sig, rng, tol):
             float(_norm(cls2.plus_coords - cls.plus_coords)),
             float(_norm(cls2.minus_coords - cls.minus_coords)),
         )
-    interior = _cone_point(sig, rng)
+    interior = sample_cone_point(sig, rng)
     pairing = abs(form_eval(interior.vector, chart.x.vector))
     if pairing > 1e-6 * interior.vector.norm() * chart.x.vector.norm():
         try:
@@ -535,7 +527,8 @@ def run_suite(name: str, signature: Signature | None = None,
               tol: float | None = None) -> list[RunReport]:
     """Run one named suite, one report per signature.
 
-    Trial k draws from make_rng(seed, p, q, k).  A trial that raises a
+    Trial k draws from make_rng(seed, p, q, k), the one generator it
+    builds; its samplers draw from that stream too.  A trial that raises a
     QuadricError fails with residual inf; the other trials still run.
     Fewer than one trial is a ValueError, so no report is ok unchecked.
     """

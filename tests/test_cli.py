@@ -188,6 +188,39 @@ class TestChart:
         assert "--y expects" in err
 
 
+class TestChartUnderWarningFilter:
+    """chart forward at large coordinates, in a process that turns numpy's
+    RuntimeWarning into an error: the only stderr line is the summary or one
+    error: line."""
+
+    @staticmethod
+    def _run(*argv):
+        src = str(Path(coneq.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "coneq.cli", "chart", "forward",
+                               "--sig", "2,2", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        return proc.returncode, proc.stdout, proc.stderr.splitlines()
+
+    @pytest.mark.parametrize("argv", [("--r", "1e200", "--y", "0.5,0,0.25,0"),
+                                      ("--r", "0.5", "--y", "1e80,0,0,0")])
+    def test_large_coordinates_are_evaluated(self, argv):
+        code, out, err = self._run(*argv)
+        assert code == 0
+        assert len(err) == 1 and err[0].startswith("chart forward at r="), err
+        point = json.loads(out)["kappa0"]
+        assert point["isotropy_residual"] <= 1e-10
+
+    def test_an_overflowing_f_of_y_is_a_usage_error(self):
+        code, out, err = self._run("--r", "0.5", "--y", "1e160,0,0,0")
+        assert code == 2
+        assert out == ""
+        assert len(err) == 1 and err[0].startswith("error: NotIsotropicError"), err
+        assert "f(y, y) = inf" in err[0]
+
+
 class TestMetric:
     def test_epsilon_frame(self, capsys):
         code, payload, _ = run_json(

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -18,9 +19,12 @@ from coneq import (
     Split,
     basis_vector,
     form_eval,
+    make_chart,
     make_rng,
+    sample_aperp_point,
     sample_cone_point,
     sample_pseudo_unitary,
+    sample_split,
     verify_isometry,
 )
 from coneq.core import _gram, _norm, _pseudo_unitarity_residual
@@ -402,10 +406,52 @@ class TestNormKernels:
     def test_norm_matches_numpy_bit_for_bit(self, parts, complex_valued, exponent):
         re, im = parts
         a = (re + 1j * im if complex_valued else re) * 10.0**exponent
-        assert _norm(a) == np.linalg.norm(a)
         assert type(_norm(a)) is np.float64
         # A strided view goes through numpy's ravel copy, as in linalg.norm.
-        assert _norm(a[::2]) == np.linalg.norm(a[::2])
+        for v in (a, a[::2]):
+            top = float(np.abs(v).max()) if v.size else 0.0
+            if top == 0.0 or 1e-140 < top < 1e150:
+                # numpy's sum of squares is in range: the same bits.
+                assert _norm(v) == np.linalg.norm(v)
+            else:
+                # Past it numpy's sum reads 0 or inf; _norm is numpy's norm of
+                # the power-of-two-balanced array, scaled back.
+                s = math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
+                assert _norm(v) == np.linalg.norm(v * s) / s
+
+
+ALL_SIGNATURES = [Signature(p, q) for p in range(1, 6) for q in range(1, 6)]
+
+
+class TestSamplersTakeAStream:
+    """A sampler given the Generator make_rng(s) (make_rng(s, 3) for boundary
+    points) draws exactly what it draws from the int seed s."""
+
+    @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
+    def test_int_seed_is_its_stream(self, sig):
+        chart = make_chart(sample_cone_point(sig, 99))
+        for seed in range(10):
+            assert np.array_equal(sample_cone_point(sig, make_rng(seed)).components,
+                                  sample_cone_point(sig, seed).components)
+            assert np.array_equal(sample_pseudo_unitary(sig, make_rng(seed)).matrix,
+                                  sample_pseudo_unitary(sig, seed).matrix)
+            for apex in (0.1, 0.5):
+                assert np.array_equal(
+                    sample_aperp_point(chart, make_rng(seed, 3), apex).components,
+                    sample_aperp_point(chart, seed, apex).components)
+
+    def test_a_stream_is_drawn_from_in_place(self):
+        rng = make_rng(4)
+        first = sample_cone_point(SIG22, rng)
+        second = sample_cone_point(SIG22, rng)
+        assert not np.array_equal(first.components, second.components)
+        assert np.array_equal(first.components, sample_cone_point(SIG22, 4).components)
+
+    def test_split_label_names_an_int_seed_only(self):
+        assert sample_split(SIG22, 7).label == "transported-7"
+        assert sample_split(SIG22, make_rng(7)).label == "transported"
+        assert np.array_equal(sample_split(SIG22, make_rng(7)).matrix,
+                              sample_split(SIG22, 7).matrix)
 
 
 class TestVerifyIsometry:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from coneq import (
     IN_APERP,
     ConePoint,
+    NotIsotropicError,
     Signature,
     aperp_classify,
     canonicalize_phase,
@@ -33,6 +34,7 @@ from coneq import (
     sample_split,
     standard_split,
 )
+from coneq.core import _norm
 
 signatures = st.sampled_from(
     [Signature(1, 1), Signature(1, 2), Signature(2, 2), Signature(2, 3),
@@ -159,3 +161,42 @@ def test_quotient_metrics_are_right_at_every_scale(sig):
             assert g.signature == (2 * sig.p - 1, 2 * sig.q - 1, 0), k
             co = cotangent_metric_qtilde(x)
             assert (co.rank, co.signature[2]) == (want_rank, 1), k
+
+
+def test_norm_keeps_every_bit_under_power_of_two_rescale():
+    # _norm(2^k a) == 2^k _norm(a) wherever that is a normal float, with no
+    # warning: numpy's own sum of squares overflows from about k = 510 and
+    # underflows from about k = -540.
+    arrays = []
+    for sig in (Signature(1, 1), Signature(2, 3), Signature(5, 5)):
+        c = sample_cone_point(sig, 4).components
+        arrays += [c, c.real, c[::2], np.concatenate([c.imag, [0.0]])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in arrays:
+            base = _norm(a)
+            for k in range(-1000, 1001):
+                lam = math.ldexp(1.0, k)
+                want = base * lam
+                if not np.array_equal((a * lam) / lam, a) or want < 2.0**-1022:
+                    continue
+                assert _norm(a * lam) == want, k
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 2), Signature(2, 3)], ids=str)
+def test_kappa0_at_large_chart_coordinates(sig):
+    # A large r or y gives a certified point with no numpy warning; an f(y, y)
+    # past the float range is named before the representative is formed.
+    chart = make_chart(sample_cone_point(sig, 4))
+    y = np.zeros(sig.n - 2, dtype=complex)
+    y[0] = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for r, y0 in ((1e200, 0.5), (0.5, 1e80), (1e300, 1e150)):
+            y[0] = y0
+            point = kappa0(chart, r, y)
+            assert np.isfinite(point.components).all()
+            assert point.isotropy_residual <= 1e-10
+        y[0] = 1e160
+        with pytest.raises(NotIsotropicError, match=r"f\(y, y\) = (-?inf|nan) "):
+            kappa0(chart, 0.5, y)

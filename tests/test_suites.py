@@ -1,12 +1,15 @@
 import pytest
 
 from coneq import (
+    charts,
+    core,
     SUITES,
     NotIsotropicError,
     Signature,
     run_many,
     run_suite,
     suite_names,
+    suites,
 )
 from coneq.suites import SuiteDef
 
@@ -118,3 +121,21 @@ def test_every_suite_passes_at_reduced_trials():
     assert bad == [], [
         (rep.suite, rep.signature, rep.counterexample) for rep in bad
     ]
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_one_generator_per_trial(name, monkeypatch):
+    # The trial's stream make_rng(seed, p, q, k) feeds its samplers too.
+    built = []
+    make_rng = core.make_rng
+
+    def counting(seed, *path):
+        built.append((seed, *path))
+        return make_rng(seed, *path)
+
+    for module in (suites, charts):
+        monkeypatch.setattr(module, "make_rng", counting)
+    monkeypatch.setattr(core, "make_rng", counting)
+    rep = run_suite(name, SIG22, trials=4, seed=3)[0]
+    assert rep.ok
+    assert built == [(3, 2, 2, k) for k in range(4)]
