@@ -82,7 +82,7 @@ def _partner(x: ConePoint, v_hint: CVector | None) -> np.ndarray:
     if v_hint is None:
         # v = e_j: f(v, x), f(v, v) and ||v|| to the bit of form_eval and
         # CVector.norm, without their loops over the zero components.
-        j = int(np.argmax(np.abs(c)))
+        j = int(vec._modulus_pass()[0].argmax())
         eta, cj = float(x.signature.eta[j]), complex(c[j])
         v = np.zeros(c.shape[0], dtype=np.complex128)
         v[j] = 1.0
@@ -116,7 +116,7 @@ def _reflection_complement(a: np.ndarray, out: np.ndarray) -> None:
     v = a + (a_j / |a_j|) ||a|| e_j, so that v_j does not cancel (Golub &
     Van Loan, Matrix Computations, 5.1)."""
     mods = np.abs(a)
-    j = int(np.argmax(mods))
+    j = int(mods.argmax())
     # Scale-free; a unit pivot keeps v^H v from overflow and underflow.
     v = a / mods[j]
     v[j] += v[j] * np.sqrt(np.vdot(v, v).real)
@@ -301,10 +301,10 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
 
 
 def _balanced(vec: CVector) -> CVector:
-    """vec times core._pow2_scale(max|vec_j|): the same class, on which
-    pairings and norms neither overflow nor underflow.  A zero or non-finite
-    vec has no class: DegenerateInputError."""
-    top = float(np.abs(vec.components).max())
+    """vec times core._pow2_scale(max|vec_j|), read off vec's kept modulus
+    pass: the same class, on which pairings and norms neither overflow nor
+    underflow.  A zero or non-finite vec has no class: DegenerateInputError."""
+    top = vec._modulus_pass()[1]
     if not 0.0 < top < np.inf:
         raise DegenerateInputError(f"need a nonzero finite vector, max|v_j| = {top}")
     s = _pow2_scale(top)
@@ -416,7 +416,8 @@ def aperp_classify(chart: ChartFrame, b, tol: float = DEFAULT_TOL) -> AperpClass
     s = np.sqrt((s_plus + s_minus) / 2.0)
     m = m / s
     alpha = alpha / s
-    pivot = _pivot_index(m)
+    mags = np.abs(m)
+    pivot = _pivot_index(mags, mags.max())
     gauge = m[pivot] / abs(m[pivot])
     m = m * np.conj(gauge)
     alpha = alpha * np.conj(gauge)

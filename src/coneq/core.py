@@ -135,6 +135,19 @@ class CVector:
         """Euclidean norm (not the indefinite form)."""
         return float(_norm(self.components))
 
+    def _modulus_pass(self) -> tuple[np.ndarray, float]:
+        """(|v_j| read-only, max|v_j|): the one modulus pass over the
+        read-only components, formed the first time a check asks for it
+        (normally ConePoint's certificate) and kept in the instance dict, so
+        every later max-modulus query reads it.  max is nan when a component
+        is, and inf when one is infinite and none nan."""
+        kept = self.__dict__.get("_moduli")
+        if kept is None:
+            mods = np.abs(self.components)
+            mods.flags.writeable = False
+            kept = self.__dict__["_moduli"] = (mods, float(mods.max()))
+        return kept
+
     def to_json(self) -> dict:
         return {
             "signature": self.signature.to_json(),
@@ -249,11 +262,11 @@ def _pow2_balance(top: float) -> float:
 
 def _isotropy_sums(vec: CVector) -> tuple[float, float]:
     """(|f(x, x)|, ||x||^2) for x = vec, each summed once on x times
-    _pow2_scale(max|x_j|).  A zero or non-finite x gives |f(x, x)| = nan
-    with ||x||^2 = 0, inf or nan, on which ConePoint rejects it."""
+    _pow2_scale(max|x_j|), from vec's kept modulus pass.  A zero or
+    non-finite x gives |f(x, x)| = nan with ||x||^2 = 0, inf or nan, on
+    which ConePoint rejects it."""
     c = vec.components
-    absx = np.abs(c)
-    top = float(absx.max())
+    absx, top = vec._modulus_pass()
     if not 0.0 < top < math.inf:
         return math.nan, top
     s = _pow2_scale(top)

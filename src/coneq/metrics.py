@@ -137,11 +137,11 @@ def _quotient_columns(x: ConePoint, s: float = 1.0) -> np.ndarray:
 
 def _balance(x: ConePoint) -> float:
     """s = 2^-e for ||x|| = m 2^e, 1/2 <= m < 1, so that s x has norm m.
-    The norm is taken on x times core._pow2_scale(max|x_j|), where it
-    neither overflows nor underflows; a rescale of x by 2^k keeps s x."""
-    c = x.components
-    t = _pow2_scale(float(np.abs(c).max()))
-    return math.ldexp(t, -math.frexp(float(_norm(c * t)))[1])
+    The norm is taken on x times core._pow2_scale(max|x_j|), from x's kept
+    modulus pass, where it neither overflows nor underflows; a rescale of x
+    by 2^k keeps s x."""
+    t = _pow2_scale(x.vector._modulus_pass()[1])
+    return math.ldexp(t, -math.frexp(float(_norm(x.components * t)))[1])
 
 
 @functools.lru_cache(maxsize=128)
@@ -166,12 +166,22 @@ def quotient_basis(x: ConePoint) -> tuple[CVector, ...]:
 def _tangency_residuals(x: ConePoint, cols: np.ndarray) -> np.ndarray:
     """|Re f(c_j, x)| / (||c_j|| ||x||) for each column c_j of cols, zero
     for a zero column and inf, with no arithmetic on it, for a non-finite
-    one: the one tangency check, bounded by TANGENCY_TOL."""
+    one: the one tangency check, bounded by TANGENCY_TOL.  x and each
+    column are paired and normed times core._pow2_scale of their largest
+    modulus, which leaves the ratio as it is and is 1.0 in range, so no
+    pairing or norm over- or underflows at any finite scale."""
     finite = np.isfinite(cols).all(axis=0)
     if not finite.all():
         return np.where(finite, _tangency_residuals(x, np.where(finite, cols, 0)), np.inf)
-    along_x = np.abs(_gram(x.components, cols, x.signature).real)
-    denom = np.linalg.norm(cols, axis=0) * x.vector.norm()
+    t = _pow2_scale(x.vector._modulus_pass()[1])
+    xc = x.components if t == 1.0 else x.components * t
+    scales = [_pow2_scale(top) for top in np.abs(cols).max(axis=0).tolist()]
+    if any(s != 1.0 for s in scales):
+        cols = cols * np.array(scales)
+    along_x = np.abs(_gram(xc, cols, x.signature).real)
+    # np.linalg.norm(cols, axis=0), without the wrapper's dispatch.
+    norms = np.sqrt(np.add.reduce((cols.conj() * cols).real, axis=0))
+    denom = norms * float(_norm(xc))
     return np.divide(along_x, denom, out=np.zeros_like(along_x), where=denom > 0)
 
 
@@ -181,7 +191,7 @@ _BASIS_MESSAGE = "basis vector {index} has tangency residual {residual:.3e} at x
 def _certify_tangency(residuals: np.ndarray, message: str) -> None:
     """TangencyError, message formatted at the first column whose residual
     is not within TANGENCY_TOL."""
-    index = int(np.argmax(~(residuals <= TANGENCY_TOL)))
+    index = int((~(residuals <= TANGENCY_TOL)).argmax())
     certify(float(residuals[index]), TANGENCY_TOL, TangencyError, message,
             index=index)
 

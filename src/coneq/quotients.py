@@ -12,7 +12,7 @@ positive real axis.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache, cached_property
 
 import numpy as np
@@ -59,10 +59,12 @@ __all__ = [
 class Split:
     """An orthogonal splitting of H_{p,q} into a positive-definite and a
     negative-definite subspace, given by an eta-orthonormal basis listing the
-    positive directions first."""
+    positive directions first.  _identity records whether the basis matrix
+    is exactly I, tested once at construction; the label plays no part."""
 
     basis: tuple[CVector, ...]
     label: str = "standard"
+    _identity: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "basis", tuple(self.basis))
@@ -75,6 +77,8 @@ class Split:
             _check_same_signature(v, self.basis[0])
         certify(_pseudo_unitarity_residual(self.matrix, sig), DEFAULT_TOL,
                 NotIsometryError, "basis Gram deviates from eta by {residual:.3e}")
+        object.__setattr__(self, "_identity",
+                           bool(np.array_equal(self.matrix, np.eye(sig.n))))
 
     @property
     def signature(self) -> Signature:
@@ -96,13 +100,21 @@ class Split:
         return m
 
     def coefficients(self, v: CVector | ConePoint) -> np.ndarray:
-        """Coordinates of v in this basis: c_j = eta_j * f(v, b_j).  A
-        non-finite v has none: DegenerateInputError, before any arithmetic;
-        a ConePoint is finite by its certificate and is not checked again."""
+        """Coordinates of v in this basis, c_j = eta_j * f(v, b_j), as a
+        read-only array.  When the basis matrix is exactly I they are v's
+        components themselves, which equal the product up to the sign of a
+        zero.  A non-finite v has none: DegenerateInputError, before any
+        arithmetic, read off v's kept modulus pass (a ConePoint's was formed
+        by its certificate)."""
         _check_same_signature(v, self.basis[0])
-        if not (isinstance(v, ConePoint) or np.isfinite(v.components).all()):
+        vec = _as_vector(v)
+        if not vec._modulus_pass()[1] < math.inf:
             raise DegenerateInputError("split coordinates need a finite vector")
-        return self.signature.eta * np.dot(v.components, self._pairing)
+        if self._identity:
+            return vec.components
+        c = self.signature.eta * np.dot(vec.components, self._pairing)
+        c.flags.writeable = False
+        return c
 
     def from_coefficients(self, coeffs) -> CVector:
         return CVector(self.matrix @ np.asarray(coeffs, dtype=np.complex128),
@@ -144,19 +156,25 @@ def split_decompose(x, split: Split | None = None) -> tuple[CVector, CVector, fl
     return x_plus, x_minus, r
 
 
-def _ray_scale(vec: CVector | ConePoint, split: Split) -> tuple[np.ndarray, float]:
+def _ray_scale(vec: CVector, split: Split) -> tuple[np.ndarray, float]:
     """Split coefficients c of vec and the scale R = sqrt((|c+|^2 + |c-|^2)/2),
     with the sums and ||vec|| taken once on c and vec times
     core._pow2_scale(max|c_j|); raises DegenerateInputError when c is zero
-    or not finite, or when R <= DEFAULT_TOL * ||vec||."""
+    or not finite, or when R <= DEFAULT_TOL * ||vec||.  Under a split whose
+    matrix is I, c is vec's components: max|c_j| is read off vec's kept
+    modulus pass and ||vec||^2 is |c+|^2 + |c-|^2."""
     coeffs = split.coefficients(vec)
-    top = float(np.abs(coeffs).max())
+    identity = split._identity
+    top = vec._modulus_pass()[1] if identity else float(np.abs(coeffs).max())
     if 0.0 < top < math.inf:
         s = _pow2_scale(top)
-        c, v = (coeffs, vec.components) if s == 1.0 else (s * coeffs, s * vec.components)
+        c = coeffs if s == 1.0 else s * coeffs
         p = split.signature.p
-        r = float(np.sqrt((_norm(c[:p]) ** 2 + _norm(c[p:]) ** 2) / 2.0))
-        if r > DEFAULT_TOL * float(_norm(v)):
+        sum_sq = _norm(c[:p]) ** 2 + _norm(c[p:]) ** 2
+        r = math.sqrt(sum_sq / 2.0)
+        v_norm = (math.sqrt(sum_sq) if identity
+                  else float(_norm(vec.components if s == 1.0 else s * vec.components)))
+        if r > DEFAULT_TOL * v_norm:
             return coeffs, r / s
     raise DegenerateInputError("scale R collapsed below tolerance")
 
@@ -187,11 +205,9 @@ class RayRep:
 
     @cached_property
     def _coefficients(self) -> np.ndarray:
-        """Split coordinates of the point, formed once and read-only; both
+        """Split coordinates of the point, formed once (read-only); both
         sphere accessors are views of it."""
-        c = self.split.coefficients(self.point)
-        c.flags.writeable = False
-        return c
+        return self.split.coefficients(self.point)
 
     def sphere_plus(self) -> np.ndarray:
         """Unit vector in C^p: split coordinates of the positive block."""
@@ -249,7 +265,7 @@ def canonicalize_ray(x, split: Split | None = None) -> RayRep:
 
 
 def _ray_rep(point: ConePoint, split: Split) -> RayRep:
-    _, r = _ray_scale(point, split)
+    _, r = _ray_scale(point.vector, split)
     scaled = ConePoint(point.vector * (1.0 / r))
     # Block norms in the split's own (f-orthonormal) coordinates; these are
     # the f-norms of the two blocks and are what the cross-section pins to 1.
@@ -263,11 +279,10 @@ def _ray_rep(point: ConePoint, split: Split) -> RayRep:
     )
 
 
-def _pivot_index(components: np.ndarray) -> int:
-    mags = np.abs(components)
-    top = float(mags.max())
-    candidates = np.nonzero(mags >= top * (1.0 - PIVOT_TIE_TOL))[0]
-    return int(candidates[0])
+def _pivot_index(mags: np.ndarray, top: float) -> int:
+    """The lowest index whose modulus in mags is within PIVOT_TIE_TOL of
+    the largest, top = max(mags)."""
+    return int((mags >= top * (1.0 - PIVOT_TIE_TOL)).argmax())
 
 
 def canonicalize_phase(x, split: Split | None = None) -> ProjRep:
@@ -291,7 +306,7 @@ def canonicalize_phase(x, split: Split | None = None) -> ProjRep:
 
 def _proj_rep(ray: RayRep) -> ProjRep:
     comps = ray.components
-    j = _pivot_index(comps)
+    j = _pivot_index(*ray.point.vector._modulus_pass())
     phase = comps[j] / abs(comps[j])
     point = ConePoint(ray.point.vector * np.conj(phase))
     return ProjRep(point, ray.split, j)

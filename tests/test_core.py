@@ -423,6 +423,35 @@ class TestNormKernels:
 ALL_SIGNATURES = [Signature(p, q) for p in range(1, 6) for q in range(1, 6)]
 
 
+class TestKeptModulusPass:
+    def test_kept_moduli_are_numpys_and_read_only(self):
+        for sig in ALL_SIGNATURES:
+            for seed in range(8):
+                x = sample_cone_point(sig, seed)
+                mods, top = x.vector._modulus_pass()
+                assert mods.tobytes() == np.abs(x.components).tobytes()
+                assert not mods.flags.writeable
+                assert top == mods.max()
+                with pytest.raises(ValueError):
+                    mods[0] = 0.0
+
+    def test_the_certificate_forms_the_pass_once(self):
+        x = sample_cone_point(Signature(3, 2), 4)
+        kept = x.vector.__dict__["_moduli"]
+        assert x.vector._modulus_pass() is kept
+        # Arithmetic makes a new vector, with a pass of its own.
+        y = 2.0 * x.vector
+        assert "_moduli" not in y.__dict__
+        assert y._modulus_pass()[1] == 2.0 * kept[1]
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_a_non_finite_vector_has_a_non_finite_top(self, bad):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            top = vec(SIG22, 1, bad, 0, 1)._modulus_pass()[1]
+        assert not top < math.inf
+
+
 class TestSamplersTakeAStream:
     """A sampler given the Generator make_rng(s) (make_rng(s, 3) for boundary
     points) draws exactly what it draws from the int seed s."""

@@ -92,6 +92,59 @@ class TestSplitCoefficients:
             standard_split(SIG22)._pairing[0, 0] = 0.0
 
 
+class TestIdentitySplit:
+    SIGNED_ZEROS = [(0.0, -0.0, 1 - 2j, complex(-0.0, -0.0)),
+                    (complex(-0.0, 0.0), 3.0, complex(0.0, -0.0), -1.5j),
+                    (0j, 0j, 0j, 0j)]
+
+    def test_identity_splits_return_the_components(self):
+        fresh = Split(tuple(basis_vector(SIG22, j) for j in range(4)),
+                      label="transported")
+        for split in (standard_split(SIG22), fresh):
+            assert split._identity
+            for values in self.SIGNED_ZEROS:
+                v = vec(SIG22, *values)
+                c = split.coefficients(v)
+                assert c.tobytes() == v.components.tobytes()
+                assert not c.flags.writeable
+
+    def test_other_splits_take_the_gram_row(self):
+        # A sign flip is pseudo-unitary but not I: its coordinates are the
+        # product, whatever the label.
+        flipped = Split((-1.0 * basis_vector(SIG22, 0),
+                         *(basis_vector(SIG22, j) for j in range(1, 4))),
+                        label="standard")
+        for split in (flipped, sample_split(SIG22, 3)):
+            assert not split._identity
+            for values in self.SIGNED_ZEROS:
+                v = vec(SIG22, *values)
+                expected = SIG22.eta * _gram(v.components, split.matrix, SIG22)
+                c = split.coefficients(v)
+                assert c.tobytes() == expected.tobytes()
+                assert not c.flags.writeable
+
+    def test_a_fresh_default_ray_takes_four_norms(self, monkeypatch):
+        from coneq import quotients
+
+        calls = []
+        norm = quotients._norm
+
+        def counted(a):
+            calls.append(a.shape)
+            return norm(a)
+
+        sig = Signature(5, 5)
+        x = sample_cone_point(sig, 12)
+        monkeypatch.setattr(quotients, "_norm", counted)
+        ray = canonicalize_ray(x)
+        # Two block norms for R and two for the certificate; ||x|| is read
+        # off R's sums, not taken again.
+        assert calls == [(5,), (5,), (5,), (5,)]
+        monkeypatch.undo()
+        assert ray.components.tobytes() == canonicalize_ray(
+            ConePoint(x.vector)).components.tobytes()
+
+
 class TestSharedStandardSplit:
     def test_built_once_per_signature(self):
         assert standard_split(SIG22) is standard_split(Signature(2, 2))
@@ -474,7 +527,8 @@ class TestNonFiniteSplitInput:
             split_decompose(vec(SIG22, 1, np.inf, 0, 1), standard_split(SIG22))
 
     def test_a_cone_point_takes_the_same_coefficients(self):
-        # A ConePoint is finite by its certificate, so it skips the check.
+        # A ConePoint's coordinates are its vector's; the finiteness check
+        # reads the modulus pass its certificate kept.
         for split in (standard_split(SIG22), sample_split(SIG22, 2)):
             x = sample_cone_point(SIG22, 5)
             assert (split.coefficients(x).tobytes()

@@ -29,9 +29,11 @@ from coneq import (
     induced_metric,
     kappa0,
     make_chart,
+    quotient_basis,
     sample_aperp_point,
     sample_cone_point,
     sample_split,
+    skew_form,
     standard_split,
 )
 from coneq.core import _norm
@@ -181,6 +183,24 @@ def test_norm_keeps_every_bit_under_power_of_two_rescale():
                 if not np.array_equal((a * lam) / lam, a) or want < 2.0**-1022:
                     continue
                 assert _norm(a * lam) == want, k
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 2), Signature(3, 3)], ids=str)
+def test_skew_form_keeps_its_bits_under_power_of_two_rescale(sig):
+    # skew_form(2^k x, 2^k a, 2^-k b) is Im f(a, b), in range, and its
+    # tangency check pairs and norms on balanced vectors, so no sum
+    # overflows or underflows.
+    x = sample_cone_point(sig, 3)
+    basis = quotient_basis(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((basis[0], basis[2]), (basis[1], basis[3]),
+                     (basis[2], basis[-1])):
+            value = skew_form(x, a, b)
+            for k in (600, -600, 900, -900):
+                lam = math.ldexp(1.0, k)
+                got = skew_form(ConePoint(lam * x.vector), lam * a, b * (1.0 / lam))
+                assert got == value, k
 
 
 @pytest.mark.parametrize("sig", [Signature(2, 2), Signature(2, 3)], ids=str)
