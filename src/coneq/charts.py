@@ -30,8 +30,9 @@ from .core import (
     _gram,
     _norm,
     _owned,
-    _pow2_scale,
+    _pow2_scaled,
     _stream,
+    _unit,
     form_eval,
     make_rng,
 )
@@ -51,7 +52,6 @@ __all__ = [
     "InAperp",
     "IN_APERP",
     "AperpClass",
-    "hyperbolic_partner",
     "extend_to_witt_basis",
     "make_chart",
     "kappa0",
@@ -63,41 +63,36 @@ __all__ = [
 ]
 
 
-def hyperbolic_partner(x: ConePoint, v_hint: CVector | None = None) -> CVector:
-    """Isotropic u with f(u, x) = 1, spanning a hyperbolic plane with x.
-
-    Starts from v_hint, or else from the standard basis vector at the
-    largest-modulus component of x (ties to the lowest index); normalizes
-    v' = v / f(v, x) and returns u = v' - f(v', v') x / 2, computed as
-    (v - f(v, v) x / (2 conj f(v, x))) / f(v, x) so that no 1/|f(v, x)|^2
-    overflows when x is small.
-    """
-    return _owned(_partner(x, v_hint), x.signature)
-
-
-def _partner(x: ConePoint, v_hint: CVector | None) -> np.ndarray:
-    """The components of hyperbolic_partner(x, v_hint), as a fresh array."""
-    vec = x.vector
-    c = vec.components
+def _partner(x: ConePoint, v_hint: CVector | None) -> tuple[np.ndarray, np.ndarray]:
+    """(u, u^), fresh arrays: the hyperbolic partner u of x, isotropic with
+    f(u, x) = 1, from v_hint or else the standard basis vector v at the
+    largest-modulus component of x (ties to the lowest index), and u^ = u / s,
+    the partner of core._unit(x)'s x^ = s x.  u = v' - f(v', v') x / 2 for
+    v' = v / f(v, x) is formed as w / f(v, x), w = v - f(v, v) x^ / (2 conj
+    f(v, x^)), so that no 1/|f(v, x)|^2 overflows; f(v, x^) = s f(v, x)
+    exactly, so w is x's own and u^ = w / f(v, x^) is u / s to the bit."""
+    sig = x.signature
+    xh, s, x_norm = _unit(x)
     if v_hint is None:
-        # v = e_j: f(v, x), f(v, v) and ||v|| to the bit of form_eval and
+        # v = e_j: f(v, x^), f(v, v) and ||v|| to the bit of form_eval and
         # CVector.norm, without their loops over the zero components.
-        j = int(vec._modulus_pass()[0].argmax())
-        eta, cj = float(x.signature.eta[j]), complex(c[j])
-        v = np.zeros(c.shape[0], dtype=np.complex128)
+        j = int(x.vector._modulus_pass()[0].argmax())
+        eta, cj = float(sig.eta[j]), complex(xh[j])
+        v = np.zeros(sig.n, dtype=np.complex128)
         v[j] = 1.0
-        pairing = complex(eta * cj.real + 0.0, 0.0 - eta * cj.imag)
+        pairing_h = complex(eta * cj.real + 0.0, 0.0 - eta * cj.imag)
         self_pairing, v_norm = complex(eta, 0.0), 1.0
     else:
         v = v_hint.components
-        pairing = form_eval(v_hint, vec)
+        pairing_h = form_eval(v_hint, _owned(xh, sig))
         self_pairing, v_norm = form_eval(v_hint, v_hint), v_hint.norm()
-    if abs(pairing) <= 1e-12 * v_norm * vec.norm():
+    pairing = pairing_h / s  # f(v, x), exactly
+    if abs(pairing) <= 1e-12 * v_norm * x_norm:
         raise InternalContractError(
             "candidate vector is orthogonal to x; pick a different hint"
         )
-    shift = 0.5 * self_pairing / pairing.conjugate()
-    return (v - c * shift) * (1.0 / pairing)
+    w = v - xh * (0.5 * self_pairing / pairing_h.conjugate())
+    return w * (1.0 / pairing), w * (1.0 / pairing_h)
 
 
 @functools.lru_cache(maxsize=128)
@@ -125,41 +120,39 @@ def _reflection_complement(a: np.ndarray, out: np.ndarray) -> None:
                 out=out)
 
 
-def _frame_block(x: ConePoint, v_hint: CVector | None) -> np.ndarray:
-    """The chart frame at x as one read-only (n, n - 1) array: the partner
-    hyperbolic_partner(x, v_hint), then an eta-orthonormal basis m_2, ...,
-    m_{n-1} (positive block first) of the orthogonal complement of the
-    hyperbolic plane span{x, u}.
+def _frame_block(x: ConePoint, v_hint: CVector | None) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, u^): the chart frame at x as one read-only (n, n - 1) array,
+    the partner u then an eta-orthonormal basis m_2, ..., m_{n-1} (positive
+    block first) of the complement of span{x, u}, and _partner's read-only
+    u^, built on core._unit(x)'s x^ = s x: every product pairs O(1) numbers.
 
-    Write x = (a, b) in the standard split.  The partner u_s = (a, -b) /
-    ||x||^2 spans with x a plane whose complement is a^perp + b^perp, with
-    one Householder reflection per block.  The Eichler transvection that
-    fixes x and sends u_s to u moves that complement onto the one of
-    span{x, u}: m -> m - f(m, w) x, with w = u - u_s - f(u, u_s) x
-    (Scharlau, Quadratic and Hermitian Forms, ch. 7).  Each such m is
-    orthogonal to x and u_s, so f(m, w) = f(m, u).
+    With x = (a, b) in the standard split, u_s = (a, -b) / ||x||^2 spans with
+    x a plane whose complement is a^perp + b^perp, one Householder reflection
+    per block.  The Eichler transvection m -> m - f(m, w) x, w = u - u_s -
+    f(u, u_s) x, fixes x, sends u_s to u and moves that complement onto the
+    one of span{x, u} (Scharlau, Quadratic and Hermitian Forms, ch. 7); each
+    such m is orthogonal to x and u_s, so f(m, w) x = f(m, u^) x^.
     """
     sig = x.signature
     p = sig.p
-    c = x.components
+    c = _unit(x)[0]
     cols = np.zeros((sig.n, sig.n - 1), dtype=np.complex128)
-    u = _partner(x, v_hint)
+    u, uh = _partner(x, v_hint)
     cols[:, 0] = u
     _reflection_complement(c[:p], cols[:p, 1:p])
     _reflection_complement(c[p:], cols[p:, p:])
     mids = cols[:, 1:]
-    mids -= c[:, None] * _gram(mids, u, sig)
-    cols.flags.writeable = False
-    return cols
+    mids -= c[:, None] * _gram(mids, uh, sig)
+    cols.flags.writeable = uh.flags.writeable = False
+    return cols, uh
 
 
 @functools.lru_cache(maxsize=128)
-def _frame_target(sig: Signature) -> np.ndarray:
-    """[f(c_i, a_j)] that a chart frame's columns c = [u, m_2, ...] must have
-    against a = [x, u, m_2, ...]: f(u, x) = 1, f(m_j, m_k) = eta_jk, and
-    every other pairing zero."""
+def _frame_target(sig: Signature, ux: float) -> np.ndarray:
+    """[f(c_i, a_j)] a chart frame's columns c = [u, m_2, ...] must have against
+    a = [x, u, m_2, ...]: f(u, x) = ux, f(m_j, m_k) = eta_jk, all else zero."""
     target = np.zeros((sig.n - 1, sig.n), dtype=np.complex128)
-    target[0, 0] = 1.0
+    target[0, 0] = ux
     target[1:, 2:] = np.diag(sig.eta[1:-1])
     target.flags.writeable = False
     return target
@@ -167,13 +160,19 @@ def _frame_target(sig: Signature) -> np.ndarray:
 
 def _certify_frame(x: ConePoint, cols: np.ndarray) -> None:
     """The chart identities of the frame columns cols = [u, m_2, ...] at x,
-    each deviation relative to its norm product, so that the check does not
-    depend on the scale of x: UnsupportedChartError otherwise."""
+    each deviation relative to its norm product, else UnsupportedChartError.
+    x and u enter as core._pow2_scaled gives them, f(u, x) against the
+    product of their factors: no pairing or norm over- or underflows."""
     sig = x.signature
-    against = np.column_stack((x.components, cols))
+    xs, sx = _pow2_scaled(x.components, x.vector._modulus_pass()[1])
+    # max|u_j| by Python's abs, the same hypot as np.abs but faster at small n.
+    us, su = _pow2_scaled(cols[:, 0], max(map(abs, cols[:, 0].tolist())))
+    if su != 1.0:
+        cols = np.column_stack((us, cols[:, 1:]))
+    against = np.column_stack((xs, cols))
     # np.linalg.norm(against, axis=0), without the wrapper's dispatch.
     norms = np.sqrt(np.add.reduce((against.conj() * against).real, axis=0))
-    deviation = (np.abs(_gram(cols, against, sig) - _frame_target(sig))
+    deviation = (np.abs(_gram(cols, against, sig) - _frame_target(sig, sx * su))
                  / (norms[1:, None] * norms))
     certify(float(deviation.max()), DEFAULT_TOL, UnsupportedChartError,
             "chart identities fail by {residual:.3e}")
@@ -196,10 +195,9 @@ def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
 @dataclass(frozen=True, eq=False)
 class ChartFrame:
     """Chart center x, hyperbolic partner u, and an eta-orthonormal basis of
-    the orthogonal complement M (positive directions first).
-
-    u and mu_basis are views of one read-only (n, n - 1) array of columns
-    [u, m_2, ..., m_{n-1}], which the chart maps multiply by."""
+    the orthogonal complement M (positive directions first); u and mu_basis
+    are views of one read-only (n, n - 1) array [u, m_2, ..., m_{n-1}],
+    which the chart maps multiply by."""
 
     x: ConePoint
     u: CVector
@@ -224,11 +222,6 @@ class ChartFrame:
     def signature(self) -> Signature:
         return self.x.signature
 
-    @functools.cached_property
-    def _x_norm(self) -> float:
-        """||x||, read once per chart by kappa0 and chart_inverse."""
-        return self.x.vector.norm()
-
     def witt_plus(self) -> CVector:
         """e_1 = x/2 + u."""
         return 0.5 * self.x.vector + self.u
@@ -246,33 +239,38 @@ def _set_frame(chart: ChartFrame, u: CVector, mu_basis: tuple[CVector, ...],
 
 
 def make_chart(x: ConePoint, v_hint: CVector | None = None) -> ChartFrame:
-    """Witt extension of x, with partner hyperbolic_partner(x, v_hint),
-    packaged as a chart frame.
-
-    Hinted and default frames are built by one array pass and certified
-    once.  The default frame (no hint) is kept on x, and later calls wrap
-    it without running the chart check again."""
+    """Witt extension of x, with the partner u that v_hint sets (_partner),
+    packaged as a chart frame built by one array pass and certified once.
+    The default frame (no hint) is kept on x with its balanced partner, and
+    later calls wrap it without running the chart check again."""
     frame = x._derived.get("witt") if v_hint is None else None
     if frame is None:
-        cols = _frame_block(x, v_hint)
+        cols, uh = _frame_block(x, v_hint)
         _certify_frame(x, cols)
         frame = _frame_views(cols, x.signature)
         if v_hint is None:
             x._derived["witt"] = frame
+            x._derived["unit_partner"] = uh
     chart = object.__new__(ChartFrame)
     object.__setattr__(chart, "x", x)
     _set_frame(chart, *frame)
     return chart
 
 
+def _unit_pair(x: ConePoint) -> tuple[np.ndarray, np.ndarray]:
+    """(x^, u^) = (s x, u / s) for core._unit(x)'s s and make_chart(x)'s
+    partner u, read-only: f(u^, x^) = 1, both of norm O(1) at every scale."""
+    make_chart(x)
+    return _unit(x)[0], x._derived["unit_partner"]
+
+
 def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     """Isotropic representative y + u + (-f(y,y)/2 + r i) x of the chart
     point (r, y); certified with f(kappa0, kappa0) = 0 and f(x, kappa0) = 1
     at tolerance 1e-10, relative to ||kappa0||^2 and to ||x|| ||kappa0||
-    (at least 1 by Cauchy-Schwarz), since the rounding grows like |y|^2.
-    A non-finite r or y raises NotIsotropicError before any arithmetic, and
-    so does an f(y, y) or r for which beta x would overflow, before the
-    representative is formed."""
+    (at least 1 by Cauchy-Schwarz), since the rounding grows like |y|^2.  A
+    non-finite r or y, or an f(y, y) or r for which beta x would overflow,
+    raises NotIsotropicError before the representative is formed."""
     sig = chart.signature
     coords = np.asarray(y_coords, dtype=np.complex128).reshape(-1)
     if coords.shape != (sig.n - 2,):
@@ -283,32 +281,33 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     if not (math.isfinite(r) and np.isfinite(coords).all()):
         raise NotIsotropicError(f"chart point r = {r}, y = {coords} is not finite")
     y = _owned(chart._columns[:, 1:] @ coords, sig)
+    x_norm = _unit(chart.x)[2]
     fyy = form_eval(y, y).real
     beta = complex(-0.5 * fyy, r)
     # |beta x_j| <= (|Re beta| + |Im beta|) ||x||; twice that bound finite
     # leaves room to add y + u, whose entries are below sqrt(|f(y, y)|).
-    if not math.isfinite((abs(beta.real) + abs(beta.imag)) * 2.0 * chart._x_norm):
+    if not math.isfinite((abs(beta.real) + abs(beta.imag)) * 2.0 * x_norm):
         raise NotIsotropicError(
             f"chart point r = {r}, y = {coords}: f(y, y) = {fyy:.6g} puts "
             f"(-f(y, y)/2 + r i) x past the float range")
     vec = y.components + chart.u.components + chart.x.components * beta
     out = ConePoint(_owned(vec, sig), tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
-    certify(abs(pairing - 1.0) / (chart._x_norm * out.vector.norm()), 1e-10,
+    certify(abs(pairing - 1.0) / (x_norm * out.vector.norm()), 1e-10,
             InternalContractError,
             "chart normalization f(x, kappa0) = {pairing:.15g} != 1", pairing=pairing)
     return out
 
 
 def _balanced(vec: CVector) -> CVector:
-    """vec times core._pow2_scale(max|vec_j|), read off vec's kept modulus
-    pass: the same class, on which pairings and norms neither overflow nor
+    """vec as core._pow2_scaled gives it, top from vec's kept modulus pass:
+    the same class, on which pairings and norms neither overflow nor
     underflow.  A zero or non-finite vec has no class: DegenerateInputError."""
     top = vec._modulus_pass()[1]
     if not 0.0 < top < np.inf:
         raise DegenerateInputError(f"need a nonzero finite vector, max|v_j| = {top}")
-    s = _pow2_scale(top)
-    return vec if s == 1.0 else vec * s
+    comps, s = _pow2_scaled(vec.components, top)
+    return vec if s == 1.0 else _owned(comps, vec.signature)
 
 
 def is_perp(a, b, tol: float = DEFAULT_TOL) -> bool:
@@ -339,30 +338,28 @@ def _frame_coords(chart: ChartFrame, v: np.ndarray) -> tuple[complex, np.ndarray
 
 
 def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
-    """Chart coordinates (r, y) of the class of b, or IN_APERP when b is
-    orthogonal to the chart center at tolerance.
+    """Chart coordinates (r, y) of the class of b, y along mu_basis, or
+    IN_APERP when b is orthogonal to the chart center at tolerance.
 
-    y is returned as the coefficient vector along mu_basis.  The recovered
-    data satisfy Re f(b', u) = -f(y, y)/2 for the rescaled representative
-    b' with f(b', x) = 1; that identity is re-verified relative to
-    ||b'||^2, since the deviation Re f(b', u) + f(y, y)/2 equals
-    f(b', b')/2 and so grows like ||b'||^2.  A rescale of b by 2^k keeps
-    every bit of the result.
+    The recovered data satisfy Re f(b', u) = -f(y, y)/2 for b' = b / f(b, x);
+    the deviation equals f(b', b')/2, so it is re-verified relative to
+    ||b'||^2.  A rescale of b by 2^k keeps every bit of the result.
     """
     bv = _balanced(_as_vector(b))
     pairing = form_eval(bv, chart.x.vector)
     b_norm = bv.norm()
-    if abs(pairing) <= tol * b_norm * chart._x_norm:
+    if abs(pairing) <= tol * b_norm * _unit(chart.x)[2]:
         return IN_APERP
     bp = bv.components * (1.0 / pairing)
     beta, y = _frame_coords(chart, bp)
     # ||b'|| = ||b|| / |f(b, x)| reaches 1e154 on a chart centred near
-    # ||x|| = 1e-154; the drift is then summed on b' times _pow2_scale(||b'||).
-    s = _pow2_scale(b_norm / abs(pairing))
-    drift, ys, bs = ((beta.real, y, bp) if s == 1.0
-                     else (beta.real * s * s, y * s, bp * s))
+    # ||x|| = 1e-154: the drift is summed on b' and y from _pow2_scaled(.,
+    # ||b'||), with Re(beta) times the factor squared.
+    bs, s = _pow2_scaled(bp, b_norm / abs(pairing))
+    ys, _ = _pow2_scaled(y, b_norm / abs(pairing))
     fyy = float(np.add.reduce(chart.signature.eta[1:-1] * np.abs(ys) ** 2))
-    certify(abs(drift + 0.5 * fyy) / float(_norm(bs)) ** 2, 1e-6, InternalContractError,
+    certify(abs(beta.real * s * s + 0.5 * fyy) / float(_norm(bs)) ** 2, 1e-6,
+            InternalContractError,
             "recovered Re(beta) deviates from -f(y,y)/2 by {residual:.3e} "
             "relative to ||b'||^2")
     return float(beta.imag), y

@@ -136,11 +136,9 @@ class CVector:
         return float(_norm(self.components))
 
     def _modulus_pass(self) -> tuple[np.ndarray, float]:
-        """(|v_j| read-only, max|v_j|): the one modulus pass over the
-        read-only components, formed the first time a check asks for it
-        (normally ConePoint's certificate) and kept in the instance dict, so
-        every later max-modulus query reads it.  max is nan when a component
-        is, and inf when one is infinite and none nan."""
+        """(|v_j| read-only, max|v_j|), formed on first use (normally by
+        ConePoint's certificate) and kept in the instance dict for every later
+        query.  max is nan when a component is, else inf if one is infinite."""
         kept = self.__dict__.get("_moduli")
         if kept is None:
             mods = np.abs(self.components)
@@ -177,12 +175,11 @@ def _norm(a: np.ndarray) -> np.float64:
     """2-norm of a real or complex array, right at every finite scale.
 
     In range it is np.linalg.norm(a) bit for bit: the same sums of squares
-    on the same raveled array, taken by np.vdot, which unlike ndarray.dot
-    does not warn when a sum overflows.  When the sum is below 1e-290 (above
-    it, a subnormal square is off by under 2^-59 of the sum's last place)
-    or inf, and every entry is finite, it is taken again on a times
-    _pow2_balance(max|a_j|) and the scale undone, so a rescale by 2^k keeps
-    every bit of a normal result.  In range that costs one comparison."""
+    on the same raveled array, by np.vdot, which unlike ndarray.dot does not
+    warn on overflow.  When the sum is below 1e-290 (above it a subnormal
+    square is off by under 2^-59 of its last place) or inf, and every entry
+    is finite, it is taken again on a times _pow2_balance(max|a_j|) and the
+    scale undone, so a rescale by 2^k keeps every bit of a normal result."""
     a = a.ravel(order="K")
     if a.dtype.kind == "c":
         re, im = a.real, a.imag
@@ -246,9 +243,7 @@ def _as_vector(obj) -> CVector:
 def _pow2_scale(top: float) -> float:
     """Factor for an array c with top = max|c_j|: 1.0 if 1e-153 < top < 1e150,
     where top^2 is normal and no sum of fewer than 1e8 squares overflows;
-    else 2^-e for top = m 2^e (at most 2^1023).  A power of two scales every
-    sum exactly (Anderson, ACM TOMS 44, 2017), so a sum keeps its bits
-    wherever the unscaled one is a normal float."""
+    else _pow2_balance(top)."""
     if 1e-153 < top < 1e150:
         return 1.0
     return _pow2_balance(top)
@@ -260,19 +255,27 @@ def _pow2_balance(top: float) -> float:
     return math.ldexp(1.0, min(-math.frexp(top)[1], 1023))
 
 
+def _pow2_scaled(a: np.ndarray, top):
+    """(a s, s), the one scale rule: s = _pow2_scale(top), top = max|a_j| or a
+    bound on it (a as is when s is 1.0), or per column of a 2-D a for a list
+    of tops.  A power of two scales every sum exactly (Anderson, ACM TOMS
+    44, 2017): sums on the result keep their bits and never over- or underflow."""
+    if isinstance(top, list):
+        s = [_pow2_scale(t) for t in top]
+        return (a * np.array(s), s) if any(t != 1.0 for t in s) else (a, s)
+    s = _pow2_scale(top)
+    return (a, s) if s == 1.0 else (a * s, s)
+
+
 def _isotropy_sums(vec: CVector) -> tuple[float, float]:
-    """(|f(x, x)|, ||x||^2) for x = vec, each summed once on x times
-    _pow2_scale(max|x_j|), from vec's kept modulus pass.  A zero or
-    non-finite x gives |f(x, x)| = nan with ||x||^2 = 0, inf or nan, on
-    which ConePoint rejects it."""
-    c = vec.components
+    """(|f(x, x)|, ||x||^2) for x = vec, each summed once on x from
+    _pow2_scaled (top from vec's kept modulus pass); a zero or non-finite x
+    gives |f(x, x)| = nan and ||x||^2 = 0, inf or nan, which ConePoint rejects."""
     absx, top = vec._modulus_pass()
     if not 0.0 < top < math.inf:
         return math.nan, top
-    s = _pow2_scale(top)
-    if s != 1.0:
-        c = s * c
-        absx = s * absx
+    c, _ = _pow2_scaled(vec.components, top)
+    absx, _ = _pow2_scaled(absx, top)
     nrm2 = float(np.add.reduce(absx**2))
     return abs(complex(np.add.reduce(vec.signature.eta * c * np.conj(c)))), nrm2
 
@@ -284,12 +287,12 @@ class ConePoint:
     vector: CVector
     tol: InitVar[float] = DEFAULT_TOL
     isotropy_residual: float = field(init=False)
-    # Data derived from x alone, kept by the modules that compute it: the
-    # default chart partner and middles ("witt"), the default quotient Gram
-    # ("quotient_gram"), the ray representative under the standard split
-    # ("ray"), and, on a ray representative's point, its projective
-    # representative ("proj").  No entry refers back to the point it is kept
-    # on, so a dropped point is freed by its reference count.
+    # Data derived from x alone, kept by the modules that compute it: "unit"
+    # (_unit), the default chart frame ("witt", "unit_partner"), the default
+    # quotient Gram ("quotient_gram"), the ray representative under the
+    # standard split ("ray") and, on its point, the projective one ("proj").
+    # None refers back to the point, so a dropped point is freed by its
+    # reference count.
     _derived: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self, tol):
@@ -314,6 +317,22 @@ class ConePoint:
         out = self.vector.to_json()
         out["isotropy_residual"] = self.isotropy_residual
         return out
+
+
+def _unit(x: ConePoint) -> tuple[np.ndarray, float, float]:
+    """(x^, s, ||x||), kept on x: x^ = s x, read-only, for s =
+    _pow2_balance(||x||), taken at every scale (unlike _pow2_scaled), so x
+    and 2^k x share x^ bit for bit.  The chart frame and the metrics'
+    balanced frame are built on it."""
+    kept = x._derived.get("unit")
+    if kept is None:
+        s = _pow2_balance(norm := float(_norm(x.components)))
+        # Each real part times s, which keeps the sign of a zero where a
+        # complex product with s + 0i can flip it.
+        xh = (np.ascontiguousarray(x.components).view(np.float64) * s).view(np.complex128)
+        xh.flags.writeable = False
+        kept = x._derived["unit"] = (xh, s, norm)
+    return kept
 
 
 def _pseudo_unitarity_residual(matrix: np.ndarray, sig: Signature) -> float:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import extend_to_witt_basis, make_chart
+from .charts import _unit_pair, extend_to_witt_basis, make_chart
 from .core import (
     DEFAULT_TOL,
     ConePoint,
@@ -25,7 +25,8 @@ from .core import (
     _gram,
     _norm,
     _owned,
-    _pow2_scale,
+    _pow2_scaled,
+    _unit,
     form_eval,
 )
 from .errors import (
@@ -117,31 +118,20 @@ class MetricMatrix:
         }
 
 
-def _quotient_columns(x: ConePoint, s: float = 1.0) -> np.ndarray:
-    """The adapted quotient frame [i s x, 2i u / s, m_2, i m_2, ...] at x as
-    the columns of one (n, 2n - 2) array, from make_chart(x)'s frame.
-
-    f3 = i(e_1 - e_n) is formed as 2iu, not as the difference of
-    e_1 = x/2 + u and e_n = x/2 - u, which cancels when ||x|| >> ||u||.
-    s = 1 gives quotient_basis(x); a power of two s scales the first two
-    columns exactly, and s = _balance(x) gives both norm O(1)."""
+def _quotient_columns(x: ConePoint, pair: tuple | None = None) -> np.ndarray:
+    """The adapted quotient frame [i x, 2i u, m_2, i m_2, ...] at x as the
+    columns of one (n, 2n - 2) array, from make_chart(x)'s frame, with
+    (x, u) = pair if given (charts._unit_pair(x): the balanced frame).  f3 =
+    2iu, not e_1 - e_n = (x/2 + u) - (x/2 - u), which cancels if ||x|| >> ||u||."""
     chart_cols = make_chart(x)._columns
+    xc, uc = (x.components, chart_cols[:, 0]) if pair is None else pair
     n = chart_cols.shape[0]
     cols = np.empty((n, 2 * n - 2), dtype=np.complex128)
-    cols[:, 0] = x.components * complex(0.0, s)
-    cols[:, 1] = chart_cols[:, 0] * complex(0.0, 2.0 / s)
+    cols[:, 0] = xc * 1j
+    cols[:, 1] = uc * 2j
     cols[:, 2::2] = chart_cols[:, 1:]
     cols[:, 3::2] = chart_cols[:, 1:] * 1j
     return cols
-
-
-def _balance(x: ConePoint) -> float:
-    """s = 2^-e for ||x|| = m 2^e, 1/2 <= m < 1, so that s x has norm m.
-    The norm is taken on x times core._pow2_scale(max|x_j|), from x's kept
-    modulus pass, where it neither overflows nor underflows; a rescale of x
-    by 2^k keeps s x."""
-    t = _pow2_scale(x.vector._modulus_pass()[1])
-    return math.ldexp(t, -math.frexp(float(_norm(x.components * t)))[1])
 
 
 @functools.lru_cache(maxsize=128)
@@ -154,9 +144,8 @@ def _quotient_labels(n: int, suffix: str = "") -> tuple[str, ...]:
 
 def quotient_basis(x: ConePoint) -> tuple[CVector, ...]:
     """Read-only CVector views of the columns of _quotient_columns(x), the
-    adapted quotient frame [ix, 2iu, m_j, i m_j]; induced_metric(x)'s
-    basis_labels name them.  induced_metric(x) takes its Gram on the same
-    frame with ix and 2iu rescaled by reciprocal powers of two (_balance),
+    adapted quotient frame [ix, 2iu, m_j, i m_j] that induced_metric(x)'s
+    labels name; its Gram is taken on the balanced frame (charts._unit_pair),
     which in exact arithmetic changes no entry."""
     cols = _quotient_columns(x)
     cols.flags.writeable = False
@@ -167,17 +156,13 @@ def _tangency_residuals(x: ConePoint, cols: np.ndarray) -> np.ndarray:
     """|Re f(c_j, x)| / (||c_j|| ||x||) for each column c_j of cols, zero
     for a zero column and inf, with no arithmetic on it, for a non-finite
     one: the one tangency check, bounded by TANGENCY_TOL.  x and each
-    column are paired and normed times core._pow2_scale of their largest
-    modulus, which leaves the ratio as it is and is 1.0 in range, so no
-    pairing or norm over- or underflows at any finite scale."""
+    column enter as core._pow2_scaled gives them, which keeps the ratio, so
+    no pairing or norm over- or underflows at any finite scale."""
     finite = np.isfinite(cols).all(axis=0)
     if not finite.all():
         return np.where(finite, _tangency_residuals(x, np.where(finite, cols, 0)), np.inf)
-    t = _pow2_scale(x.vector._modulus_pass()[1])
-    xc = x.components if t == 1.0 else x.components * t
-    scales = [_pow2_scale(top) for top in np.abs(cols).max(axis=0).tolist()]
-    if any(s != 1.0 for s in scales):
-        cols = cols * np.array(scales)
+    xc, _ = _pow2_scaled(x.components, x.vector._modulus_pass()[1])
+    cols, _ = _pow2_scaled(cols, np.abs(cols).max(axis=0).tolist())
     along_x = np.abs(_gram(xc, cols, x.signature).real)
     # np.linalg.norm(cols, axis=0), without the wrapper's dispatch.
     norms = np.sqrt(np.add.reduce((cols.conj() * cols).real, axis=0))
@@ -217,14 +202,13 @@ def _g0_threshold(tol: float) -> float:
 
 def _quotient_gram(x: ConePoint, tol: float,
                    cols: np.ndarray | None = None) -> tuple[np.ndarray, float]:
-    """(G, delta): the read-only Gram [Re f(c_i, c_j)] of the balanced
-    quotient frame cols = _quotient_columns(x, _balance(x)), symmetrized
-    from halves, and delta = ||G - G0||_F; computed once per point and kept
-    on x, then certified at tol: NondegeneracyError unless
-    delta <= _g0_threshold(tol) = (1 - 2 tol) / 4.
+    """(G, delta): the read-only Gram [Re f(c_i, c_j)] of the balanced frame
+    cols = _quotient_columns(x, _unit_pair(x)), symmetrized from halves, and
+    delta = ||G - G0||_F, kept on x, then certified at tol:
+    NondegeneracyError unless delta <= _g0_threshold(tol) = (1 - 2 tol) / 4.
 
-    The one pairing pass also certifies tangency: column 0 is i s x and
-    f(c, i s x) = -i f(c, s x) exactly, so |Im f(c_j, c_0)| / (||c_j||
+    The one pairing pass also certifies tangency: column 0 is i x^ and
+    f(c, i x^) = -i f(c, x^) exactly, so |Im f(c_j, c_0)| / (||c_j||
     ||c_0||) is column j's tangency residual (TangencyError).
 
     What the threshold fixes, with ||G - G0||_2 <= delta <= 1/4 and Weyl's
@@ -251,7 +235,7 @@ def _quotient_gram(x: ConePoint, tol: float,
     kept = x._derived.get("quotient_gram")
     if kept is None:
         if cols is None:
-            cols = _quotient_columns(x, _balance(x))
+            cols = _quotient_columns(x, _unit_pair(x))
         pairings = _gram(cols, cols, x.signature)
         norms = np.sqrt(np.add.reduce((cols.conj() * cols).real, axis=0))
         _certify_tangency(np.abs(pairings[:, 0].imag) / (norms * norms[0]),
@@ -270,16 +254,15 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *, basis=None,
                    tol: float = DEFAULT_TOL) -> MetricMatrix:
     """Matrix [Re f(v_i, v_j)] of the induced metric in a tangent frame.
 
-    frame="adapted" uses the quotient basis of the adapted frame at x, on
-    which the metric is nondegenerate of signature (2p-1, 2q-1): the Gram
-    of its balanced form is certified against G0, whose signature, empty
-    radical and scale 2 it takes (_quotient_gram).  frame="epsilon" is the
-    two-dimensional case only: {i e_1, i e_n} of the Witt basis, where the
-    matrix is diag(1, -1).  An explicit `basis`, labelled v0, v1, ...,
-    overrides the named frame, e.g. to evaluate at a transported frame or
-    over the full tangent basis; it and the epsilon frame certify each
-    member tangent (TangencyError) and read signature and radical off the
-    eigenvalues.
+    frame="adapted" uses the quotient basis at x, where the metric has
+    signature (2p-1, 2q-1): the Gram of its balanced form is certified
+    against G0, whose signature, empty radical and scale 2 it takes
+    (_quotient_gram).  frame="epsilon" is n = 2 only: {i e_1, i e_n} of the
+    Witt basis, diag(1, -1).  An explicit `basis`, labelled v0, v1, ...,
+    overrides the frame; it and the epsilon frame certify each member
+    tangent (TangencyError) and read signature and radical off the
+    eigenvalues.  A basis whose Gram products could overflow raises
+    UnsupportedFrameError before any is formed.
     """
     if basis is None:
         if frame == "adapted":
@@ -303,6 +286,11 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *, basis=None,
         labels = tuple(f"v{i}" for i in range(len(basis)))
     cols = np.column_stack([v.components for v in basis])
     _certify_tangency(_tangency_residuals(x, cols), _BASIS_MESSAGE)
+    # Each product and partial sum of the Gram is at most n max|c_ij|^2.
+    top = float(np.abs(cols).max())
+    if not math.isfinite(2.0 * cols.shape[0] * top * top):
+        raise UnsupportedFrameError(
+            f"basis entries of modulus {top:.3e} can put the Gram past the float range")
     return MetricMatrix.from_entries(_gram(cols, cols, x.signature).real, labels, tol)
 
 
@@ -318,13 +306,11 @@ def cotangent_metric_qtilde(x: ConePoint, *, tol: float = DEFAULT_TOL) -> Metric
     """Degenerate cometric of the projective quadric at the class of x.
 
     Inverts the quotient metric and restricts to the annihilator of the
-    phase direction (the first quotient frame member, the class of ix).
-    Rank is 2n-4 with a one-dimensional radical for n >= 3, and zero for
-    n = 2.  The adapted frame's balanced Gram G is certified against G0,
-    its inversion residual max|G G^-1 - I| against 1e-6, and the f3* row of
-    the result against the radical (NondegeneracyError); the signature
-    (2p-2, 2q-2, 1), the f3* radical axis and the scale, the norm of G0^-1,
-    are then G0's (_quotient_gram).
+    phase direction (the class of ix): rank 2n-4 with a line radical for
+    n >= 3, zero for n = 2.  The balanced Gram G is certified against G0,
+    max|G G^-1 - I| against 1e-6 and the f3* row against the radical
+    (NondegeneracyError); the signature (2p-2, 2q-2, 1), the f3* radical
+    axis and the scale, the norm of G0^-1, are then G0's (_quotient_gram).
     """
     gram, _ = _quotient_gram(x, tol)
     # Certified, G has every eigenvalue beyond 3/4 in modulus: invertible.
@@ -350,9 +336,9 @@ def cotangent_metric_qtilde(x: ConePoint, *, tol: float = DEFAULT_TOL) -> Metric
 def _quotient_fit(xa: ConePoint, cols: np.ndarray) -> tuple[np.ndarray, float]:
     """(C, residual): C = G^-1 Re f(Q, cols), the real coefficients of the
     tangent columns cols in the balanced quotient frame
-    Q = _quotient_columns(xa, _balance(xa)), G its certified Gram;
+    Q = _quotient_columns(xa, _unit_pair(xa)), G its certified Gram;
     residual = ||cols - Q C minus its part along xa|| / ||cols||."""
-    q = _quotient_columns(xa, _balance(xa))
+    q = _quotient_columns(xa, _unit_pair(xa))
     gram, _ = _quotient_gram(xa, DEFAULT_TOL, q)
     coeffs = np.linalg.solve(gram, _gram(q, cols, xa.signature).real)
     rest = cols - q @ coeffs
@@ -367,15 +353,14 @@ def conformal_factor(x, split_a: Split, split_b: Split):
     Canonicalizes x with each split to xa and xb, solves for xb's balanced
     quotient frame in xa's against the certified Gram at xa (TangencyError
     if the fit's residual exceeds 1e-8), and expresses the metric at xb in
-    xa's frame.  Each frame array is built once, and each Gram is the one
-    kept on its point.  Returns (factor, relative residual); the two
-    metrics agree up to this positive factor when the residual is small.
+    xa's frame, each frame built once and each Gram the one kept on its
+    point.  Returns (factor, relative residual).
     """
     xa = canonicalize_ray(x, split_a).point
     xb = canonicalize_ray(x, split_b).point
-    cols_b = _quotient_columns(xb, _balance(xb))
+    cols_b = _quotient_columns(xb, _unit_pair(xb))
     g_b, _ = _quotient_gram(xb, DEFAULT_TOL, cols_b)
-    mu = xb.vector.norm() / xa.vector.norm()
+    mu = _unit(xb)[2] / _unit(xa)[2]
     coeffs, fit_residual = _quotient_fit(xa, cols_b)
     certify(fit_residual, 1e-8, TangencyError,
             "frames do not span a common quotient (residual {residual:.3e})")

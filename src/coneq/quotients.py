@@ -25,7 +25,7 @@ from .core import (
     _as_vector,
     _check_same_signature,
     _norm,
-    _pow2_scale,
+    _pow2_scaled,
     _pseudo_unitarity_residual,
     basis_vector,
     sample_pseudo_unitary,
@@ -157,23 +157,21 @@ def split_decompose(x, split: Split | None = None) -> tuple[CVector, CVector, fl
 
 
 def _ray_scale(vec: CVector, split: Split) -> tuple[np.ndarray, float]:
-    """Split coefficients c of vec and the scale R = sqrt((|c+|^2 + |c-|^2)/2),
-    with the sums and ||vec|| taken once on c and vec times
-    core._pow2_scale(max|c_j|); raises DegenerateInputError when c is zero
-    or not finite, or when R <= DEFAULT_TOL * ||vec||.  Under a split whose
-    matrix is I, c is vec's components: max|c_j| is read off vec's kept
-    modulus pass and ||vec||^2 is |c+|^2 + |c-|^2."""
+    """Split coefficients c of vec and R = sqrt((|c+|^2 + |c-|^2)/2), the sums
+    and ||vec|| taken once on c and vec from core._pow2_scaled(., max|c_j|);
+    DegenerateInputError when c is zero or not finite, or R <= DEFAULT_TOL *
+    ||vec||.  Under a split whose matrix is I, c is vec's components, with
+    max|c_j| from vec's kept modulus pass and ||vec||^2 = |c+|^2 + |c-|^2."""
     coeffs = split.coefficients(vec)
     identity = split._identity
     top = vec._modulus_pass()[1] if identity else float(np.abs(coeffs).max())
     if 0.0 < top < math.inf:
-        s = _pow2_scale(top)
-        c = coeffs if s == 1.0 else s * coeffs
+        c, s = _pow2_scaled(coeffs, top)
         p = split.signature.p
         sum_sq = _norm(c[:p]) ** 2 + _norm(c[p:]) ** 2
         r = math.sqrt(sum_sq / 2.0)
         v_norm = (math.sqrt(sum_sq) if identity
-                  else float(_norm(vec.components if s == 1.0 else s * vec.components)))
+                  else float(_norm(_pow2_scaled(vec.components, top)[0])))
         if r > DEFAULT_TOL * v_norm:
             return coeffs, r / s
     raise DegenerateInputError("scale R collapsed below tolerance")

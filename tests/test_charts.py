@@ -22,7 +22,6 @@ from coneq import (
     chart_inverse,
     extend_to_witt_basis,
     form_eval,
-    hyperbolic_partner,
     is_perp,
     kappa0,
     make_chart,
@@ -47,30 +46,30 @@ def null22():
 
 class TestHyperbolicPartner:
     def test_pinned_example(self):
-        u = hyperbolic_partner(null22())
+        u = make_chart(null22()).u
         np.testing.assert_array_equal(u.components, [0.5, 0, 0, -0.5])
 
     def test_contract_at_sampled_points(self):
         for sig in (SIG11, Signature(1, 2), SIG22, Signature(3, 2)):
             for seed in range(10):
                 x = sample_cone_point(sig, seed)
-                u = hyperbolic_partner(x)
+                u = make_chart(x).u
                 assert abs(form_eval(u, u)) <= 1e-12 * u.norm() ** 2
                 assert abs(form_eval(u, x.vector) - 1.0) <= 1e-12
 
     def test_complex_pivot(self):
-        u = hyperbolic_partner(ConePoint(vec(SIG11, 1j, 1)))
+        u = make_chart(ConePoint(vec(SIG11, 1j, 1))).u
         np.testing.assert_allclose(u.components, [0.5j, -0.5], atol=1e-15)
 
     def test_explicit_hint(self):
         x = null22()
-        u = hyperbolic_partner(x, v_hint=basis_vector(SIG22, 3))
+        u = make_chart(x, v_hint=basis_vector(SIG22, 3)).u
         assert abs(form_eval(u, u)) <= 1e-14
         assert abs(form_eval(u, x.vector) - 1.0) <= 1e-14
 
     def test_orthogonal_hint_rejected(self):
         with pytest.raises(InternalContractError):
-            hyperbolic_partner(null22(), v_hint=basis_vector(SIG22, 1))
+            make_chart(null22(), v_hint=basis_vector(SIG22, 1))
 
 
 class TestWittBasis:
@@ -96,7 +95,7 @@ class TestWittBasis:
         np.testing.assert_allclose(
             (basis[0] + basis[-1]).components, x.components, atol=1e-12
         )
-        u = hyperbolic_partner(x)
+        u = make_chart(x).u
         np.testing.assert_allclose(
             (0.5 * (basis[0] - basis[-1])).components, u.components, atol=1e-12
         )
@@ -152,14 +151,14 @@ class TestChartFrame:
         with pytest.raises(UnsupportedChartError):
             ChartFrame(x, basis_vector(SIG22, 0), good_mids)  # u not isotropic
         with pytest.raises(UnsupportedChartError):
-            ChartFrame(x, hyperbolic_partner(x), good_mids[:1])
+            ChartFrame(x, make_chart(x).u, good_mids[:1])
 
     def test_hint_sets_the_partner(self):
         x = sample_cone_point(SIG22, 3)
         hint = basis_vector(SIG22, 1) + 0.3 * basis_vector(SIG22, 2)
         chart = make_chart(x, v_hint=hint)
         np.testing.assert_array_equal(
-            chart.u.components, hyperbolic_partner(x, hint).components
+            chart.u.components, _reference_partner(x, hint).components
         )
 
     def test_scale_covariant(self):
@@ -169,7 +168,7 @@ class TestChartFrame:
             scaled = ConePoint(10.0**k * x.vector)
             chart = make_chart(scaled)
             np.testing.assert_array_equal(
-                chart.u.components, hyperbolic_partner(scaled).components
+                chart.u.components, _reference_partner(scaled).components
             )
             for m, m0 in zip(chart.mu_basis, base.mu_basis):
                 np.testing.assert_allclose(m.components, m0.components,

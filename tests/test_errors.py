@@ -27,7 +27,6 @@ from coneq import (
     chart_inverse,
     conformal_factor,
     cotangent_metric_qtilde,
-    hyperbolic_partner,
     induced_metric,
     kappa0,
     make_chart,
@@ -99,13 +98,13 @@ class TestCertificatesSetThem:
     def test_chart_frame_count_error_measures_nothing(self):
         x = sample_cone_point(SIG22, 1)
         with pytest.raises(UnsupportedChartError) as info:
-            ChartFrame(x, hyperbolic_partner(x), (basis_vector(SIG22, 1),))
+            ChartFrame(x, make_chart(x).u, (basis_vector(SIG22, 1),))
         assert info.value.residual is None
 
     def test_frame_gram_tangency(self):
         # The partner u has f(u, x) = 1, so it is not tangent at x.
         x = sample_cone_point(SIG22, 2)
-        u = hyperbolic_partner(x)
+        u = make_chart(x).u
         basis = list(quotient_basis(x))
         basis[2] = u
         with pytest.raises(TangencyError) as info:
@@ -236,7 +235,7 @@ class TestCertificatesSetThem:
 
     def test_skew_form_tangency(self):
         x = sample_cone_point(SIG22, 2)
-        u = hyperbolic_partner(x)
+        u = make_chart(x).u
         tangent = quotient_basis(x)[0]
         with pytest.raises(TangencyError) as info:
             skew_form(x, tangent, u)

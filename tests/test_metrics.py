@@ -18,7 +18,6 @@ from coneq import (
     cotangent_metric_qtilde,
     extend_to_witt_basis,
     form_eval,
-    hyperbolic_partner,
     induced_metric,
     make_chart,
     quotient_basis,
@@ -260,7 +259,7 @@ class TestQuotientCoefficients:
     def test_recovers_frame_member(self):
         # Every frame member's coefficients are its unit column.
         x = null22()
-        frame = metrics._quotient_columns(x, metrics._balance(x))
+        frame = metrics._quotient_columns(x, charts._unit_pair(x))
         coeffs, residual = metrics._quotient_fit(x, frame)
         np.testing.assert_allclose(coeffs, np.eye(6), atol=1e-12)
         assert residual <= 1e-12
@@ -337,8 +336,8 @@ class TestOneFramePerPoint:
         hint = basis_vector(sig, 1) + 0.3 * basis_vector(sig, sig.n - 2)
         for seed in range(3):
             x = sample_cone_point(sig, seed)
-            hinted_u = hyperbolic_partner(x, hint).components.tobytes()
-            default_u = hyperbolic_partner(x).components.tobytes()
+            hinted_u = make_chart(ConePoint(x.vector), hint).u.components.tobytes()
+            default_u = make_chart(ConePoint(x.vector)).u.components.tobytes()
             # Default first, then hinted, then default again.
             assert make_chart(x).u.components.tobytes() == default_u
             assert make_chart(x, hint).u.components.tobytes() == hinted_u
@@ -616,7 +615,7 @@ class TestQuotientColumns:
             for s in self.SCALES:
                 v = s * sample_cone_point(sig, seed).vector
                 x = ConePoint(v)
-                frame = metrics._quotient_columns(x, metrics._balance(x))
+                frame = metrics._quotient_columns(x, charts._unit_pair(x))
                 basis = [CVector(c, sig) for c in frame.T]
                 want = induced_metric(ConePoint(v), basis=basis).entries
                 gram, _ = metrics._quotient_gram(ConePoint(v), 1e-9)

@@ -1,7 +1,7 @@
 """Scale invariance: a positive rescale s of the input point, s = 10^u with
 u uniform in [-8, 8], leaves every quotient, chart and certificate unchanged;
 the quotient metrics keep their signature, rank and radical for every
-s = 10^k, |k| <= 150.
+s = 10^k, |k| <= 300.
 
 The chart centre is never rescaled in a round trip: a fixed (r, y) on
 make_chart(s x) names a different class, which nears the apex as s grows.
@@ -17,9 +17,12 @@ from hypothesis import strategies as st
 
 from coneq import (
     IN_APERP,
+    ChartFrame,
     ConePoint,
     NotIsotropicError,
     Signature,
+    UnsupportedChartError,
+    UnsupportedFrameError,
     aperp_classify,
     canonicalize_phase,
     canonicalize_ray,
@@ -107,8 +110,8 @@ def test_chart_certificates_hold_at_every_scale(sig, seed, s, r):
 # the certificates and maps below, from deep in the subnormal-square range
 # (k = -1000) to the edge of overflow (k = 1000).
 POW2_EXPONENTS = [-1000, -700, -520, -200, 200, 700, 1000]
-# The metrics build make_chart(x), which holds to about 1e+-154 (2^+-511).
-METRIC_EXPONENTS = [-500, -200, 200, 500]
+# The metrics build make_chart(x) on the power-of-two representative of x.
+METRIC_EXPONENTS = [-1000, -500, -200, 200, 500, 1000]
 
 
 @pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
@@ -149,6 +152,22 @@ def test_power_of_two_rescale_keeps_every_bit(sig):
 
 @pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
                                  for q in range(1, 6)], ids=str)
+def test_power_of_two_rescale_keeps_the_chart_frame(sig):
+    # make_chart(2^k x) has the partner u(x) / 2^k and the middles of
+    # make_chart(x), bit for bit, with no numpy warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(6):
+            x = sample_cone_point(sig, seed)
+            cols = make_chart(x)._columns
+            for k in METRIC_EXPONENTS:
+                got = make_chart(ConePoint(math.ldexp(1.0, k) * x.vector))._columns
+                assert got[:, 0].tobytes() == (cols[:, 0] * math.ldexp(1.0, -k)).tobytes()
+                assert got[:, 1:].tobytes() == cols[:, 1:].tobytes()
+
+
+@pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
+                                 for q in range(1, 6)], ids=str)
 def test_quotient_metrics_are_right_at_every_scale(sig):
     # At lambda x, lambda = 10^k, the induced metric has signature
     # (2p-1, 2q-1, 0) and the cometric rank 2n-4 (0 at n = 2) with a line
@@ -157,12 +176,41 @@ def test_quotient_metrics_are_right_at_every_scale(sig):
     want_rank = 2 * sig.n - 4 if sig.n >= 3 else 0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for k in range(-150, 151):
+        for k in [*range(-300, 301, 2), -155, 155]:
             x = ConePoint(10.0**k * sample_cone_point(sig, k % 7).vector)
             g = induced_metric(x)
             assert g.signature == (2 * sig.p - 1, 2 * sig.q - 1, 0), k
             co = cotangent_metric_qtilde(x)
             assert (co.rank, co.signature[2]) == (want_rank, 1), k
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 1), Signature(2, 3), Signature(5, 5)],
+                         ids=str)
+def test_chart_frame_constructor_at_every_scale(sig):
+    # The public constructor certifies a frame centred past 1e+-154 as
+    # make_chart does, and still rejects a partner off by 1e-6.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (-300, -155, 155, 300):
+            x = ConePoint(10.0**k * sample_cone_point(sig, 2).vector)
+            chart = make_chart(x)
+            fresh = ChartFrame(x, chart.u, chart.mu_basis)
+            assert fresh._columns.tobytes() == chart._columns.tobytes()
+            with pytest.raises(UnsupportedChartError):
+                ChartFrame(x, (1.0 + 1e-6) * chart.u, chart.mu_basis)
+
+
+@pytest.mark.parametrize("sig", [Signature(2, 2), Signature(3, 3)], ids=str)
+def test_explicit_basis_gram_past_the_float_range(sig):
+    # Gram entries near 1e310: a QuadricError names the basis before any
+    # product overflows, and numpy warns nothing.
+    x = sample_cone_point(sig, 3)
+    lam = 1e155
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedFrameError, match="past the float range"):
+            induced_metric(ConePoint(lam * x.vector),
+                           basis=[lam * v for v in quotient_basis(x)])
 
 
 def test_norm_keeps_every_bit_under_power_of_two_rescale():
