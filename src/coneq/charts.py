@@ -30,6 +30,7 @@ from .core import (
     _gram,
     _norm,
     _owned,
+    _pow2_scale,
     _pow2_scaled,
     _stream,
     _unit,
@@ -121,10 +122,11 @@ def _reflection_complement(a: np.ndarray, out: np.ndarray) -> None:
 
 
 def _frame_block(x: ConePoint, v_hint: CVector | None) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, u^): the chart frame at x as one read-only (n, n - 1) array,
-    the partner u then an eta-orthonormal basis m_2, ..., m_{n-1} (positive
-    block first) of the complement of span{x, u}, and _partner's read-only
-    u^, built on core._unit(x)'s x^ = s x: every product pairs O(1) numbers.
+    """(cols, u^): the chart frame at x, the partner u then an eta-orthonormal
+    basis m_2, ..., m_{n-1} (positive block first) of the complement of
+    span{x, u}, as columns 1: of one read-only (n, n) array, column 0 x as
+    core._pow2_scaled gives it, certified on it; and _partner's read-only u^.
+    Built on core._unit(x)'s x^ = s x: every product pairs O(1) numbers.
 
     With x = (a, b) in the standard split, u_s = (a, -b) / ||x||^2 spans with
     x a plane whose complement is a^perp + b^perp, one Householder reflection
@@ -136,15 +138,17 @@ def _frame_block(x: ConePoint, v_hint: CVector | None) -> tuple[np.ndarray, np.n
     sig = x.signature
     p = sig.p
     c = _unit(x)[0]
-    cols = np.zeros((sig.n, sig.n - 1), dtype=np.complex128)
+    block = np.zeros((sig.n, sig.n), dtype=np.complex128)
+    block[:, 0] = _pow2_scaled(x.components, x.vector._modulus_pass()[1])[0]
     u, uh = _partner(x, v_hint)
-    cols[:, 0] = u
-    _reflection_complement(c[:p], cols[:p, 1:p])
-    _reflection_complement(c[p:], cols[p:, p:])
-    mids = cols[:, 1:]
+    block[:, 1] = u
+    _reflection_complement(c[:p], block[:p, 2:p + 1])
+    _reflection_complement(c[p:], block[p:, p + 1:])
+    mids = block[:, 2:]
     mids -= c[:, None] * _gram(mids, uh, sig)
-    cols.flags.writeable = uh.flags.writeable = False
-    return cols, uh
+    block.flags.writeable = uh.flags.writeable = False
+    _certify_frame(x, block)
+    return block[:, 1:], uh
 
 
 @functools.lru_cache(maxsize=128)
@@ -158,30 +162,25 @@ def _frame_target(sig: Signature, ux: float) -> np.ndarray:
     return target
 
 
-def _certify_frame(x: ConePoint, cols: np.ndarray) -> None:
-    """The chart identities of the frame columns cols = [u, m_2, ...] at x,
+def _certify_frame(x: ConePoint, against: np.ndarray) -> None:
+    """The chart identities of the frame [u, m_2, ...] = against[:, 1:] at x,
     each deviation relative to its norm product, else UnsupportedChartError.
-    x and u enter as core._pow2_scaled gives them, f(u, x) against the
-    product of their factors: no pairing or norm over- or underflows."""
+    x (against[:, 0]) and u enter as core._pow2_scaled gives them, f(u, x)
+    against the product of their factors: no pairing or norm over- or underflows."""
     sig = x.signature
-    xs, sx = _pow2_scaled(x.components, x.vector._modulus_pass()[1])
+    sx = _pow2_scale(x.vector._modulus_pass()[1])
     # max|u_j| by Python's abs, the same hypot as np.abs but faster at small n.
-    us, su = _pow2_scaled(cols[:, 0], max(map(abs, cols[:, 0].tolist())))
+    us, su = _pow2_scaled(against[:, 1], max(map(abs, against[:, 1].tolist())))
     if su != 1.0:
-        cols = np.column_stack((us, cols[:, 1:]))
-    against = np.column_stack((xs, cols))
-    # np.linalg.norm(against, axis=0), without the wrapper's dispatch.
-    norms = np.sqrt(np.add.reduce((against.conj() * against).real, axis=0))
-    deviation = (np.abs(_gram(cols, against, sig) - _frame_target(sig, sx * su))
-                 / (norms[1:, None] * norms))
+        against = against.copy()
+        against[:, 1] = us
+    # np.linalg.norm(against, axis=0) and core._gram(against[:, 1:], against).
+    conj = against.conj()
+    norms = np.sqrt(np.add.reduce((conj * against).real, axis=0))
+    gram = against[:, 1:].T @ (sig.eta[:, None] * conj)
+    deviation = np.abs(gram - _frame_target(sig, sx * su)) / (norms[1:, None] * norms)
     certify(float(deviation.max()), DEFAULT_TOL, UnsupportedChartError,
             "chart identities fail by {residual:.3e}")
-
-
-def _frame_views(cols: np.ndarray, sig: Signature) -> tuple:
-    """(u, mu_basis, cols): read-only CVector views of the frame columns."""
-    return (_owned(cols[:, 0], sig),
-            tuple(_owned(m, sig) for m in cols[:, 1:].T), cols)
 
 
 def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
@@ -192,31 +191,41 @@ def extend_to_witt_basis(x: ConePoint) -> list[CVector]:
     return [chart.witt_plus(), *chart.mu_basis, chart.witt_minus()]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ChartFrame:
     """Chart center x, hyperbolic partner u, and an eta-orthonormal basis of
-    the orthogonal complement M (positive directions first); u and mu_basis
-    are views of one read-only (n, n - 1) array [u, m_2, ..., m_{n-1}],
-    which the chart maps multiply by."""
+    the orthogonal complement M (positive directions first), held as one
+    read-only array _columns = [u, m_2, ..., m_{n-1}] that the chart maps
+    multiply by; u and mu_basis are read-only CVector views of its columns,
+    formed on first access and kept beside it (on x for make_chart(x))."""
 
     x: ConePoint
-    u: CVector
-    mu_basis: tuple[CVector, ...]
+    _columns: np.ndarray
 
-    def __post_init__(self):
-        sig = self.x.signature
-        mu_basis = tuple(self.mu_basis)
+    def __init__(self, x: ConePoint, u: CVector, mu_basis: tuple[CVector, ...]):
+        sig = x.signature
+        mu_basis = tuple(mu_basis)
         if len(mu_basis) != sig.n - 2:
-            raise UnsupportedChartError(
-                f"need {sig.n - 2} middle vectors, got {len(mu_basis)}"
-            )
-        for v in (self.u, *mu_basis):
-            _check_same_signature(v, self.x)
-        cols = np.column_stack([self.u.components]
-                               + [m.components for m in mu_basis])
-        cols.flags.writeable = False
-        _certify_frame(self.x, cols)
-        _set_frame(self, *_frame_views(cols, sig))
+            raise UnsupportedChartError(f"need {sig.n - 2} middle vectors, got {len(mu_basis)}")
+        for v in (u, *mu_basis):
+            _check_same_signature(v, x)
+        xs, _ = _pow2_scaled(x.components, x.vector._modulus_pass()[1])
+        block = np.column_stack([xs, u.components, *(m.components for m in mu_basis)])
+        block.flags.writeable = False
+        _certify_frame(x, block)
+        self.__dict__.update(x=x, _columns=block[:, 1:])
+
+    def _views(self) -> tuple[CVector, tuple[CVector, ...]]:
+        derived = self.x._derived
+        store = derived if derived.get("witt", (None,))[0] is self._columns else self.__dict__
+        if "witt_views" not in store:
+            cols, sig = self._columns, self.signature
+            store["witt_views"] = (_owned(cols[:, 0], sig),
+                                   tuple(_owned(m, sig) for m in cols[:, 1:].T))
+        return store["witt_views"]
+
+    u = property(lambda self: self._views()[0])
+    mu_basis = property(lambda self: self._views()[1])
 
     @property
     def signature(self) -> Signature:
@@ -231,37 +240,29 @@ class ChartFrame:
         return 0.5 * self.x.vector - self.u
 
 
-def _set_frame(chart: ChartFrame, u: CVector, mu_basis: tuple[CVector, ...],
-               cols: np.ndarray) -> None:
-    object.__setattr__(chart, "u", u)
-    object.__setattr__(chart, "mu_basis", mu_basis)
-    object.__setattr__(chart, "_columns", cols)
+def _default_frame(x: ConePoint) -> tuple[np.ndarray, np.ndarray]:
+    """_frame_block(x, None), make_chart(x)'s frame, built once and kept on x."""
+    kept = x._derived.get("witt")
+    if kept is None:
+        kept = x._derived["witt"] = _frame_block(x, None)
+    return kept
 
 
 def make_chart(x: ConePoint, v_hint: CVector | None = None) -> ChartFrame:
     """Witt extension of x, with the partner u that v_hint sets (_partner),
     packaged as a chart frame built by one array pass and certified once.
-    The default frame (no hint) is kept on x with its balanced partner, and
-    later calls wrap it without running the chart check again."""
-    frame = x._derived.get("witt") if v_hint is None else None
-    if frame is None:
-        cols, uh = _frame_block(x, v_hint)
-        _certify_frame(x, cols)
-        frame = _frame_views(cols, x.signature)
-        if v_hint is None:
-            x._derived["witt"] = frame
-            x._derived["unit_partner"] = uh
+    The default frame (no hint) is kept on x (_default_frame), and later
+    calls wrap it without running the chart check again."""
+    cols = (_default_frame(x) if v_hint is None else _frame_block(x, v_hint))[0]
     chart = object.__new__(ChartFrame)
-    object.__setattr__(chart, "x", x)
-    _set_frame(chart, *frame)
+    chart.__dict__.update(x=x, _columns=cols)
     return chart
 
 
 def _unit_pair(x: ConePoint) -> tuple[np.ndarray, np.ndarray]:
     """(x^, u^) = (s x, u / s) for core._unit(x)'s s and make_chart(x)'s
     partner u, read-only: f(u^, x^) = 1, both of norm O(1) at every scale."""
-    make_chart(x)
-    return _unit(x)[0], x._derived["unit_partner"]
+    return _unit(x)[0], _default_frame(x)[1]
 
 
 def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
@@ -290,7 +291,7 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
         raise NotIsotropicError(
             f"chart point r = {r}, y = {coords}: f(y, y) = {fyy:.6g} puts "
             f"(-f(y, y)/2 + r i) x past the float range")
-    vec = y.components + chart.u.components + chart.x.components * beta
+    vec = y.components + chart._columns[:, 0] + chart.x.components * beta
     out = ConePoint(_owned(vec, sig), tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
     certify(abs(pairing - 1.0) / (x_norm * out.vector.norm()), 1e-10,

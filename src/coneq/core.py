@@ -133,7 +133,7 @@ class CVector:
 
     def norm(self) -> float:
         """Euclidean norm (not the indefinite form)."""
-        return float(_norm(self.components))
+        return float(_norm(self.components, self.__dict__.get("_moduli", (0, math.inf))[1]))
 
     def _modulus_pass(self) -> tuple[np.ndarray, float]:
         """(|v_j| read-only, max|v_j|), formed on first use (normally by
@@ -171,21 +171,23 @@ def _check_same_signature(u, v):
         )
 
 
-def _norm(a: np.ndarray) -> np.float64:
+def _norm(a: np.ndarray, top: float = math.inf) -> np.float64:
     """2-norm of a real or complex array, right at every finite scale.
 
     In range it is np.linalg.norm(a) bit for bit: the same sums of squares
-    on the same raveled array, by np.vdot, which unlike ndarray.dot does not
-    warn on overflow.  When the sum is below 1e-290 (above it a subnormal
+    on the same raveled array, in place by ndarray.dot when top, max|a_j| or
+    a bound on it, is below 1e150, else by np.vdot, which does not warn on
+    overflow.  When the sum is below 1e-290 (above it a subnormal
     square is off by under 2^-59 of its last place) or inf, and every entry
     is finite, it is taken again on a times _pow2_balance(max|a_j|) and the
     scale undone, so a rescale by 2^k keeps every bit of a normal result."""
     a = a.ravel(order="K")
+    dot = np.ndarray.dot if top < 1e150 else np.vdot
     if a.dtype.kind == "c":
         re, im = a.real, a.imag
-        ss = float(np.vdot(re, re)) + float(np.vdot(im, im))
+        ss = float(dot(re, re)) + float(dot(im, im))
     else:
-        ss = float(np.vdot(a, a))
+        ss = float(dot(a, a))
     if not 1e-290 <= ss < math.inf:
         top = float(np.abs(a).max()) if a.size else 0.0
         if 0.0 < top < math.inf:
@@ -288,7 +290,7 @@ class ConePoint:
     tol: InitVar[float] = DEFAULT_TOL
     isotropy_residual: float = field(init=False)
     # Data derived from x alone, kept by the modules that compute it: "unit"
-    # (_unit), the default chart frame ("witt", "unit_partner"), the default
+    # (_unit), the default chart frame ("witt", "witt_views"), the default
     # quotient Gram ("quotient_gram"), the ray representative under the
     # standard split ("ray") and, on its point, the projective one ("proj").
     # None refers back to the point, so a dropped point is freed by its
@@ -326,7 +328,7 @@ def _unit(x: ConePoint) -> tuple[np.ndarray, float, float]:
     balanced frame are built on it."""
     kept = x._derived.get("unit")
     if kept is None:
-        s = _pow2_balance(norm := float(_norm(x.components)))
+        s = _pow2_balance(norm := float(_norm(x.components, x.vector._modulus_pass()[1])))
         # Each real part times s, which keeps the sign of a zero where a
         # complex product with s + 0i can flip it.
         xh = (np.ascontiguousarray(x.components).view(np.float64) * s).view(np.complex128)

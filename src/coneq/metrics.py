@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .charts import _unit_pair, extend_to_witt_basis, make_chart
+from .charts import _default_frame, _unit_pair, extend_to_witt_basis
 from .core import (
     DEFAULT_TOL,
     ConePoint,
@@ -120,10 +121,10 @@ class MetricMatrix:
 
 def _quotient_columns(x: ConePoint, pair: tuple | None = None) -> np.ndarray:
     """The adapted quotient frame [i x, 2i u, m_2, i m_2, ...] at x as the
-    columns of one (n, 2n - 2) array, from make_chart(x)'s frame, with
+    columns of one (n, 2n - 2) array, from make_chart(x)'s kept frame, with
     (x, u) = pair if given (charts._unit_pair(x): the balanced frame).  f3 =
     2iu, not e_1 - e_n = (x/2 + u) - (x/2 - u), which cancels if ||x|| >> ||u||."""
-    chart_cols = make_chart(x)._columns
+    chart_cols = _default_frame(x)[0]
     xc, uc = (x.components, chart_cols[:, 0]) if pair is None else pair
     n = chart_cols.shape[0]
     cols = np.empty((n, 2 * n - 2), dtype=np.complex128)
@@ -244,7 +245,7 @@ def _quotient_gram(x: ConePoint, tol: float,
         gram = real * 0.5 + real.T * 0.5
         gram.flags.writeable = False
         kept = x._derived["quotient_gram"] = (
-            gram, float(np.linalg.norm(gram - _quotient_target(x.signature))))
+            gram, float(_norm(gram - _quotient_target(x.signature))))
     certify(kept[1], _g0_threshold(tol), NondegeneracyError,
             "quotient Gram deviates from G0 by {residual:.3e}")
     return kept
@@ -286,11 +287,15 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *, basis=None,
         labels = tuple(f"v{i}" for i in range(len(basis)))
     cols = np.column_stack([v.components for v in basis])
     _certify_tangency(_tangency_residuals(x, cols), _BASIS_MESSAGE)
-    # Each product and partial sum of the Gram is at most n max|c_ij|^2.
+    # Each product and partial sum of the Gram is at most n max|c_ij|^2: below
+    # the smallest normal float, every entry would be subnormal or zero.
     top = float(np.abs(cols).max())
     if not math.isfinite(2.0 * cols.shape[0] * top * top):
         raise UnsupportedFrameError(
             f"basis entries of modulus {top:.3e} can put the Gram past the float range")
+    if top > 0.0 and cols.shape[0] * top * top < sys.float_info.min:
+        raise UnsupportedFrameError(
+            f"basis entries of modulus {top:.3e} put the Gram below the normal float range")
     return MetricMatrix.from_entries(_gram(cols, cols, x.signature).real, labels, tol)
 
 

@@ -168,7 +168,7 @@ def _ray_scale(vec: CVector, split: Split) -> tuple[np.ndarray, float]:
     if 0.0 < top < math.inf:
         c, s = _pow2_scaled(coeffs, top)
         p = split.signature.p
-        sum_sq = _norm(c[:p]) ** 2 + _norm(c[p:]) ** 2
+        sum_sq = _norm(c[:p], top * s) ** 2 + _norm(c[p:], top * s) ** 2
         r = math.sqrt(sum_sq / 2.0)
         v_norm = (math.sqrt(sum_sq) if identity
                   else float(_norm(_pow2_scaled(vec.components, top)[0])))
@@ -267,14 +267,11 @@ def _ray_rep(point: ConePoint, split: Split) -> RayRep:
     scaled = ConePoint(point.vector * (1.0 / r))
     # Block norms in the split's own (f-orthonormal) coordinates; these are
     # the f-norms of the two blocks and are what the cross-section pins to 1.
+    # Under the identity split they are the components: their modulus pass.
     coeffs = split.coefficients(scaled)
     p = split.signature.p
-    return RayRep(
-        scaled,
-        split,
-        float(_norm(coeffs[:p])),
-        float(_norm(coeffs[p:])),
-    )
+    top = scaled.vector._modulus_pass()[1] if split._identity else math.inf
+    return RayRep(scaled, split, float(_norm(coeffs[:p], top)), float(_norm(coeffs[p:], top)))
 
 
 def _pivot_index(mags: np.ndarray, top: float) -> int:

@@ -374,33 +374,56 @@ class TestOneFramePerPoint:
     def test_chart_check_runs_once(self, sig, monkeypatch):
         # The chart identity check is charts._certify_frame, which
         # make_chart and the ChartFrame constructor share; the kept default
-        # frame is wrapped without it.
-        calls = []
-        check = charts._certify_frame
+        # frame is wrapped without it.  The chart maps and both metrics read
+        # the kept array and form no CVector view of the frame; views are
+        # formed only when asked for (extend_to_witt_basis), once per point.
+        calls, owned = [], []
+        check, wrap = charts._certify_frame, charts._owned
 
         def counting(x, cols):
             calls.append(x)
             check(x, cols)
 
+        def counting_owned(components, s):
+            owned.append(components)
+            return wrap(components, s)
+
         monkeypatch.setattr(charts, "_certify_frame", counting)
+        monkeypatch.setattr(charts, "_owned", counting_owned)
         x = sample_cone_point(sig, 4)
-        make_chart(x)
-        charts.extend_to_witt_basis(x)
+        chart = make_chart(x)
+        y = np.arange(sig.n - 2) * (0.25 + 0.5j)
+        charts.chart_inverse(chart, charts.kappa0(chart, 0.5, y))
         induced_metric(x)
         cotangent_metric_qtilde(x)
+
+        def frame_views():
+            return [c for c in owned if np.shares_memory(c, chart._columns)]
+
+        assert frame_views() == []
+        charts.extend_to_witt_basis(x)
+        charts.extend_to_witt_basis(x)
         quotient_basis(x)
+        assert len(frame_views()) == sig.n - 1
         assert len(calls) == 1
 
     @pytest.mark.parametrize("sig", [SIG11] + SIGS, ids=str)
     def test_kept_frame_is_read_only(self, sig):
+        # The default frame is kept on x as (columns, u^); its views are
+        # kept beside it once asked for.  Every kept array is read-only.
         x = sample_cone_point(sig, 2)
         first = make_chart(x)
         again = make_chart(x)
         assert again.u is first.u and again.mu_basis is first.mu_basis
         assert again._columns is first._columns
-        u, mids, cols = x._derived["witt"]
+        cols, uh = x._derived["witt"]
+        assert cols is first._columns
+        u, mids = x._derived["witt_views"]
+        assert u is first.u and mids is first.mu_basis
         with pytest.raises(ValueError):
             cols[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            uh[0] = 0.0
         with pytest.raises(ValueError):
             u.components[0] = 0.0
         for m in mids:

@@ -213,6 +213,27 @@ def test_explicit_basis_gram_past_the_float_range(sig):
                            basis=[lam * v for v in quotient_basis(x)])
 
 
+@pytest.mark.parametrize("lam", [1e-165, 1e-170, 1e-200])
+def test_explicit_basis_gram_below_the_normal_range(lam):
+    # Gram entries near 1e-330 would flush to zero and read as a zero
+    # metric: a QuadricError names the basis before any product is formed.
+    x = sample_cone_point(Signature(2, 2), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnsupportedFrameError, match="below the normal float range"):
+            induced_metric(ConePoint(lam * x.vector),
+                           basis=[lam * v for v in quotient_basis(x)])
+
+
+def test_explicit_basis_gram_at_1e_minus_150_keeps_its_signature():
+    x = sample_cone_point(Signature(2, 2), 3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = induced_metric(ConePoint(1e-150 * x.vector),
+                           basis=[1e-150 * v for v in quotient_basis(x)])
+    assert g.signature == (3, 3, 0)
+
+
 def test_norm_keeps_every_bit_under_power_of_two_rescale():
     # _norm(2^k a) == 2^k _norm(a) wherever that is a normal float, with no
     # warning: numpy's own sum of squares overflows from about k = 510 and
