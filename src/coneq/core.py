@@ -92,14 +92,6 @@ class Signature:
         return {"p": self.p, "q": self.q}
 
 
-def _as_components(values, n: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.shape != (n,):
-        raise ValueError(f"expected {n} components, got shape {arr.shape}")
-    arr.flags.writeable = False
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class CVector:
     """Vector in C^n tagged with the signature of its ambient space."""
@@ -111,9 +103,11 @@ class CVector:
     __array_ufunc__ = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "components", _as_components(self.components, self.signature.n)
-        )
+        arr = np.array(self.components, dtype=np.complex128)
+        if arr.shape != (self.signature.n,):
+            raise ValueError(f"expected {self.signature.n} components, got shape {arr.shape}")
+        arr.flags.writeable = False
+        object.__setattr__(self, "components", arr)
 
     def __add__(self, other: "CVector") -> "CVector":
         _check_same_signature(self, other)
@@ -146,6 +140,16 @@ class CVector:
             kept = self.__dict__["_moduli"] = (mods, float(mods.max()))
         return kept
 
+    def _block_sums(self) -> tuple[float, float, float]:
+        """(S+, S-, s): _norm's sums on the standard blocks of v s, s from
+        _pow2_scaled(v, max|v_j|), for a finite nonzero v; kept like _moduli."""
+        kept = self.__dict__.get("_sums")
+        if kept is None:
+            c, s = _pow2_scaled(self.components, self._modulus_pass()[1])
+            p = self.signature.p
+            kept = self.__dict__["_sums"] = (_sum_sq(c[:p]), _sum_sq(c[p:]), s)
+        return kept
+
     def to_json(self) -> dict:
         return {
             "signature": self.signature.to_json(),
@@ -171,23 +175,26 @@ def _check_same_signature(u, v):
         )
 
 
+def _sum_sq(a: np.ndarray, dot=np.ndarray.dot) -> float:
+    """sum |a_j|^2 as np.linalg.norm sums it: re.re + im.im on the raveled a."""
+    a = a.ravel(order="K")
+    if a.dtype.kind == "c":
+        re, im = a.real, a.imag
+        return float(dot(re, re)) + float(dot(im, im))
+    return float(dot(a, a))
+
+
 def _norm(a: np.ndarray, top: float = math.inf) -> np.float64:
     """2-norm of a real or complex array, right at every finite scale.
 
-    In range it is np.linalg.norm(a) bit for bit: the same sums of squares
-    on the same raveled array, in place by ndarray.dot when top, max|a_j| or
-    a bound on it, is below 1e150, else by np.vdot, which does not warn on
-    overflow.  When the sum is below 1e-290 (above it a subnormal
-    square is off by under 2^-59 of its last place) or inf, and every entry
-    is finite, it is taken again on a times _pow2_balance(max|a_j|) and the
-    scale undone, so a rescale by 2^k keeps every bit of a normal result."""
-    a = a.ravel(order="K")
-    dot = np.ndarray.dot if top < 1e150 else np.vdot
-    if a.dtype.kind == "c":
-        re, im = a.real, a.imag
-        ss = float(dot(re, re)) + float(dot(im, im))
-    else:
-        ss = float(dot(a, a))
+    In range it is np.linalg.norm(a) bit for bit: _sum_sq by ndarray.dot in
+    place when top, max|a_j| or a bound on it, is below 1e150, else by
+    np.vdot, which does not warn on overflow.  When the sum is below 1e-290
+    (above it a subnormal square is off by under 2^-59 of its last place) or
+    inf, and every entry is finite, it is taken again on a times
+    _pow2_balance(max|a_j|) and the scale undone, so a rescale by 2^k keeps
+    every bit of a normal result."""
+    ss = _sum_sq(a, np.ndarray.dot if top < 1e150 else np.vdot)
     if not 1e-290 <= ss < math.inf:
         top = float(np.abs(a).max()) if a.size else 0.0
         if 0.0 < top < math.inf:
@@ -270,16 +277,13 @@ def _pow2_scaled(a: np.ndarray, top):
 
 
 def _isotropy_sums(vec: CVector) -> tuple[float, float]:
-    """(|f(x, x)|, ||x||^2) for x = vec, each summed once on x from
-    _pow2_scaled (top from vec's kept modulus pass); a zero or non-finite x
-    gives |f(x, x)| = nan and ||x||^2 = 0, inf or nan, which ConePoint rejects."""
-    absx, top = vec._modulus_pass()
+    """(|f(x, x)|, ||x||^2) = (|S+ - S-|, S+ + S-) off vec's kept block sums;
+    (nan, 0, inf or nan) for a zero or non-finite x, which ConePoint rejects."""
+    top = vec._modulus_pass()[1]
     if not 0.0 < top < math.inf:
         return math.nan, top
-    c, _ = _pow2_scaled(vec.components, top)
-    absx, _ = _pow2_scaled(absx, top)
-    nrm2 = float(np.add.reduce(absx**2))
-    return abs(complex(np.add.reduce(vec.signature.eta * c * np.conj(c)))), nrm2
+    plus, minus, _ = vec._block_sums()
+    return abs(plus - minus), plus + minus
 
 
 @dataclass(frozen=True, eq=False)

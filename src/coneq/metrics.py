@@ -196,6 +196,14 @@ def _quotient_target(sig: Signature) -> np.ndarray:
     return target
 
 
+@functools.lru_cache(maxsize=128)
+def _identity(dim: int) -> np.ndarray:
+    """The read-only dim x dim identity, formed once per dimension."""
+    eye = np.eye(dim)
+    eye.flags.writeable = False
+    return eye
+
+
 def _g0_threshold(tol: float) -> float:
     """The largest ||G - G0||_F that _quotient_gram accepts at tol."""
     return (1.0 - 2.0 * tol) / 4.0
@@ -320,7 +328,7 @@ def cotangent_metric_qtilde(x: ConePoint, *, tol: float = DEFAULT_TOL) -> Metric
     gram, _ = _quotient_gram(x, tol)
     # Certified, G has every eigenvalue beyond 3/4 in modulus: invertible.
     inverse = np.linalg.inv(gram)
-    residual = float(np.abs(gram @ inverse - np.eye(gram.shape[0])).max())
+    residual = float(np.abs(gram @ inverse - _identity(gram.shape[0])).max())
     certify(residual, 1e-6, NondegeneracyError,
             "quotient metric inversion failed (residual {residual:.3e})")
     sub = inverse[1:, 1:]

@@ -25,7 +25,7 @@ from .core import (
     _as_vector,
     _check_same_signature,
     _norm,
-    _pow2_scaled,
+    _owned,
     _pseudo_unitarity_residual,
     basis_vector,
     sample_pseudo_unitary,
@@ -116,6 +116,12 @@ class Split:
         c.flags.writeable = False
         return c
 
+    def _coordinate_vector(self, vec: CVector) -> CVector:
+        """coefficients(vec) as a vector of H_{p,q}, whose form they keep: vec
+        itself when the matrix is I.  Its kept sums give the block norms."""
+        coeffs = self.coefficients(vec)
+        return vec if self._identity else _owned(coeffs, vec.signature)
+
     def from_coefficients(self, coeffs) -> CVector:
         return CVector(self.matrix @ np.asarray(coeffs, dtype=np.complex128),
                        self.signature)
@@ -157,23 +163,23 @@ def split_decompose(x, split: Split | None = None) -> tuple[CVector, CVector, fl
 
 
 def _ray_scale(vec: CVector, split: Split) -> tuple[np.ndarray, float]:
-    """Split coefficients c of vec and R = sqrt((|c+|^2 + |c-|^2)/2), the sums
-    and ||vec|| taken once on c and vec from core._pow2_scaled(., max|c_j|);
-    DegenerateInputError when c is zero or not finite, or R <= DEFAULT_TOL *
-    ||vec||.  Under a split whose matrix is I, c is vec's components, with
-    max|c_j| from vec's kept modulus pass and ||vec||^2 = |c+|^2 + |c-|^2."""
-    coeffs = split.coefficients(vec)
-    identity = split._identity
-    top = vec._modulus_pass()[1] if identity else float(np.abs(coeffs).max())
+    """Split coefficients c of vec and R = sqrt((|c+|^2 + |c-|^2)/2), the block
+    norms _norm's, off the kept sums of split._coordinate_vector(vec) (vec under
+    I); DegenerateInputError when c is 0 or not finite, or R <= DEFAULT_TOL ||vec||."""
+    c = split._coordinate_vector(vec)
+    top = c._modulus_pass()[1]
     if 0.0 < top < math.inf:
-        c, s = _pow2_scaled(coeffs, top)
-        p = split.signature.p
-        sum_sq = _norm(c[:p], top * s) ** 2 + _norm(c[p:], top * s) ** 2
+        plus, minus, s = c._block_sums()
+        norms = math.sqrt(plus), math.sqrt(minus)
+        if min(plus, minus) < 1e-290:  # where _norm re-sums: its norms of c s
+            cs, p = c.components * s, vec.signature.p
+            norms = _norm(cs[:p], top * s), _norm(cs[p:], top * s)
+        # n * n is correctly rounded, so R(2^k x) = 2^k R(x); C pow(n, 2) is not.
+        sum_sq = norms[0] * norms[0] + norms[1] * norms[1]
         r = math.sqrt(sum_sq / 2.0)
-        v_norm = (math.sqrt(sum_sq) if identity
-                  else float(_norm(_pow2_scaled(vec.components, top)[0])))
+        v_norm = math.sqrt(sum_sq) if c is vec else float(_norm(vec.components * s))
         if r > DEFAULT_TOL * v_norm:
-            return coeffs, r / s
+            return c.components, r / s
     raise DegenerateInputError("scale R collapsed below tolerance")
 
 
@@ -265,13 +271,10 @@ def canonicalize_ray(x, split: Split | None = None) -> RayRep:
 def _ray_rep(point: ConePoint, split: Split) -> RayRep:
     _, r = _ray_scale(point.vector, split)
     scaled = ConePoint(point.vector * (1.0 / r))
-    # Block norms in the split's own (f-orthonormal) coordinates; these are
-    # the f-norms of the two blocks and are what the cross-section pins to 1.
-    # Under the identity split they are the components: their modulus pass.
-    coeffs = split.coefficients(scaled)
-    p = split.signature.p
-    top = scaled.vector._modulus_pass()[1] if split._identity else math.inf
-    return RayRep(scaled, split, float(_norm(coeffs[:p], top)), float(_norm(coeffs[p:], top)))
+    # Block norms in the split's (f-orthonormal) coordinates, the f-norms the
+    # cross-section pins to 1; under I the scaled point's certificate summed them.
+    plus, minus, s = split._coordinate_vector(scaled.vector)._block_sums()
+    return RayRep(scaled, split, math.sqrt(plus) / s, math.sqrt(minus) / s)
 
 
 def _pivot_index(mags: np.ndarray, top: float) -> int:
@@ -312,7 +315,8 @@ def proj_equivalent(x, y, tol: float = DEFAULT_TOL, split: Split | None = None) 
     a = canonicalize_phase(x, split)
     b = canonicalize_phase(y, split)
     _check_same_signature(a, b)
-    scale = max(_norm(a.components), _norm(b.components))
+    scale = max(math.sqrt(plus + minus) / s for plus, minus, s
+                in (a.point.vector._block_sums(), b.point.vector._block_sums()))
     return float(_norm(a.components - b.components)) <= tol * scale
 
 

@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import itertools
+import math
 import warnings
 import weakref
 
@@ -123,11 +124,11 @@ class TestIdentitySplit:
                 assert c.tobytes() == expected.tobytes()
                 assert not c.flags.writeable
 
-    def test_a_fresh_default_ray_takes_four_norms(self, monkeypatch):
-        from coneq import quotients
+    def test_a_fresh_default_ray_and_phase_take_no_norm(self, monkeypatch):
+        from coneq import core, quotients
 
         calls = []
-        norm = quotients._norm
+        norm = core._norm
 
         def counted(a, *top):
             calls.append(a.shape)
@@ -135,14 +136,63 @@ class TestIdentitySplit:
 
         sig = Signature(5, 5)
         x = sample_cone_point(sig, 12)
+        monkeypatch.setattr(core, "_norm", counted)
         monkeypatch.setattr(quotients, "_norm", counted)
         ray = canonicalize_ray(x)
-        # Two block norms for R and two for the certificate; ||x|| is read
-        # off R's sums, not taken again.
-        assert calls == [(5,), (5,), (5,), (5,)]
+        proj = canonicalize_phase(x)
+        # R, the block norms and both certificates read the sums each
+        # ConePoint's certificate took once.
+        assert calls == []
         monkeypatch.undo()
-        assert ray.components.tobytes() == canonicalize_ray(
-            ConePoint(x.vector)).components.tobytes()
+        fresh = ConePoint(x.vector)
+        assert ray.components.tobytes() == canonicalize_ray(fresh).components.tobytes()
+        assert proj.components.tobytes() == canonicalize_phase(fresh).components.tobytes()
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+    def test_block_norms_are_numpys(self, sig):
+        # plus_norm and minus_norm are read off the scaled point's
+        # certificate sums; they keep np.linalg.norm's bits on the blocks.
+        p = sig.p
+        for seed in range(8):
+            x = sample_cone_point(sig, seed)
+            c = x.components
+            plus, minus = np.linalg.norm(c[:p]), np.linalg.norm(c[p:])
+            assert split_decompose(x)[2] == math.sqrt((plus * plus + minus * minus) / 2.0)
+            for k in (0, 900, -900):
+                ray = canonicalize_ray(ConePoint(math.ldexp(1.0, k) * x.vector))
+                assert ray.plus_norm == np.linalg.norm(ray.components[:p])
+                assert ray.minus_norm == np.linalg.norm(ray.components[p:])
+
+    def test_proj_equivalent_takes_one_norm(self, monkeypatch):
+        from coneq import core, quotients
+
+        calls = []
+        norm = core._norm
+
+        def counted(a, *top):
+            calls.append(a.shape)
+            return norm(a, *top)
+
+        sig = Signature(5, 5)
+        x, y = sample_cone_point(sig, 3), sample_cone_point(sig, 4)
+        x2 = ConePoint(x.vector * (3.0 * np.exp(0.5j)))
+        monkeypatch.setattr(core, "_norm", counted)
+        monkeypatch.setattr(quotients, "_norm", counted)
+        # Only ||a - b|| is summed; the scale is read off the kept sums.
+        assert proj_equivalent(x, x2)
+        assert calls == [(10,)]
+        assert not proj_equivalent(x, y)
+        assert calls == [(10,), (10,)]
+
+    @pytest.mark.parametrize("sig", SIGNATURES, ids=str)
+    def test_a_plain_vector_gives_the_cone_points_scale(self, sig):
+        # 2^-485 puts both block sums below 1e-290, where _norm re-sums.
+        for seed in range(4):
+            x = sample_cone_point(sig, seed)
+            for k in (0, -485, 900, -900):
+                v = math.ldexp(1.0, k) * x.vector
+                plain = split_decompose(CVector(v.components, sig))[2]
+                assert plain == split_decompose(ConePoint(v))[2]
 
 
 class TestSharedStandardSplit:

@@ -37,6 +37,7 @@ from coneq import (
     sample_cone_point,
     sample_split,
     skew_form,
+    split_decompose,
     standard_split,
 )
 from coneq.core import _norm
@@ -148,6 +149,25 @@ def test_power_of_two_rescale_keeps_every_bit(sig):
                 else:
                     assert got[0] == inverse[0]
                     assert np.array_equal(got[1], inverse[1])
+
+
+@pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
+                                 for q in range(1, 6)], ids=str)
+def test_power_of_two_rescale_keeps_the_ray_scale(sig):
+    # R squares its block norms by a product, which is correctly rounded;
+    # C pow(n, 2) is not, and moved R's last bit at (4,3), seed 108, 2^-300.
+    for seed in range(200):
+        x = sample_cone_point(sig, seed)
+        r = split_decompose(x)[2]
+        for k in (-300, 300):
+            y = ConePoint(math.ldexp(1.0, k) * x.vector)
+            assert split_decompose(y)[2] == math.ldexp(r, k)
+    if sig == Signature(4, 3):
+        x = sample_cone_point(sig, 108)
+        y = ConePoint(math.ldexp(1.0, -300) * x.vector)
+        assert np.array_equal(canonicalize_ray(y).components, canonicalize_ray(x).components)
+        assert np.array_equal(canonicalize_phase(y).components,
+                              canonicalize_phase(x).components)
 
 
 @pytest.mark.parametrize("sig", [Signature(p, q) for p in range(1, 6)
