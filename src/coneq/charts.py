@@ -33,6 +33,7 @@ from .core import (
     _pow2_scale,
     _pow2_scaled,
     _stream,
+    _sum_sq,
     _unit,
     form_eval,
     make_rng,
@@ -267,23 +268,23 @@ def _unit_pair(x: ConePoint) -> tuple[np.ndarray, np.ndarray]:
 
 def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
     """Isotropic representative y + u + (-f(y,y)/2 + r i) x of the chart
-    point (r, y); certified with f(kappa0, kappa0) = 0 and f(x, kappa0) = 1
-    at tolerance 1e-10, relative to ||kappa0||^2 and to ||x|| ||kappa0||
-    (at least 1 by Cauchy-Schwarz), since the rounding grows like |y|^2.  A
-    non-finite r or y, or an f(y, y) or r for which beta x would overflow,
-    raises NotIsotropicError before the representative is formed."""
+    point (r, y), f(y, y) from y's block sums, not the coordinates (a frame's
+    middles are eta-orthonormal only to 1e-9); certified with f(kappa0,
+    kappa0) = 0 and f(x, kappa0) = 1 at tolerance 1e-10, relative to
+    ||kappa0||^2 and to ||x|| ||kappa0|| (at least 1 by Cauchy-Schwarz), as
+    the rounding grows like |y|^2.  A non-finite r or y, or an f(y, y) or r
+    for which beta x would overflow, raises NotIsotropicError before kappa0 is formed."""
     sig = chart.signature
     coords = np.asarray(y_coords, dtype=np.complex128).reshape(-1)
     if coords.shape != (sig.n - 2,):
-        raise ValueError(
-            f"expected {sig.n - 2} chart coordinates, got {coords.shape[0]}"
-        )
+        raise ValueError(f"expected {sig.n - 2} chart coordinates, got {coords.shape[0]}")
     r = float(r)
     if not (math.isfinite(r) and np.isfinite(coords).all()):
         raise NotIsotropicError(f"chart point r = {r}, y = {coords} is not finite")
-    y = _owned(chart._columns[:, 1:] @ coords, sig)
+    y = chart._columns[:, 1:] @ coords
     x_norm = _unit(chart.x)[2]
-    fyy = form_eval(y, y).real
+    ys, s = _pow2_scaled(y, max(map(abs, y.tolist())))
+    fyy = (_sum_sq(ys[:sig.p]) - _sum_sq(ys[sig.p:])) / s / s
     beta = complex(-0.5 * fyy, r)
     # |beta x_j| <= (|Re beta| + |Im beta|) ||x||; twice that bound finite
     # leaves room to add y + u, whose entries are below sqrt(|f(y, y)|).
@@ -291,10 +292,11 @@ def kappa0(chart: ChartFrame, r: float, y_coords) -> ConePoint:
         raise NotIsotropicError(
             f"chart point r = {r}, y = {coords}: f(y, y) = {fyy:.6g} puts "
             f"(-f(y, y)/2 + r i) x past the float range")
-    vec = y.components + chart._columns[:, 0] + chart.x.components * beta
+    vec = y + chart._columns[:, 0] + chart.x.components * beta
     out = ConePoint(_owned(vec, sig), tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
-    certify(abs(pairing - 1.0) / (x_norm * out.vector.norm()), 1e-10,
+    plus, minus, s = out.vector._block_sums()
+    certify(abs(pairing - 1.0) / (x_norm * (math.sqrt(plus + minus) / s)), 1e-10,
             InternalContractError,
             "chart normalization f(x, kappa0) = {pairing:.15g} != 1", pairing=pairing)
     return out
@@ -348,18 +350,16 @@ def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
     """
     bv = _balanced(_as_vector(b))
     pairing = form_eval(bv, chart.x.vector)
-    b_norm = bv.norm()
+    plus, minus, s = bv._block_sums()
+    b_norm = math.sqrt(plus + minus) / s
     if abs(pairing) <= tol * b_norm * _unit(chart.x)[2]:
         return IN_APERP
-    bp = bv.components * (1.0 / pairing)
-    beta, y = _frame_coords(chart, bp)
-    # ||b'|| = ||b|| / |f(b, x)| reaches 1e154 on a chart centred near
-    # ||x|| = 1e-154: the drift is summed on b' and y from _pow2_scaled(.,
-    # ||b'||), with Re(beta) times the factor squared.
-    bs, s = _pow2_scaled(bp, b_norm / abs(pairing))
-    ys, _ = _pow2_scaled(y, b_norm / abs(pairing))
+    beta, y = _frame_coords(chart, bv.components * (1.0 / pairing))
+    # ||b'|| = ||b|| / |f(b, x)| reaches 1e154 on a chart centred near ||x|| =
+    # 1e-154: the drift is summed on y s, s = _pow2_scale(||b'||), over (||b'|| s)^2.
+    ys, s = _pow2_scaled(y, bp_norm := b_norm / abs(pairing))
     fyy = float(np.add.reduce(chart.signature.eta[1:-1] * np.abs(ys) ** 2))
-    certify(abs(beta.real * s * s + 0.5 * fyy) / float(_norm(bs)) ** 2, 1e-6,
+    certify(abs(beta.real * s * s + 0.5 * fyy) / (s * bp_norm) ** 2, 1e-6,
             InternalContractError,
             "recovered Re(beta) deviates from -f(y,y)/2 by {residual:.3e} "
             "relative to ||b'||^2")

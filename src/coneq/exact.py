@@ -325,19 +325,19 @@ def standard_rational_chart(sig: Signature) -> RationalChart:
 
 
 def exact_kappa0(chart: RationalChart, r, y_coords) -> QVector:
-    """Exact chart map y + u + (-f(y,y)/2 + r i) x."""
+    """Exact chart map y + u + (-f(y,y)/2 + r i) x, formed in one combination."""
     r = _as_fraction(r)
     coords = [_coerce(c) for c in y_coords]
     sig = chart.signature
     if len(coords) != sig.n - 2:
         raise ValueError(f"expected {sig.n - 2} coordinates, got {len(coords)}")
-    y = _combine(tuple(zip(coords, chart.mu_basis)), sig)
-    a, b, d = _pairing(y, y)
-    if b:
-        raise InternalContractError("f(y, y) must be real")
-    # beta = -f(y, y)/2 + r i over the denominator 2 d r.den
-    beta = _gaussian(-a * r.denominator, 2 * d * r.numerator, 2 * d * r.denominator)
-    out = _combine(((_UNIT, y), (_UNIT, chart.u), (beta, chart.x)), sig)
+    # f(y, y) = sum eta_j |c_j|^2 on the eta-orthonormal middles, N / L^2 for L = lcm(dens).
+    p, den = sig.p - 1, lcm(*(c.d for c in coords))
+    num = sum((1 if j < p else -1) * (c.a * c.a + c.b * c.b) * (den // c.d) ** 2
+              for j, c in enumerate(coords))
+    d = 2 * den * den
+    beta = _gaussian(-num * r.denominator, d * r.numerator, d * r.denominator)
+    out = _combine((*zip(coords, chart.mu_basis), (_UNIT, chart.u), (beta, chart.x)), sig)
     a, b, _ = _pairing(out, out)
     if a or b:
         raise InternalContractError("exact chart output must be isotropic")

@@ -291,11 +291,17 @@ class TestFrameMatchesReference:
 
 
 def _reference_kappa0(chart, r, y_coords):
-    """kappa0 in CVector arithmetic, f(y, y) through form_eval."""
+    """kappa0 in CVector arithmetic, f(y, y) = S+ - S- from y's standard
+    blocks, each summed re.re + im.im on y times the power of two of the
+    scale rule."""
     sig = chart.signature
     coords = np.asarray(y_coords, dtype=np.complex128).reshape(-1)
     y = CVector(chart._columns[:, 1:] @ coords, sig)
-    beta = complex(-0.5 * form_eval(y, y).real, float(r))
+    s = _pow2_scale(float(np.abs(y.components).max()))
+    ys = y.components * s
+    plus, minus = (float(np.dot(b.real, b.real)) + float(np.dot(b.imag, b.imag))
+                   for b in (ys[:sig.p], ys[sig.p:]))
+    beta = complex(-0.5 * ((plus - minus) / s / s), float(r))
     vec = y + chart.u + beta * chart.x.vector
     out = ConePoint(vec, tol=1e-10)
     pairing = form_eval(chart.x.vector, out.vector)
@@ -409,6 +415,45 @@ class TestKappa:
             out = kappa0(chart, 0.5, 10.0**k * y)
             assert out.isotropy_residual <= 1e-10
 
+    @pytest.mark.parametrize("eps", [1e-10, 3e-10])
+    def test_kappa0_on_frames_within_the_constructor_tolerance(self, eps):
+        # ChartFrame certifies its middles to 1e-9 and kappa0 its output to
+        # 1e-10: f(y, y) from the ambient y holds on every accepted frame,
+        # where the coordinate sum eta_j |c_j|^2 assumes exact orthonormality.
+        accepted = 0
+        for p in (2, 3, 5):
+            sig = Signature(p, p)
+            k = sig.n - 2
+            for seed in range(20):
+                x = sample_cone_point(sig, seed)
+                base = make_chart(x)
+                rng = make_rng(seed, 31)
+                mids = [m * (1.0 + eps * rng.standard_normal()) for m in base.mu_basis]
+                try:
+                    chart = ChartFrame(x, base.u, mids)
+                except UnsupportedChartError:
+                    continue
+                accepted += 1
+                for size in (1e-8, 1.0, 1e4, 1e8):
+                    y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+                    y *= size / np.linalg.norm(y)
+                    out = kappa0(chart, float(rng.standard_normal()) * size * size, y)
+                    assert out.isotropy_residual <= 1e-10
+        assert accepted >= 40
+
+    def test_an_isotropic_y_past_the_square_range_maps(self):
+        # |y_j|^2 overflows on each block, but f(y, y) = 0 exactly: the block
+        # sums are taken at the scale rule's power of two, so nothing is nan.
+        chart = make_chart(null22())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = kappa0(chart, 0.5, [1e160, 1e160])
+        np.testing.assert_array_equal(out.components,
+                                      [0.5 + 0.5j, 1e160, 1e160, -0.5 + 0.5j])
+        r, y = chart_inverse(chart, out, tol=0.0)
+        assert r == 0.5
+        np.testing.assert_array_equal(y, [1e160, 1e160])
+
     def test_wrong_coordinate_count(self):
         with pytest.raises(ValueError):
             kappa0(make_chart(null22()), 1.0, [1.0])
@@ -417,6 +462,39 @@ class TestKappa:
         chart = make_chart(null22())
         rep = canonicalize_phase(kappa0(chart, 2.0, [1.0, 0.0]))
         assert proj_equivalent(rep, kappa0(chart, 2.0, [1.0, 0.0]))
+
+
+class TestChartMapsReadKeptSums:
+    """A kappa0 then chart_inverse round trip sums no norm: f(y, y) and the
+    norms of both certificates come from block sums each ConePoint kept."""
+
+    @pytest.mark.parametrize("sig", [SIG11, Signature(2, 3), Signature(5, 5)], ids=str)
+    def test_round_trip_takes_no_norm_and_two_pairings(self, sig, monkeypatch):
+        from coneq import charts, core
+
+        calls = []
+        norm, pairing = core._norm, core.form_eval
+
+        def counted_norm(a, *top):
+            calls.append("norm")
+            return norm(a, *top)
+
+        def counted_pairing(u, v):
+            calls.append("form_eval")
+            return pairing(u, v)
+
+        chart = make_chart(sample_cone_point(sig, 6))
+        rng = make_rng(6, 32)
+        k = sig.n - 2
+        y = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        for module in (core, charts):
+            monkeypatch.setattr(module, "_norm", counted_norm)
+            monkeypatch.setattr(module, "form_eval", counted_pairing)
+        r, back = chart_inverse(chart, kappa0(chart, 0.75, y))
+        # f(x, kappa0) for the normalization, f(b, x) for the inverse.
+        assert calls == ["form_eval", "form_eval"]
+        assert r == pytest.approx(0.75, rel=1e-12)
+        np.testing.assert_allclose(back, y, rtol=1e-12)
 
 
 class TestChartInverse:

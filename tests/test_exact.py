@@ -504,18 +504,39 @@ class TestExactCertificates:
         e = [exact_basis_vector(self.SIG, j) for j in range(self.SIG.n)]
         return std, e
 
-    def test_non_real_fyy_raises(self, monkeypatch):
-        # f is Hermitian, so no chart data give f(y, y) an imaginary part;
-        # a skewed pairing shows the check still runs.
-        pairing = exact._pairing
+    def test_non_orthonormal_middles_raise(self):
+        # f(y, y) is summed as eta_j |c_j|^2, which assumes eta-orthonormal
+        # middles; with m_2 = 2 e_2 the isotropy certificate must catch it.
+        std, e = self._data()
+        mids = (e[1].scale(qi(2)), e[2])
+        with pytest.raises(UnsupportedChartError):
+            RationalChart(std.x, std.u, mids)
+        chart = _unchecked_chart(std.x, std.u, mids)
+        with pytest.raises(InternalContractError, match="must be isotropic"):
+            exact_kappa0(chart, Fraction(1, 3), [qi(1, 2), qi(Fraction(1, 2))])
 
-        def skewed(u, v):
-            a, b, d = pairing(u, v)
-            return (a, b + d, d) if u is v else (a, b, d)
+    def test_kappa0_is_one_combination_and_two_pairings(self, monkeypatch):
+        calls = []
+        combine, pairing = exact._combine, exact._pairing
 
-        monkeypatch.setattr(exact, "_pairing", skewed)
-        with pytest.raises(InternalContractError, match="must be real"):
-            exact_kappa0(standard_rational_chart(self.SIG), 1, [qi(1), qi(2)])
+        def counted_combine(terms, sig):
+            calls.append("_combine")
+            return combine(terms, sig)
+
+        def counted_pairing(u, v):
+            calls.append("_pairing")
+            return pairing(u, v)
+
+        sig = Signature(3, 2)
+        chart = _boosted_chart(sig, mix=True)
+        coords = [qi(1, 2), qi(Fraction(-3, 4), 5), qi(0, Fraction(2, 7))]
+        want = ref_kappa0(chart, Fraction(5, 3), coords)
+        monkeypatch.setattr(exact, "_combine", counted_combine)
+        monkeypatch.setattr(exact, "_pairing", counted_pairing)
+        out = exact_kappa0(chart, Fraction(5, 3), coords)
+        # kappa0 in one combination, then its two certificates.
+        assert calls == ["_combine", "_pairing", "_pairing"]
+        assert out == want
 
     def test_non_isotropic_output_raises(self):
         std, e = self._data()
