@@ -151,6 +151,8 @@ def _report_lines(reports) -> str:
 def _run_reports(args, names) -> int:
     sig = _parse_sig(args.sig) if args.sig else None
     seed = _resolve_seed(args)
+    if args.trials is not None and args.trials > suites.MAX_TRIALS:
+        raise UsageError(f"--trials must be <= 2**32, got {args.trials}")
     reports = suites.run_many(names, sig, args.trials, seed, args.tol)
     ok = all(rep.ok for rep in reports)
     payload = {"ok": ok, "reports": [rep.to_json() for rep in reports]}

@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateInputError,
+    InternalContractError,
     NotIsometryError,
     NotIsotropicError,
     SignatureMismatchError,
@@ -51,6 +52,48 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     """
     ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in path))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash constants (bit_generator.pyx; NEP 19 keeps its output stable).
+_INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
+_HASH_B = np.array([[0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32]  # INIT_B MULT_B^i
+                    for i in range(5)], np.uint32)
+_KEY_BLOCK = 1024
+
+
+def _trial_keys(seed: int, prefix: tuple[int, ...], start: int, stop: int) -> list:
+    """Philox keys [k0, k1] of make_rng(seed, *prefix, k), start <= k < stop <= 2^32:
+    k hashed into SeedSequence(seed, spawn_key=prefix)'s pool, then generate_state(2,
+    uint64), over all k at once.  Constants are Python ints mod 2^32: numpy scalars warn."""
+    ss = np.random.SeedSequence(seed, spawn_key=prefix)
+    sizes = [max(1, -(-int(n).bit_length() // 32)) for n in (seed, *prefix)]
+    j = 4 * (max(4, sizes[0]) + sum(sizes[1:]))  # hashmix calls before k's
+    h = np.array([[_INIT_A * pow(_MULT_A, j + i, 2**32) % 2**32] for i in range(5)], np.uint32)
+    v = (np.arange(start, stop, dtype=np.uint32) ^ h[:4]) * h[1:]  # 4 hashmix
+    v ^= v >> 16
+    w = np.array([[_MIX_L * c % 2**32] for c in ss.pool.tolist()], np.uint32) - _MIX_R * v
+    w ^= w >> 16
+    w = (w ^ _HASH_B[:4]) * _HASH_B[1:]
+    w ^= w >> 16
+    return np.ascontiguousarray(w.T, "<u4").view("<u8").tolist()
+
+
+def _trial_streams(seed: int, prefix: tuple[int, ...], n: int):
+    """Yield one Generator n >= 1 times: make_rng(seed, *prefix, 0), then re-keyed to
+    make_rng(seed, *prefix, k)'s stream (Philox's key, counter 0 and empty buffer fix it;
+    Salmon et al., SC'11), each block's first key certified against numpy's SeedSequence."""
+    yield (rng := make_rng(seed, *prefix, 0))
+    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0]},
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    for start in range(1, n, _KEY_BLOCK):
+        keys = _trial_keys(seed, prefix, start, min(n, start + _KEY_BLOCK))
+        want = np.random.SeedSequence(seed, spawn_key=(*prefix, start)).generate_state(2, "u8")
+        if keys[0] != want.tolist():
+            raise InternalContractError(f"trial key {start}: {keys[0]}, numpy's {want}")
+        for key in keys:
+            state["state"]["key"] = key
+            rng.bit_generator.state = state
+            yield rng
 
 
 def _stream(seed: int | np.random.Generator, *path: int) -> np.random.Generator:

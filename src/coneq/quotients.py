@@ -26,6 +26,8 @@ from .core import (
     _check_same_signature,
     _norm,
     _owned,
+    _pow2_balance,
+    _pow2_scaled,
     _pseudo_unitarity_residual,
     basis_vector,
     sample_pseudo_unitary,
@@ -170,14 +172,16 @@ def _ray_scale(vec: CVector, split: Split) -> tuple[np.ndarray, float]:
     top = c._modulus_pass()[1]
     if 0.0 < top < math.inf:
         plus, minus, s = c._block_sums()
-        norms = math.sqrt(plus), math.sqrt(minus)
-        if min(plus, minus) < 1e-290:  # where _norm re-sums: its norms of c s
-            cs, p = c.components * s, vec.signature.p
+        norms, t = (math.sqrt(plus), math.sqrt(minus)), 1.0
+        if min(plus, minus) < 1e-290:  # _norm re-sums c s; t keeps both squares normal
+            cs, p = _pow2_scaled(c.components, top)[0], vec.signature.p
             norms = _norm(cs[:p], top * s), _norm(cs[p:], top * s)
+            t = _pow2_balance(max(norms))
+            norms = norms[0] * t, norms[1] * t
         # n * n is correctly rounded, so R(2^k x) = 2^k R(x); C pow(n, 2) is not.
         sum_sq = norms[0] * norms[0] + norms[1] * norms[1]
-        r = math.sqrt(sum_sq / 2.0)
-        v_norm = math.sqrt(sum_sq) if c is vec else float(_norm(vec.components * s))
+        r = math.sqrt(sum_sq / 2.0) / t
+        v_norm = math.sqrt(sum_sq) / t if c is vec else _norm(_pow2_scaled(vec.components, top)[0])
         if r > DEFAULT_TOL * v_norm:
             return c.components, r / s
     raise DegenerateInputError("scale R collapsed below tolerance")

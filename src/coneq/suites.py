@@ -3,7 +3,7 @@
 Each suite checks one invariant of the library on seeded random data and
 reports pass/fail counts plus the worst residual seen.  A suite is one
 trial function trial(sig, rng, tol) -> (ok, residual, detail); run_suite
-runs it once per trial and gives trial k the generator
+runs it once per trial and gives trial k the stream of
 make_rng(seed, p, q, k), an independent substream of the seed for the
 signature (p, q).  That one stream feeds everything the trial draws: its
 own numbers and the samplers, which take the Generator in place of an int
@@ -26,13 +26,15 @@ from .core import (
     Signature,
     _gram,
     _norm,
+    _trial_streams,
     form_eval,
-    make_rng,
     sample_cone_point,
     sample_pseudo_unitary,
     verify_isometry,
 )
 from .errors import NotInAperpError, QuadricError
+
+MAX_TRIALS = 2**32  # trial k is one 32-bit spawn word of its stream
 
 DEFAULT_SIGNATURES = (
     Signature(1, 1),
@@ -527,17 +529,17 @@ def run_suite(name: str, signature: Signature | None = None,
               tol: float | None = None) -> list[RunReport]:
     """Run one named suite, one report per signature.
 
-    Trial k draws from make_rng(seed, p, q, k), the one generator it
-    builds; its samplers draw from that stream too.  A trial that raises a
-    QuadricError fails with residual inf; the other trials still run.
-    Fewer than one trial is a ValueError, so no report is ok unchecked.
+    Trial k draws make_rng(seed, p, q, k)'s stream from one generator per
+    signature, re-keyed per trial: no trial may keep rng after it returns.
+    A trial that raises a QuadricError fails with residual inf; the others run.
+    Trials outside 1..MAX_TRIALS are a ValueError: no report is ok unchecked.
     """
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}")
     defn = SUITES[name]
     n_trials = defn.trials if trials is None else int(trials)
-    if n_trials < 1:
-        raise ValueError(f"trials must be >= 1, got {n_trials}")
+    if not 1 <= n_trials <= MAX_TRIALS:
+        raise ValueError(f"trials must be >= 1 and <= 2**32, got {n_trials}")
     threshold = defn.tol if tol is None else float(tol)
     if not defn.per_signature:
         sigs = [signature or Signature(1, 1)]
@@ -549,8 +551,7 @@ def run_suite(name: str, signature: Signature | None = None,
         passes = failures = 0
         worst = 0.0
         counterexample = None
-        for k in range(n_trials):
-            rng = make_rng(seed, sig.p, sig.q, k)
+        for k, rng in enumerate(_trial_streams(seed, (sig.p, sig.q), n_trials)):
             try:
                 ok, residual, detail = defn.fn(sig, rng, threshold)
             except QuadricError as exc:

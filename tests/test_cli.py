@@ -90,6 +90,16 @@ class TestVerify:
         assert payload["reports"][0]["counterexample"] is not None
         assert "[FAIL]" in err
 
+    @pytest.mark.parametrize("command", [("verify", "--suite", "hermitian"),
+                                         ("oracle",)])
+    def test_more_than_two_to_the_32_trials_is_a_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, *command, "--sig", "2,2",
+                                 "--trials", "4294967297")
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and "--trials must be <= 2**32" in err
+        assert "Traceback" not in err
+
     def test_unknown_suite(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--suite", "nope")
         assert code == 2

@@ -12,6 +12,7 @@ from coneq import (
     CVector,
     DegenerateInputError,
     GroupElement,
+    InternalContractError,
     NotIsometryError,
     NotIsotropicError,
     Signature,
@@ -27,7 +28,13 @@ from coneq import (
     sample_split,
     verify_isometry,
 )
-from coneq.core import _gram, _norm, _pseudo_unitarity_residual
+from coneq.core import (
+    _gram,
+    _norm,
+    _pseudo_unitarity_residual,
+    _trial_keys,
+    _trial_streams,
+)
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
@@ -324,6 +331,50 @@ class TestRng:
         a = make_rng(5, 0).standard_normal(4)
         b = make_rng(5, 1).standard_normal(4)
         assert not np.allclose(a, b)
+
+
+class TestTrialKeys:
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5]
+    PREFIXES = [(1, 1), (3, 3), (5, 5), (2**40, 2)]
+
+    @pytest.mark.parametrize("prefix", PREFIXES, ids=str)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_are_numpys_at_block_edges(self, seed, prefix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            keys = _trial_keys(seed, prefix, 0, 1026)
+            last = _trial_keys(seed, prefix, 2**32 - 2, 2**32)
+        for k in (0, 1, 1023, 1024, 1025):
+            ss = np.random.SeedSequence(seed, spawn_key=(*prefix, k))
+            assert keys[k] == ss.generate_state(2, np.uint64).tolist()
+        for k, key in zip((2**32 - 2, 2**32 - 1), last):
+            ss = np.random.SeedSequence(seed, spawn_key=(*prefix, k))
+            assert key == ss.generate_state(2, np.uint64).tolist()
+
+    def test_streams_match_make_rng_across_blocks(self):
+        want = [make_rng(2**64 + 1, 2, 3, k).standard_normal(3)
+                for k in (0, 1, 1023, 1024, 1025)]
+        got = [rng.standard_normal(3) for k, rng
+               in enumerate(_trial_streams(2**64 + 1, (2, 3), 1026))
+               if k in (0, 1, 1023, 1024, 1025)]
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("block", [0, 1])
+    def test_a_flipped_key_bit_is_an_internal_error(self, monkeypatch, block):
+        from coneq import core
+
+        keys = core._trial_keys
+
+        def flipped(seed, prefix, start, stop):
+            out = keys(seed, prefix, start, stop)
+            if start == 1 + block * core._KEY_BLOCK:
+                out[0][1] ^= 1 << 17
+            return out
+
+        monkeypatch.setattr(core, "_trial_keys", flipped)
+        with pytest.raises(InternalContractError, match="trial key"):
+            for _ in _trial_streams(3, (2, 2), core._KEY_BLOCK + 2):
+                pass
 
 
 class TestSamplers:

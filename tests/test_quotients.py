@@ -23,6 +23,7 @@ from coneq import (
     canonicalize_phase,
     canonicalize_ray,
     form_eval,
+    make_rng,
     proj_equivalent,
     sample_cone_point,
     sample_split,
@@ -375,6 +376,16 @@ class TestRayScaleFree:
                             (np.linalg.norm(c[:p]) ** 2
                              + np.linalg.norm(c[p:]) ** 2) / 2.0))
                         assert split_decompose(v, split)[2] == expected
+
+    def test_plain_vectors_with_unequal_small_blocks_are_covariant(self):
+        # Blocks near 1e-153 and 1e-155 take the re-sum branch, where the
+        # smaller norm's square is subnormal unless both share one scale.
+        rng = make_rng(355, 1)
+        for _ in range(2000):
+            z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            v = CVector(np.concatenate([1e-153 * z[:2], 1e-155 * z[2:]]), SIG22)
+            up = split_decompose(CVector(2.0**500 * v.components, SIG22))[2]
+            assert split_decompose(v)[2] == 2.0**-500 * up
 
     def test_zero_still_collapses(self):
         with pytest.raises(DegenerateInputError, match="scale R collapsed"):

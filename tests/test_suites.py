@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from coneq import (
@@ -5,7 +6,9 @@ from coneq import (
     core,
     SUITES,
     NotIsotropicError,
+    QuadricError,
     Signature,
+    make_rng,
     run_many,
     run_suite,
     suite_names,
@@ -125,17 +128,68 @@ def test_every_suite_passes_at_reduced_trials():
 
 @pytest.mark.parametrize("name", suite_names())
 def test_one_generator_per_trial(name, monkeypatch):
-    # The trial's stream make_rng(seed, p, q, k) feeds its samplers too.
-    built = []
+    # Trial k enters with make_rng(3, 2, 2, k)'s fresh state, and its
+    # samplers draw from that stream: no make_rng is called once trials start.
+    defn = SUITES[name]
+    entered, built = [], []
     make_rng = core.make_rng
 
+    def trial(sig, rng, tol):
+        entered.append(rng.bit_generator.state)
+        return defn.fn(sig, rng, tol)
+
     def counting(seed, *path):
-        built.append((seed, *path))
+        if entered:
+            built.append((seed, *path))
         return make_rng(seed, *path)
 
-    for module in (suites, charts):
-        monkeypatch.setattr(module, "make_rng", counting)
-    monkeypatch.setattr(core, "make_rng", counting)
+    for module in (core, charts, suites):
+        monkeypatch.setattr(module, "make_rng", counting, raising=False)
+    monkeypatch.setitem(SUITES, name, SuiteDef(trial, defn.trials, defn.tol,
+                                               defn.description, defn.per_signature))
     rep = run_suite(name, SIG22, trials=4, seed=3)[0]
     assert rep.ok
-    assert built == [(3, 2, 2, k) for k in range(4)]
+    assert built == []
+    assert len(entered) == 4
+    for k, state in enumerate(entered):
+        np.testing.assert_equal(state, make_rng(3, 2, 2, k).bit_generator.state)
+
+
+def _reference_report(name, sig, seed, trials):
+    """run_suite's report, timing aside, from a plain loop that builds
+    make_rng(seed, p, q, k) for each trial."""
+    defn = SUITES[name]
+    passes = failures = 0
+    worst, counterexample = 0.0, None
+    for k in range(trials):
+        try:
+            ok, residual, detail = defn.fn(sig, make_rng(seed, sig.p, sig.q, k), defn.tol)
+        except QuadricError as exc:
+            ok, residual = False, float("inf")
+            detail = {"error": type(exc).__name__, "message": str(exc)}
+        worst = max(worst, residual)
+        passes += ok
+        failures += not ok
+        if not ok and counterexample is None:
+            counterexample = {"trial": k, "residual": residual, **detail}
+    return {"suite": name, "signature": str(sig) if defn.per_signature else "-",
+            "seed": seed, "trials": trials, "passes": passes, "failures": failures,
+            "worst_residual": worst, "counterexample": counterexample}
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 + 1])
+@pytest.mark.parametrize("sig", [SIG22, Signature(3, 3)], ids=str)
+def test_reports_equal_a_make_rng_loop(sig, seed):
+    for name in suite_names():
+        got = run_suite(name, sig, trials=5, seed=seed)[0].to_json()
+        del got["elapsed_seconds"]
+        assert got == _reference_report(name, sig, seed, 5), name
+
+
+def test_more_than_two_to_the_32_trials_is_rejected_before_any_runs(monkeypatch):
+    calls = []
+    monkeypatch.setitem(SUITES, "counted", SuiteDef(
+        lambda sig, rng, tol: calls.append(1) or (True, 0.0, {}), 1, 0.0, "counts"))
+    with pytest.raises(ValueError, match=r"and <= 2\*\*32"):
+        run_suite("counted", SIG22, trials=2**32 + 1)
+    assert calls == []
