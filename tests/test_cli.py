@@ -105,6 +105,18 @@ class TestVerify:
         assert code == 2
         assert "unknown suite" in err
 
+    @pytest.mark.parametrize("name", ["metric-signature", "kappa-certificates",
+                                      "witt-extension"])
+    def test_deleted_suite_is_a_usage_error(self, capsys, name):
+        # Folded into radical, kappa-roundtrip and skew-form.
+        code, out, err = run_cli(capsys, "verify", "--suite", name, "--sig", "2,2")
+        assert code == 2
+        assert out == ""
+        assert err.count("error:") == 1 and "Traceback" not in err
+        listed = err.split("choose from: ", 1)[1].strip()
+        assert listed.split(", ") == ["all", *coneq.suite_names()]
+        assert name not in listed
+
     def test_all_suites_smoke(self, capsys):
         code, payload, _ = run_json(
             capsys, "verify", "--suite", "all", "--sig", "1,2",

@@ -1,10 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from coneq import (
     charts,
     core,
+    exact,
+    metrics,
+    quotients,
     SUITES,
+    ConePoint,
+    CVector,
     NotIsotropicError,
     QuadricError,
     Signature,
@@ -16,6 +23,7 @@ from coneq import (
 )
 from coneq.suites import SuiteDef
 
+SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
 
 
@@ -97,10 +105,11 @@ def test_raising_trial_fails_only_itself(monkeypatch):
 
 
 def test_failure_reports_counterexample():
-    rep = run_suite("witt-extension", SIG22, trials=5, seed=0, tol=1e-30)[0]
+    # --tol tightens the kappa0 certificates below their 1e-10 too.
+    rep = run_suite("kappa-roundtrip", SIG22, trials=5, seed=0, tol=1e-30)[0]
     assert not rep.ok
     assert rep.failures > 0
-    assert rep.counterexample is not None
+    assert rep.counterexample["check"] == "f(k, k) = 0 and f(x, k) = 1"
     assert rep.worst_residual > 1e-30
 
 
@@ -193,3 +202,92 @@ def test_more_than_two_to_the_32_trials_is_rejected_before_any_runs(monkeypatch)
     with pytest.raises(ValueError, match=r"and <= 2\*\*32"):
         run_suite("counted", SIG22, trials=2**32 + 1)
     assert calls == []
+
+
+def _conj(v):
+    return CVector(v.components.conj(), v.signature)
+
+
+def _unbalanced(sample):
+    """The sampler draws the negative block at 1.5 times unit norm."""
+    def mutant(sig, rng):
+        c = sample(sig, rng).components
+        return ConePoint(CVector(np.r_[c[:sig.p], 1.5 * c[sig.p:]], sig))
+    return mutant
+
+
+def _real_f3(columns):
+    """The quotient frame's f3 = 2u, not 2iu, which is not tangent."""
+    def mutant(x, pair=None):
+        cols = columns(x, pair).copy()
+        cols[:, 1] *= -1j
+        return cols
+    return mutant
+
+
+def _negated_r(inverse):
+    """The exact chart inverse returns -r."""
+    def mutant(chart, b):
+        r, y = inverse(chart, b)
+        return -r, y
+    return mutant
+
+
+# suite -> (signature, owner, attribute, original -> mutant): one fault of the
+# library, patched in process, that the suite must report as a failure.
+MUTANTS = {
+    "hermitian": (SIG22, suites, "form_eval",
+                  lambda f: lambda u, v: f(u, _conj(v))),  # bilinear
+    "sesquilinearity": (SIG22, suites, "form_eval",
+                        lambda f: lambda u, v: f(v, u)),  # linear in the second slot
+    "unitary-invariance": (SIG22, core.GroupElement, "apply",
+                           lambda apply: lambda self, v: apply(self, _conj(v))),
+    "cone-sampler": (SIG22, suites, "sample_cone_point", _unbalanced),
+    "cross-section": (SIG22, quotients, "canonicalize_ray",  # no pass-through
+                      lambda f: lambda x, split=None: f(getattr(x, "point", x), split)),
+    "sphere-chart": (SIG22, quotients.RayRep, "sphere_minus",
+                     lambda f: lambda self: f(self).conj()),
+    "phase-retraction": (SIG11, quotients, "_pivot_index",  # ties to the highest index
+                         lambda f: lambda mags, top: len(mags) - 1 - f(mags[::-1], top)),
+    "u1-action": (SIG11, quotients, "torus_coords",  # angles measured clockwise
+                  lambda f: lambda x: tuple(2 * np.pi - a for a in f(x))),
+    "metric-scaling": (SIG22, metrics, "induced_metric",  # basis= ignored
+                       lambda f: lambda x, *a, basis=None, **k: f(x, *a, **k)),
+    "radical": (SIG22, metrics, "induced_metric",  # one negative direction counted positive
+                lambda f: lambda *a, **k: dataclasses.replace(
+                    g := f(*a, **k), signature=(g.signature[0] + 1, g.signature[1] - 1, 0))),
+    "lift-independence": (SIG22, metrics, "_quotient_columns", _real_f3),
+    "conformal-class": (SIG22, metrics, "_unit",  # conformal_factor's mu inverted
+                        lambda f: lambda x: (*f(x)[:2], 1.0 / f(x)[2])),
+    "cometric-rank": (SIG22, metrics, "cotangent_metric_qtilde",  # -G^-1
+                      lambda f: lambda x, **k: dataclasses.replace(
+                          c := f(x, **k), entries=-c.entries)),
+    "skew-form": (SIG22, charts.ChartFrame, "witt_minus",  # e_n = x/2 + u
+                  lambda f: lambda self: self.witt_plus()),
+    "kappa-roundtrip": (SIG22, charts, "kappa0",  # f(x, kappa0) = 1 + 1e-8
+                        lambda f: lambda *a: ConePoint(f(*a).vector * (1 + 1e-8))),
+    "chart-domain": (SIG22, charts, "chart_inverse",  # no tolerance
+                     lambda f: lambda chart, b, tol=0.0: f(chart, b, 0.0)),
+    "aperp-partition": (SIG22, charts, "is_perp",  # comparison reversed
+                        lambda f: lambda a, b, tol=1e-9: not f(a, b, tol)),
+    "field-axioms": (None, exact.QGaussian, "__mul__",  # conjugates the product
+                     lambda mul: lambda a, b: mul(a, b).conjugate()),
+    "exact-roundtrip": (SIG22, exact, "exact_chart_inverse", _negated_r),
+    "twin-agreement": (SIG22, charts, "kappa0",
+                       lambda f: lambda chart, r, y: f(chart, -r, y)),
+}
+
+
+def test_mutant_table_names_exactly_the_suites():
+    assert set(MUTANTS) == set(SUITES)
+
+
+@pytest.mark.parametrize("name", suite_names())
+def test_every_suite_fails_under_its_mutant(name, monkeypatch):
+    if name not in MUTANTS:
+        pytest.fail(f"suite {name!r} has no mutant in MUTANTS")
+    sig, owner, attr, mutate = MUTANTS[name]
+    assert run_suite(name, sig, trials=20, seed=0)[0].ok
+    monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
+    rep = run_suite(name, sig, trials=20, seed=0)[0]
+    assert rep.failures > 0, rep
