@@ -36,7 +36,6 @@ from .core import (
     _sum_sq,
     _unit,
     form_eval,
-    make_rng,
 )
 from .errors import (
     DegenerateInputError,
@@ -216,14 +215,29 @@ class ChartFrame:
         _certify_frame(x, block)
         self.__dict__.update(x=x, _columns=block[:, 1:])
 
-    def _views(self) -> tuple[CVector, tuple[CVector, ...]]:
+    def _store(self) -> dict:
+        """Where data derived from the frame is kept: on x for make_chart(x)'s
+        frame, so every chart wrapping it shares them, else on this chart."""
         derived = self.x._derived
-        store = derived if derived.get("witt", (None,))[0] is self._columns else self.__dict__
+        return derived if derived.get("witt", (None,))[0] is self._columns else self.__dict__
+
+    def _views(self) -> tuple[CVector, tuple[CVector, ...]]:
+        store = self._store()
         if "witt_views" not in store:
             cols, sig = self._columns, self.signature
             store["witt_views"] = (_owned(cols[:, 0], sig),
                                    tuple(_owned(m, sig) for m in cols[:, 1:].T))
         return store["witt_views"]
+
+    def _pairing(self) -> np.ndarray:
+        """eta[:, None] * conj(_columns), read-only, formed once per frame:
+        v @ it is core._gram(v, _columns), the pairings [f(v, c_j)]."""
+        store = self._store()
+        if "witt_pairing" not in store:
+            pairing = self.signature.eta[:, None] * self._columns.conj()
+            pairing.flags.writeable = False
+            store["witt_pairing"] = pairing
+        return store["witt_pairing"]
 
     u = property(lambda self: self._views()[0])
     mu_basis = property(lambda self: self._views()[1])
@@ -335,9 +349,8 @@ IN_APERP = InAperp()
 
 def _frame_coords(chart: ChartFrame, v: np.ndarray) -> tuple[complex, np.ndarray]:
     """f(v, u) and the coordinates eta_j f(v, m_j) along mu_basis, v an array."""
-    sig = chart.signature
-    pairings = _gram(v, chart._columns, sig)
-    return complex(pairings[0]), sig.eta[1:-1] * pairings[1:]
+    pairings = v @ chart._pairing()
+    return complex(pairings[0]), chart.signature.eta[1:-1] * pairings[1:]
 
 
 def chart_inverse(chart: ChartFrame, b, tol: float = DEFAULT_TOL):
@@ -471,7 +484,7 @@ def aperp_dimension_estimate(chart: ChartFrame, seed: int = 0,
         )
     n = sig.n
     p1 = sig.p - 1
-    rng = make_rng(seed, 7)
+    rng = _stream(seed, 7)
     dim = 2 + 2 * (n - 2)
 
     def embed(params: np.ndarray) -> np.ndarray:

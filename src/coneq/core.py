@@ -13,6 +13,7 @@ downstream draws from.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -50,21 +51,33 @@ def make_rng(seed: int, *path: int) -> np.random.Generator:
     Distinct paths give statistically independent streams, so trial k of a
     batch can use make_rng(seed, k) without coupling to trial k+1.
     """
-    ss = np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in path))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(_seed_sequence(seed, path)))
+
+
+def _seed_sequence(seed: int, path: tuple) -> np.random.SeedSequence:
+    """make_rng's SeedSequence, seed and path coerced by int() (and rejected as it rejects)."""
+    return np.random.SeedSequence(int(seed), spawn_key=tuple(map(int, path)))
 
 
 # numpy's SeedSequence hash constants (bit_generator.pyx; NEP 19 keeps its output stable).
 _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F715
-_HASH_B = np.array([[0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32]  # INIT_B MULT_B^i
-                    for i in range(5)], np.uint32)
+_HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32  # INIT_B MULT_B^i
+                for i in range(5))
 _KEY_BLOCK = 1024
+
+
+def _output_hash(pool) -> tuple:
+    """Philox's key [k0, k1], SeedSequence.generate_state(2, uint64), from the 4
+    words of its pool: Python ints, or uint64 arrays of words for a key per entry."""
+    a, b, c, d = [(v := (w ^ h) * m & 0xFFFFFFFF) ^ v >> 16
+                  for w, h, m in zip(pool, _HASH_B, _HASH_B[1:])]
+    return a | b << 32, c | d << 32
 
 
 def _trial_keys(seed: int, prefix: tuple[int, ...], start: int, stop: int) -> list:
     """Philox keys [k0, k1] of make_rng(seed, *prefix, k), start <= k < stop <= 2^32:
-    k hashed into SeedSequence(seed, spawn_key=prefix)'s pool, then generate_state(2,
-    uint64), over all k at once.  Constants are Python ints mod 2^32: numpy scalars warn."""
+    k hashed into SeedSequence(seed, spawn_key=prefix)'s pool, then _output_hash,
+    over all k at once.  Constants are Python ints mod 2^32: numpy scalars warn."""
     ss = np.random.SeedSequence(seed, spawn_key=prefix)
     sizes = [max(1, -(-int(n).bit_length() // 32)) for n in (seed, *prefix)]
     j = 4 * (max(4, sizes[0]) + sum(sizes[1:]))  # hashmix calls before k's
@@ -73,35 +86,53 @@ def _trial_keys(seed: int, prefix: tuple[int, ...], start: int, stop: int) -> li
     v ^= v >> 16
     w = np.array([[_MIX_L * c % 2**32] for c in ss.pool.tolist()], np.uint32) - _MIX_R * v
     w ^= w >> 16
-    w = (w ^ _HASH_B[:4]) * _HASH_B[1:]
-    w ^= w >> 16
-    return np.ascontiguousarray(w.T, "<u4").view("<u8").tolist()
+    return np.stack(_output_hash(w.astype(np.uint64)), axis=1).tolist()
+
+
+def _rekey(rng: np.random.Generator, key: list) -> np.random.Generator:
+    """rng with Philox key `key`, counter 0 and an empty buffer: the stream of
+    every SeedSequence whose generate_state(2, uint64) is key, since a
+    counter-based generator's key fixes its stream (Salmon et al., SC'11)."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0], "key": key},
+        "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+    return rng
 
 
 def _trial_streams(seed: int, prefix: tuple[int, ...], n: int):
     """Yield one Generator n >= 1 times: make_rng(seed, *prefix, 0), then re-keyed to
-    make_rng(seed, *prefix, k)'s stream (Philox's key, counter 0 and empty buffer fix it;
-    Salmon et al., SC'11), each block's first key certified against numpy's SeedSequence."""
+    make_rng(seed, *prefix, k)'s stream, each block's first key certified against
+    numpy's SeedSequence."""
     yield (rng := make_rng(seed, *prefix, 0))
-    state = {"bit_generator": "Philox", "state": {"counter": [0, 0, 0, 0]},
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
     for start in range(1, n, _KEY_BLOCK):
         keys = _trial_keys(seed, prefix, start, min(n, start + _KEY_BLOCK))
         want = np.random.SeedSequence(seed, spawn_key=(*prefix, start)).generate_state(2, "u8")
         if keys[0] != want.tolist():
             raise InternalContractError(f"trial key {start}: {keys[0]}, numpy's {want}")
         for key in keys:
-            state["state"]["key"] = key
-            rng.bit_generator.state = state
-            yield rng
+            yield _rekey(rng, key)
+
+
+_THREAD = threading.local()
 
 
 def _stream(seed: int | np.random.Generator, *path: int) -> np.random.Generator:
     """The stream a seeded sampler draws from: seed itself when it is a
-    Generator, drawn from in place, else make_rng(seed, *path)."""
+    Generator, drawn from in place, else make_rng(seed, *path)'s, bit for bit:
+    this thread's one generator re-keyed to that stream, valid until the
+    thread's next int-seeded call.  Each thread's first key is certified
+    against numpy's SeedSequence."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return make_rng(seed, *path)
+    ss = _seed_sequence(seed, path)
+    key = list(_output_hash(ss.pool.tolist()))
+    rng = getattr(_THREAD, "rng", None)
+    if rng is None:
+        want = ss.generate_state(2, "u8").tolist()
+        if key != want:
+            raise InternalContractError(f"stream key {key}, numpy's {want}")
+        rng = _THREAD.rng = np.random.Generator(np.random.Philox(ss))
+    return _rekey(rng, key)
 
 
 @dataclass(frozen=True)
@@ -337,9 +368,9 @@ class ConePoint:
     tol: InitVar[float] = DEFAULT_TOL
     isotropy_residual: float = field(init=False)
     # Data derived from x alone, kept by the modules that compute it: "unit"
-    # (_unit), the default chart frame ("witt", "witt_views"), the default
-    # quotient Gram ("quotient_gram"), the ray representative under the
-    # standard split ("ray") and, on its point, the projective one ("proj").
+    # (_unit), the default chart frame ("witt", "witt_views", "witt_pairing"),
+    # the default quotient Gram ("quotient_gram"), the ray representative under
+    # the standard split ("ray") and, on its point, the projective one ("proj").
     # None refers back to the point, so a dropped point is freed by its
     # reference count.
     _derived: dict = field(init=False, repr=False, default_factory=dict)

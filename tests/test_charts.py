@@ -496,6 +496,36 @@ class TestChartMapsReadKeptSums:
         assert r == pytest.approx(0.75, rel=1e-12)
         np.testing.assert_allclose(back, y, rtol=1e-12)
 
+    @pytest.mark.parametrize("sig", [SIG22, Signature(3, 2), Signature(5, 5)], ids=str)
+    def test_the_frame_pairing_is_formed_once_per_chart(self, sig):
+        from coneq import charts, core
+
+        x = sample_cone_point(sig, 8)
+        chart = make_chart(x)
+        public = ChartFrame(x, chart.u, chart.mu_basis)
+        hinted = make_chart(x, sample_cone_point(sig, 9).vector)
+        for c in (chart, public, hinted):
+            kept = c._pairing()
+            assert not kept.flags.writeable
+            for seed in range(4):
+                b = sample_cone_point(sig, seed).vector
+                # The same operands as core._gram, so the same bits.
+                for v in (b.components, (2.0 - 1j) * b.components):
+                    got = charts._frame_coords(c, v)
+                    want = core._gram(v, c._columns, sig)
+                    assert complex(want[0]) == got[0]
+                    assert (sig.eta[1:-1] * want[1:]).tobytes() == got[1].tobytes()
+                chart_inverse(c, b)
+                if sig.p > 1 and sig.q > 1:
+                    aperp_classify(c, sample_aperp_point(c, seed, 0.0))
+            assert c._pairing() is kept
+        # make_chart(x)'s pairing is kept on x and shared by every wrap of
+        # its frame; a public or hinted frame keeps its own.
+        assert x._derived["witt_pairing"] is chart._pairing() is make_chart(x)._pairing()
+        assert public.__dict__["witt_pairing"] is public._pairing()
+        assert hinted.__dict__["witt_pairing"] is hinted._pairing()
+        assert "witt_pairing" not in chart.__dict__
+
 
 class TestChartInverse:
     def test_pinned_roundtrip(self):

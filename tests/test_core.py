@@ -1,4 +1,7 @@
+import collections
 import math
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -28,6 +31,7 @@ from coneq import (
     sample_split,
     verify_isometry,
 )
+from coneq import core
 from coneq.core import (
     _gram,
     _norm,
@@ -441,7 +445,7 @@ class TestCayleySampler:
             def standard_normal(self, shape):
                 return np.zeros(shape)
 
-        monkeypatch.setattr("coneq.core.make_rng", lambda seed: Zeros())
+        monkeypatch.setattr("coneq.core._stream", lambda seed, *path: Zeros())
         np.testing.assert_array_equal(
             sample_pseudo_unitary(SIG22, 0).matrix, np.eye(4))
 
@@ -511,15 +515,17 @@ class TestSamplersTakeAStream:
     @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
     def test_int_seed_is_its_stream(self, sig):
         chart = make_chart(sample_cone_point(sig, 99))
-        for seed in range(10):
-            assert np.array_equal(sample_cone_point(sig, make_rng(seed)).components,
-                                  sample_cone_point(sig, seed).components)
-            assert np.array_equal(sample_pseudo_unitary(sig, make_rng(seed)).matrix,
-                                  sample_pseudo_unitary(sig, seed).matrix)
+        for seed in (*range(10), *INT_SEEDS[2:]):
+            assert (sample_cone_point(sig, make_rng(seed)).components.tobytes()
+                    == sample_cone_point(sig, seed).components.tobytes())
+            assert (sample_pseudo_unitary(sig, make_rng(seed)).matrix.tobytes()
+                    == sample_pseudo_unitary(sig, seed).matrix.tobytes())
+            split = sample_split(sig, seed)
+            assert split.label == f"transported-{seed}"
+            assert split.matrix.tobytes() == sample_split(sig, make_rng(seed)).matrix.tobytes()
             for apex in (0.1, 0.5):
-                assert np.array_equal(
-                    sample_aperp_point(chart, make_rng(seed, 3), apex).components,
-                    sample_aperp_point(chart, seed, apex).components)
+                assert (sample_aperp_point(chart, make_rng(seed, 3), apex).components.tobytes()
+                        == sample_aperp_point(chart, seed, apex).components.tobytes())
 
     def test_a_stream_is_drawn_from_in_place(self):
         rng = make_rng(4)
@@ -533,6 +539,131 @@ class TestSamplersTakeAStream:
         assert sample_split(SIG22, make_rng(7)).label == "transported"
         assert np.array_equal(sample_split(SIG22, make_rng(7)).matrix,
                               sample_split(SIG22, 7).matrix)
+
+
+INT_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 5]
+
+
+def _in_thread(fn, *args):
+    """fn(*args) run to completion in a new thread: (result, exception)."""
+    out = [None, None]
+
+    def run():
+        try:
+            out[0] = fn(*args)
+        except Exception as exc:  # handed back to the test to assert on
+            out[1] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    return out
+
+
+class TestIntSeedStreams:
+    """An int seed re-keys one generator per thread to make_rng(seed, *path)'s
+    stream: the same state and draws, and no generator built per call."""
+
+    @pytest.mark.parametrize("path", [(), (3,), (7,)], ids=str)
+    @pytest.mark.parametrize("seed", INT_SEEDS)
+    def test_state_and_draws_are_make_rngs(self, seed, path):
+        for _ in range(2):  # the thread's first key, then a re-key
+            want = make_rng(seed, *path)
+            got = core._stream(seed, *path)
+            np.testing.assert_equal(got.bit_generator.state, want.bit_generator.state)
+            assert got.standard_normal(7).tobytes() == want.standard_normal(7).tobytes()
+            assert got.uniform() == want.uniform()
+            assert got.random(dtype=np.float32) == want.random(dtype=np.float32)
+
+    @pytest.mark.parametrize("bad", [-1, 2.5, "7", None, np.int64(9)])
+    def test_seed_coercion_and_errors_are_make_rngs(self, bad):
+        try:
+            want = make_rng(bad).standard_normal(3)
+        except Exception as exc:
+            with pytest.raises(type(exc)):
+                core._stream(bad)
+        else:
+            assert core._stream(bad).standard_normal(3).tobytes() == want.tobytes()
+
+    def test_interleaved_threads_get_the_sequential_samples(self):
+        sig = Signature(3, 2)
+        seeds = [range(0, 60), range(2**64, 2**64 + 60)]
+
+        def draws(seeds):
+            return [(sample_cone_point(sig, s).components.tobytes(),
+                     sample_pseudo_unitary(sig, s).matrix.tobytes()) for s in seeds]
+
+        want = [draws(batch) for batch in seeds]
+        got = [[], []]
+        turns = threading.Barrier(2, timeout=30)
+
+        def run(t):
+            for s in seeds[t]:
+                turns.wait()
+                got[t] += draws([s])
+
+        # Switch threads as often as the interpreter allows, within calls too.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(t,)) for t in (0, 1)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == want
+
+    def test_a_stream_is_this_threads_alone(self):
+        # Thread A's stream, drawn from before and after thread B re-keys its
+        # own generator, is make_rng's throughout.
+        rng = core._stream(5)
+        first = rng.standard_normal(2)
+        other, exc = _in_thread(lambda: core._stream(6).standard_normal(2))
+        assert exc is None
+        second = rng.standard_normal(2)
+        want = make_rng(5)
+        assert first.tobytes() == want.standard_normal(2).tobytes()
+        assert second.tobytes() == want.standard_normal(2).tobytes()
+        assert other.tobytes() == make_rng(6).standard_normal(2).tobytes()
+
+    def test_a_corrupted_hash_constant_fails_a_threads_first_key(self, monkeypatch):
+        hash_b = core._HASH_B
+        monkeypatch.setattr(core, "_HASH_B", (hash_b[0] ^ 1 << 9, *hash_b[1:]))
+        _, exc = _in_thread(sample_cone_point, SIG22, 0)
+        assert isinstance(exc, InternalContractError)
+        assert "stream key" in str(exc)
+        # The trial streams hash with the same constants.
+        with pytest.raises(InternalContractError, match="trial key"):
+            list(_trial_streams(3, (2, 2), 2))
+
+    def test_make_rng_is_built_at_most_once_per_thread(self, monkeypatch):
+        from coneq import charts
+
+        calls = []
+        real = core.make_rng
+
+        def counting(seed, *path):
+            calls.append(threading.get_ident())
+            return real(seed, *path)
+
+        chart = make_chart(sample_cone_point(SIG22, 1))
+        for module in (core, charts):
+            monkeypatch.setattr(module, "make_rng", counting, raising=False)
+
+        def hundred():
+            for seed in range(25):
+                sample_cone_point(SIG22, seed)
+                sample_pseudo_unitary(SIG22, seed)
+                sample_split(SIG22, seed)
+                sample_aperp_point(chart, seed)
+
+        hundred()
+        assert _in_thread(hundred) == [None, None]
+        assert all(n <= 1 for n in collections.Counter(calls).values())
 
 
 class TestVerifyIsometry:
