@@ -110,7 +110,9 @@ def _reflection_complement(a: np.ndarray, out: np.ndarray) -> None:
     than j of the Householder reflection I - 2 v v^H / (v^H v) that maps a
     onto e_j, for the largest-modulus a_j (ties to the lowest index) and
     v = a + (a_j / |a_j|) ||a|| e_j, so that v_j does not cancel (Golub &
-    Van Loan, Matrix Computations, 5.1)."""
+    Van Loan, Matrix Computations, 5.1).  A one-element block has none."""
+    if a.shape[0] == 1:
+        return
     mods = np.abs(a)
     j = int(mods.argmax())
     # Scale-free; a unit pivot keeps v^H v from overflow and underflow.
@@ -440,7 +442,7 @@ def _boundary_point(chart: ChartFrame, alpha: complex, mp, mm) -> ConePoint:
     norm of the positive block mp so that the point is isotropic."""
     mm = mm * (_norm(mp) / _norm(mm))
     mids = chart._columns[:, 1:] @ np.concatenate([mp, mm])
-    return ConePoint(CVector(alpha * chart.x.components + mids, chart.signature))
+    return ConePoint(_owned(alpha * chart.x.components + mids, chart.signature))
 
 
 def sample_aperp_point(chart: ChartFrame, seed: int | np.random.Generator,

@@ -282,7 +282,7 @@ def basis_vector(sig: Signature, index: int) -> CVector:
     """Standard basis vector e_index (0-based) of H_{p,q}."""
     comps = np.zeros(sig.n, dtype=np.complex128)
     comps[index] = 1.0
-    return CVector(comps, sig)
+    return _owned(comps, sig)
 
 
 def form_eval(u: CVector, v: CVector) -> complex:
@@ -442,7 +442,7 @@ class GroupElement:
 
     def apply(self, v: CVector) -> CVector:
         _check_same_signature(v, self)
-        return CVector(self.matrix @ v.components, self.signature)
+        return _owned(self.matrix @ v.components, self.signature)
 
 
 def verify_isometry(u: GroupElement, tol: float = DEFAULT_TOL) -> bool:

@@ -19,7 +19,7 @@ from math import gcd, inf, lcm, ldexp, sqrt, ulp
 import numpy as np
 
 from .charts import IN_APERP
-from .core import CVector, Signature
+from .core import CVector, Signature, _owned
 from .errors import (DegenerateInputError, InternalContractError,
                      SignatureMismatchError, UnsupportedChartError, certify)
 
@@ -190,8 +190,8 @@ class QVector:
 
     def to_cvector(self) -> CVector:
         # int / int rounds correctly, as float(Fraction) does.
-        return CVector(np.array([complex(a / self.den, b / self.den)
-                                 for a, b in zip(self.re, self.im)]), self.signature)
+        return _owned(np.array([complex(a / self.den, b / self.den)
+                                for a, b in zip(self.re, self.im)]), self.signature)
 
 
 def _vector(re, im, den: int, sig: Signature, vec: QVector | None = None) -> QVector:
@@ -383,6 +383,8 @@ def exact_kappa_roundtrip(chart: RationalChart, r, y_coords) -> bool:
 
 def random_qgaussian(rng: np.random.Generator, max_num: int = 9,
                      max_den: int = 9) -> QGaussian:
-    """Small random Gaussian rational drawn from a seeded generator."""
-    return QGaussian(*(Fraction(int(rng.integers(-max_num, max_num + 1)),
-                                int(rng.integers(1, max_den + 1))) for _ in range(2)))
+    """Small random Gaussian rational drawn from a seeded generator: re =
+    n1/d1, then im = n2/d2, put straight over d1 d2 and reduced once."""
+    n1, d1, n2, d2 = (int(rng.integers(lo, hi)) for lo, hi
+                      in ((-max_num, max_num + 1), (1, max_den + 1)) * 2)
+    return _gaussian(n1 * d2, n2 * d1, d1 * d2)

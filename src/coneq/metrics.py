@@ -307,11 +307,13 @@ def induced_metric(x: ConePoint, frame: str = "adapted", *, basis=None,
     return MetricMatrix.from_entries(_gram(cols, cols, x.signature).real, labels, tol)
 
 
+_SKEW_MESSAGE = "skew form argument has tangency residual {residual:.3e}"
+
+
 def skew_form(x: ConePoint, vec_a: CVector, vec_b: CVector) -> float:
     """Value Im f(X, Y) of the induced skew form on tangent vectors at x."""
     cols = np.column_stack([vec_a.components, vec_b.components])
-    _certify_tangency(_tangency_residuals(x, cols),
-                      "skew form argument has tangency residual {residual:.3e}")
+    _certify_tangency(_tangency_residuals(x, cols), _SKEW_MESSAGE)
     return float(form_eval(vec_a, vec_b).imag)
 
 

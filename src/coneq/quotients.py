@@ -143,7 +143,8 @@ def sample_split(sig: Signature, seed: int | np.random.Generator) -> Split:
     labelled "transported-<seed>" for an int seed and "transported" for a
     Generator, which is drawn from in place."""
     u = sample_pseudo_unitary(sig, seed)
-    basis = tuple(CVector(u.matrix[:, j], sig) for j in range(sig.n))
+    # Views of the certified, read-only matrix: nothing to copy.
+    basis = tuple(_owned(c, sig) for c in u.matrix.T)
     stream = isinstance(seed, np.random.Generator)
     return Split(basis, label="transported" if stream else f"transported-{seed}")
 
@@ -159,8 +160,8 @@ def split_decompose(x, split: Split | None = None) -> tuple[CVector, CVector, fl
         split = standard_split(vec.signature)
     coeffs, r = _ray_scale(vec, split)
     p = split.signature.p
-    x_plus = CVector(split.matrix[:, :p] @ coeffs[:p], vec.signature)
-    x_minus = CVector(split.matrix[:, p:] @ coeffs[p:], vec.signature)
+    x_plus = _owned(split.matrix[:, :p] @ coeffs[:p], vec.signature)
+    x_minus = _owned(split.matrix[:, p:] @ coeffs[p:], vec.signature)
     return x_plus, x_minus, r
 
 

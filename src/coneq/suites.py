@@ -25,6 +25,7 @@ from .core import (
     CVector,
     Signature,
     _norm,
+    _owned,
     _trial_streams,
     form_eval,
     sample_cone_point,
@@ -69,9 +70,7 @@ class RunReport:
 
 
 def _random_vector(sig: Signature, rng) -> CVector:
-    return CVector(
-        rng.standard_normal(sig.n) + 1j * rng.standard_normal(sig.n), sig
-    )
+    return _owned(rng.standard_normal(sig.n) + 1j * rng.standard_normal(sig.n), sig)
 
 
 def _float_input(sig: Signature, rng):
@@ -242,8 +241,8 @@ def _lift_independence(sig, rng, tol):
     x = sample_cone_point(sig, rng)
     basis = metrics._quotient_columns(x)
     cv, cw = rng.standard_normal((2, basis.shape[1]))
-    v = CVector(basis @ cv, sig)
-    w = CVector(basis @ cw, sig)
+    v = _owned(basis @ cv, sig)
+    w = _owned(basis @ cw, sig)
     s, t = rng.standard_normal(2)
     base = form_eval(v, w).real
     shifted = form_eval(v + complex(s) * x.vector, w + complex(t) * x.vector).real
@@ -285,9 +284,10 @@ def _cometric_rank(sig, rng, tol):
 def _skew_form(sig, rng, tol):
     x = quotients.canonicalize_ray(sample_cone_point(sig, rng)).point
     tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
+    tangent.flags.writeable = False
     coeffs = rng.standard_normal((2, tangent.shape[1]))
-    va = CVector(tangent @ coeffs[0], sig)
-    vb = CVector(tangent @ coeffs[1], sig)
+    va = _owned(tangent @ coeffs[0], sig)
+    vb = _owned(tangent @ coeffs[1], sig)
     anti = (abs(metrics.skew_form(x, va, vb) + metrics.skew_form(x, vb, va))
             / max(1.0, abs(form_eval(va, vb))))
     chart = charts.make_chart(x)
@@ -296,10 +296,15 @@ def _skew_form(sig, rng, tol):
     if not x_res <= min(tol, 1e-12):
         return False, x_res, {"check": "e_1 + e_n != x", "x_residual": x_res}
     pinned = abs(abs(metrics.skew_form(x, x.vector, 1j * e1)) - 1.0)
-    best = max(abs(metrics.skew_form(x, x.vector, y * (1.0 / y.norm())))
-               for y in (CVector(c, sig) for c in tangent.T))
-    # x pairs only with f3 = i(e_1 - e_n) in the tangent basis, where
-    # |Im f(x, f3)| = f(e_1, e_1) - f(e_n, e_n) = 2.
+    # x pairs only with f3 = i(e_1 - e_n) in the tangent frame [x, ix, 2iu,
+    # m_j, i m_j], where |Im f(x, f3)| = f(e_1, e_1) - f(e_n, e_n) = 2.  The
+    # frame is certified tangent once, as skew_form certifies its arguments
+    # (each residual is scale-free, so the unit columns pass where it does),
+    # and best is skew_form(x, x, y^) per unit column y^ without the re-check.
+    metrics._certify_tangency(metrics._tangency_residuals(x, tangent),
+                              metrics._SKEW_MESSAGE)
+    best = max(abs(form_eval(x.vector, y * (1.0 / y.norm())).imag)
+               for y in (_owned(c, sig) for c in tangent.T))
     res = max(anti, pinned, abs(best - 2.0 / (e1 - en).norm()))
     return res <= tol, res, {"max_pairing": best}
 

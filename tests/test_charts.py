@@ -627,6 +627,28 @@ class TestIsPerp:
         assert is_perp(b, chart.x)
         assert is_perp(canonicalize_ray(b), canonicalize_phase(chart.x))
 
+    @pytest.mark.parametrize("rho", [1e-4, 0.1, 10.0, 1e4])
+    @pytest.mark.parametrize("sig", [SIG22, Signature(3, 3), Signature(5, 5)], ids=str)
+    def test_decides_at_its_tolerance(self, sig, rho):
+        # b = b0 + c u with b0 a boundary point and f(u, x) = 1, c sized so
+        # that |f(b, x)| / (||b|| ||x||) = rho tol: True exactly when rho < 1,
+        # for either argument at 2^-600, 1 and 2^600 times itself.
+        tol = 1e-9
+        for seed in range(4):
+            chart = make_chart(sample_cone_point(sig, seed))
+            x = chart.x.vector
+            b0 = sample_aperp_point(chart, seed, apex_probability=0.0).vector
+            phase = np.exp(1j * make_rng(seed).uniform(0, 2 * np.pi))
+            b = b0 + complex(rho * tol * b0.norm() * x.norm() * phase) * chart.u
+            ratio = abs(form_eval(b, x)) / (b.norm() * x.norm())
+            assert abs(ratio / (rho * tol) - 1.0) <= 0.05
+            for k in (-600, 0, 600):
+                s = 2.0 ** k
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    assert is_perp(s * b, x) is (rho < 1.0)
+                    assert is_perp(b, ConePoint(s * x)) is (rho < 1.0)
+
 
 class TestQueriesAtEveryScale:
     # Far outside 1e-153..1e150, where ||b||^2 and the pairings with b

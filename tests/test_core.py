@@ -99,6 +99,37 @@ class TestCVector:
             with pytest.raises(ValueError):
                 out.components[0] = 5.0
 
+    def test_fresh_arrays_wrapped_read_only(self):
+        # Library results built on fresh arrays, or on views of a certified
+        # read-only matrix, are wrapped as they are: n complex components
+        # that no caller can write through, equal to the copying constructor's.
+        from coneq import exact, quotients, suites
+
+        for sig in (SIG11, SIG22, Signature(2, 3)):
+            x = sample_cone_point(sig, 5)
+            u = sample_pseudo_unitary(sig, 5)
+            split = sample_split(sig, 5)
+            chart = make_chart(x)
+            outs = [basis_vector(sig, sig.n - 1), u.apply(x.vector),
+                    *split.basis, *quotients.split_decompose(x, split)[:2],
+                    *quotients.split_decompose(x)[:2],
+                    exact.standard_rational_chart(sig).u.to_cvector(),
+                    suites._random_vector(sig, make_rng(5))]
+            if sig.p >= 2 and sig.q >= 2:
+                outs.append(sample_aperp_point(chart, 5, apex_probability=0.0).vector)
+            for out in outs:
+                assert isinstance(out, CVector) and out.signature == sig
+                assert out.components.shape == (sig.n,)
+                assert out.components.dtype == np.complex128
+                assert not out.components.flags.writeable
+                with pytest.raises(ValueError):
+                    out.components[0] = 5.0
+                copied = CVector(out.components, sig).components
+                assert copied.tobytes() == np.ascontiguousarray(out.components).tobytes()
+            np.testing.assert_array_equal(split.matrix, u.matrix)
+            with pytest.raises(SignatureMismatchError):
+                u.apply(CVector(np.ones(sig.n + 1), Signature(sig.p + 1, sig.q)))
+
     def test_arithmetic(self):
         u = vec(SIG11, 1, 2j)
         w = vec(SIG11, 1j, 1)

@@ -388,6 +388,20 @@ class TestIntegerRepresentation:
         assert standard_rational_chart(sig) is standard_rational_chart(
             Signature(sig.p, sig.q))
 
+    @pytest.mark.parametrize("bounds", [(9, 9), (6, 6), (1, 1), (30, 12)])
+    def test_random_qgaussian_matches_the_fraction_path(self, bounds):
+        # Four draws, n1, d1, n2, d2, as QGaussian(n1/d1, n2/d2) took them
+        # through two Fractions: the same fields and the same stream after.
+        max_num, max_den = bounds
+        got_rng, want_rng = make_rng(36, *bounds), make_rng(36, *bounds)
+        for _ in range(500):
+            got = random_qgaussian(got_rng, max_num, max_den)
+            want = QGaussian(*(Fraction(int(want_rng.integers(-max_num, max_num + 1)),
+                                        int(want_rng.integers(1, max_den + 1)))
+                               for _ in range(2)))
+            assert (got.a, got.b, got.d) == (want.a, want.b, want.d)
+        assert got_rng.integers(2**63) == want_rng.integers(2**63)
+
 
 # The chart maps on QGaussian arithmetic, written out as the oracle first
 # computed them; the integer kernels must agree with them exactly.

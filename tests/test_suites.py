@@ -291,3 +291,32 @@ def test_every_suite_fails_under_its_mutant(name, monkeypatch):
     monkeypatch.setattr(owner, attr, mutate(getattr(owner, attr)))
     rep = run_suite(name, sig, trials=20, seed=0)[0]
     assert rep.failures > 0, rep
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
+@pytest.mark.parametrize("sig", [Signature(p, p) for p in range(1, 6)], ids=str)
+def test_skew_form_best_is_skew_form_over_the_unit_frame(sig, seed):
+    # One tangency certificate for the frame [x, ix, 2iu, m_j, i m_j], then
+    # Im f(x, y^) per unit column: skew_form's value on each, bit for bit.
+    for k in range(4):
+        _, _, detail = suites._skew_form(sig, make_rng(seed, k), 1e-10)
+        x = quotients.canonicalize_ray(core.sample_cone_point(sig, make_rng(seed, k))).point
+        tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
+        want = max(abs(metrics.skew_form(x, x.vector, y * (1.0 / y.norm())))
+                   for y in (CVector(c, sig) for c in tangent.T))
+        assert detail["max_pairing"] == want
+
+
+@pytest.mark.parametrize("skew_checks", [True, False])
+def test_skew_form_certifies_its_frame(skew_checks, monkeypatch):
+    # f3 = 2u is not tangent.  With skew_form's own argument check in place
+    # the first pairing raises; without it, the frame certificate still does.
+    monkeypatch.setattr(metrics, "_quotient_columns", _real_f3(metrics._quotient_columns))
+    if not skew_checks:
+        monkeypatch.setattr(metrics, "skew_form",
+                            lambda x, a, b: float(core.form_eval(a, b).imag))
+    rep = run_suite("skew-form", SIG22, trials=5, seed=0)[0]
+    assert rep.failures == 5
+    assert rep.counterexample["error"] == "TangencyError"
+    assert rep.counterexample["message"].startswith(
+        "skew form argument has tangency residual ")
