@@ -365,11 +365,10 @@ def _quotient_fit(xa: ConePoint, cols: np.ndarray) -> tuple[np.ndarray, float]:
 def conformal_factor(x, split_a: Split, split_b: Split):
     """Factor between the quotient metrics built from two different splits.
 
-    Canonicalizes x with each split to xa and xb, solves for xb's balanced
-    quotient frame in xa's against the certified Gram at xa (TangencyError
-    if the fit's residual exceeds 1e-8), and expresses the metric at xb in
-    xa's frame, each frame built once and each Gram the one kept on its
-    point.  Returns (factor, relative residual).
+    Canonicalizes x with each split to xa and xb = mu xa, mu = ||xb|| / ||xa||,
+    and returns (mu^2, ||G_b - C^T G_a C|| / ||G_b||): C fits xb's balanced
+    quotient frame in xa's against the certified Gram at xa (TangencyError if
+    the fit's residual exceeds 1e-8), each Gram the one kept on its point.
     """
     xa = canonicalize_ray(x, split_a).point
     xb = canonicalize_ray(x, split_b).point
@@ -380,9 +379,5 @@ def conformal_factor(x, split_a: Split, split_b: Split):
     certify(fit_residual, 1e-8, TangencyError,
             "frames do not span a common quotient (residual {residual:.3e})")
     g_a, _ = _quotient_gram(xa, DEFAULT_TOL)
-    inv_change = np.linalg.inv(coeffs / mu)
-    in_frame_a = inv_change.T @ g_b @ inv_change
-    factor = float(np.tensordot(in_frame_a, g_a)) / float(np.tensordot(g_a, g_a))
-    residual = float(np.linalg.norm(in_frame_a - factor * g_a)
-                     / (abs(factor) * np.linalg.norm(g_a)))
-    return factor, residual
+    residual = float(np.linalg.norm(g_b - coeffs.T @ g_a @ coeffs) / np.linalg.norm(g_b))
+    return mu * mu, residual

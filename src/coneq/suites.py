@@ -21,6 +21,7 @@ import numpy as np
 
 from . import charts, exact, metrics, quotients
 from .core import (
+    DEFAULT_TOL,
     ConePoint,
     CVector,
     Signature,
@@ -348,6 +349,11 @@ def _chart_domain(sig, rng, tol):
     if pairing > 1e-6 * scale:
         if charts.chart_inverse(chart, interior) is charts.IN_APERP:
             return False, 1.0, {"check": "interior point flagged"}
+    # near = b + t u lies off the boundary by 10 times is_perp's tolerance:
+    # f(u, x) = 1, so |f(near, x)| = t = 10 DEFAULT_TOL ||b|| ||x||.
+    t = 10.0 * DEFAULT_TOL * boundary.vector.norm() * chart.x.vector.norm()
+    if charts.is_perp(boundary.vector + t * chart.u, chart.x):
+        return False, 1.0, {"check": "near point read as orthogonal"}
     phase_a = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
     lam = float(np.exp(rng.standard_normal()))
     same = charts.is_perp(ConePoint(phase_a * lam * boundary.vector), chart.x)
@@ -487,7 +493,7 @@ SUITES: dict[str, SuiteDef] = {
     "kappa-roundtrip": SuiteDef(_kappa_roundtrip, 200, 1e-9,
                                 "kappa0 is certified; the inverse undoes it and fixes classes"),
     "chart-domain": SuiteDef(_chart_domain, 100, 1e-9,
-                             "boundary points are flagged InAperp, interior points are not"),
+                             "boundary points are flagged InAperp, interior and near ones not"),
     "aperp-partition": SuiteDef(_aperp_partition, 100, 1e-9,
                                 "boundary classes split into apex and normalized generic data"),
     "field-axioms": SuiteDef(_field_axioms, 300, 0.0,

@@ -293,6 +293,17 @@ def test_every_suite_fails_under_its_mutant(name, monkeypatch):
     assert rep.failures > 0, rep
 
 
+def test_chart_domain_tells_is_perp_tolerance_apart(monkeypatch):
+    # A point 10 times is_perp's tolerance off the boundary is not orthogonal
+    # to the centre: is_perp at 1000 times its tolerance fails every trial.
+    is_perp = charts.is_perp
+    monkeypatch.setattr(charts, "is_perp",
+                        lambda a, b, tol=core.DEFAULT_TOL: is_perp(a, b, 1000 * tol))
+    rep = run_suite("chart-domain", SIG22, seed=0)[0]
+    assert rep.failures == rep.trials == SUITES["chart-domain"].trials
+    assert rep.counterexample["check"] == "near point read as orthogonal"
+
+
 @pytest.mark.parametrize("seed", [0, 7, 2**64 + 1])
 @pytest.mark.parametrize("sig", [Signature(p, p) for p in range(1, 6)], ids=str)
 def test_skew_form_best_is_skew_form_over_the_unit_frame(sig, seed):
