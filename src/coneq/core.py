@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -99,18 +99,88 @@ def _rekey(rng: np.random.Generator, key: list) -> np.random.Generator:
     return rng
 
 
-def _trial_streams(seed: int, prefix: tuple[int, ...], n: int):
-    """Yield one Generator n >= 1 times: make_rng(seed, *prefix, 0), then re-keyed to
-    make_rng(seed, *prefix, k)'s stream, each block's first key certified against
+def _trial_key_blocks(rng: np.random.Generator, seed: int, prefix: tuple[int, ...], n: int):
+    """Yield the Philox keys of make_rng(seed, *prefix, k), 0 <= k < n, a list per
+    block of _KEY_BLOCK trials.  Key 0 is read off rng = make_rng(seed, *prefix, 0);
+    the others are hashed a block at a time, each block's first certified against
     numpy's SeedSequence."""
-    yield (rng := make_rng(seed, *prefix, 0))
-    for start in range(1, n, _KEY_BLOCK):
-        keys = _trial_keys(seed, prefix, start, min(n, start + _KEY_BLOCK))
-        want = np.random.SeedSequence(seed, spawn_key=(*prefix, start)).generate_state(2, "u8")
-        if keys[0] != want.tolist():
-            raise InternalContractError(f"trial key {start}: {keys[0]}, numpy's {want}")
+    for start in range(0, n, _KEY_BLOCK):
+        keys = [] if start else [rng.bit_generator.state["state"]["key"].tolist()]
+        if (lo := max(start, 1)) < (stop := min(n, start + _KEY_BLOCK)):
+            hashed = _trial_keys(seed, prefix, lo, stop)
+            want = np.random.SeedSequence(seed, spawn_key=(*prefix, lo)).generate_state(2, "u8")
+            if hashed[0] != want.tolist():
+                raise InternalContractError(f"trial key {lo}: {hashed[0]}, numpy's {want}")
+            keys += hashed
+        yield keys
+
+
+def _trial_streams(seed: int, prefix: tuple[int, ...], n: int):
+    """Yield one Generator n >= 1 times, re-keyed to make_rng(seed, *prefix, k)'s stream."""
+    rng = make_rng(seed, *prefix, 0)
+    for keys in _trial_key_blocks(rng, seed, prefix, n):
         for key in keys:
             yield _rekey(rng, key)
+
+
+def _trial_points(sig: Signature, seed: int, n: int):
+    """Yield (rng, draw) n >= 1 times, rng as _trial_streams(seed, (p, q), n) yields
+    it: draw() is sample_cone_point(sig, rng) on trial k's fresh stream, bit for
+    bit, and leaves rng where that call leaves it.  _cone_points draws a key
+    block's points at once."""
+    rng = make_rng(seed, sig.p, sig.q, 0)
+    for keys in _trial_key_blocks(rng, seed, (sig.p, sig.q), n):
+        for draw in _cone_points(sig, rng, keys):
+            yield rng, draw
+
+
+def _cone_points(sig: Signature, rng: np.random.Generator, keys: list):
+    """Yield one draw per Philox key, in order: draw() is sample_cone_point(sig, rng)
+    on the key's fresh stream, bit for bit, with rng left where the sampler
+    leaves it.  Call each draw before taking the next.
+
+    Each key's draws come first, as the sampler makes them: standard_normal(2n + 1)
+    then uniform(0, 2 pi).  Then the unit blocks, scale, phase, |x_j| and the
+    isotropy block sums run once over all rows, each row meeting the sampler's
+    own operations: the same elementwise ufuncs, and one strided ddot per part
+    and row (np.vecdot on the .real and .imag views, as ndarray.dot and np.vdot
+    take them in _sum_sq).  A row's ConePoint is built with its _moduli and
+    _sums kept, so its constructor certifies it from them.  Before a row's draw
+    rng is re-keyed and the row's draws replayed, which costs what saving and
+    restoring its state would and keeps no state per row.  A row whose block
+    norm is below 1e-6 (the sampler draws that block again) or whose top |x_j|
+    is outside _pow2_scale's unit range is left to sample_cone_point."""
+    size, p = 2 * sig.n + 1, sig.p
+    draws, turns = np.empty((len(keys), size)), np.empty(len(keys))
+    for i, key in enumerate(keys):
+        draws[i] = _rekey(rng, key).standard_normal(size)
+        turns[i] = rng.uniform(0, 2 * np.pi)
+    # A declined row may divide by a vanishing norm; its values are not used.
+    with np.errstate(all="ignore"):
+        blocks, norms = [], []
+        for lo, k in ((0, p), (2 * p, sig.q)):
+            z = draws[:, lo:lo + k] + 1j * draws[:, lo + k:lo + 2 * k]
+            norms.append(np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)))
+            blocks.append(z / norms[-1][:, None])
+        c = np.exp(0.75 * draws[:, -1]) * np.exp(1j * turns)
+        x = c[:, None] * np.concatenate(blocks, axis=1)
+        mods = np.abs(x)
+        xp, xm = x[:, :p], x[:, p:]
+        plus = (np.vecdot(xp.real, xp.real) + np.vecdot(xp.imag, xp.imag)).tolist()
+        minus = (np.vecdot(xm.real, xm.real) + np.vecdot(xm.imag, xm.imag)).tolist()
+        tops = mods.max(axis=1)
+    x.flags.writeable = mods.flags.writeable = False
+    kept = ((np.minimum(*norms) >= 1e-6) & (1e-153 < tops) & (tops < 1e150)).tolist()
+    for i, (key, top) in enumerate(zip(keys, tops.tolist())):
+        _rekey(rng, key)
+        if not kept[i]:
+            yield partial(sample_cone_point, sig, rng)
+            continue
+        rng.standard_normal(size)
+        rng.uniform(0, 2 * np.pi)
+        vec = _owned(x[i], sig)
+        vec.__dict__.update(_moduli=(mods[i], top), _sums=(plus[i], minus[i], 1.0))
+        yield partial(ConePoint, vec, 1e-12)
 
 
 _THREAD = threading.local()

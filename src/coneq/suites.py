@@ -7,7 +7,10 @@ runs it once per trial and gives trial k the stream of
 make_rng(seed, p, q, k), an independent substream of the seed for the
 signature (p, q).  That one stream feeds everything the trial draws: its
 own numbers and the samplers, which take the Generator in place of an int
-seed.  Reports are therefore reproducible byte for byte (timing aside).
+seed.  A trial that opens with a cone point is trial(sig, x, rng, tol):
+run_suite draws x = sample_cone_point(sig, rng) for a block of trials at
+once, bit for bit, and the trial goes on from where the sampler leaves rng.
+Reports are therefore reproducible byte for byte (timing aside).
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .core import (
     Signature,
     _norm,
     _owned,
+    _trial_points,
     _trial_streams,
     form_eval,
     sample_cone_point,
@@ -122,8 +126,7 @@ def _unitary_invariance(sig, rng, tol):
     return ok, res, {}
 
 
-def _cone_sampler(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _cone_sampler(sig, x, rng, tol):
     xp, xm, _ = quotients.split_decompose(x)
     res = max(x.isotropy_residual, abs(xp.norm() - xm.norm()) / x.vector.norm())
     return res <= tol, res, {}
@@ -132,8 +135,7 @@ def _cone_sampler(sig, rng, tol):
 # ------------------------------------------------------------ quotients
 
 
-def _cross_section(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _cross_section(sig, x, rng, tol):
     ray = quotients.canonicalize_ray(x)
     res = max(abs(ray.plus_norm - 1.0), abs(ray.minus_norm - 1.0))
     if quotients.canonicalize_ray(ray) is not ray:
@@ -168,8 +170,7 @@ def _sphere_chart(sig, rng, tol):
     return res <= tol, res, {"split": split.label}
 
 
-def _phase_retraction(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _phase_retraction(sig, x, rng, tol):
     rep = quotients.canonicalize_phase(x)
     piv = rep.components[rep.pivot_index]
     res = abs(piv.imag) / abs(piv)
@@ -191,8 +192,7 @@ def _phase_retraction(sig, rng, tol):
     return res <= tol, res, {}
 
 
-def _u1_action(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _u1_action(sig, x, rng, tol):
     theta = float(rng.uniform(0, 2 * np.pi))
     shifted = ConePoint(np.exp(1j * theta) * x.vector)
     if sig == Signature(1, 1):
@@ -210,8 +210,7 @@ def _u1_action(sig, rng, tol):
 # -------------------------------------------------------------- metrics
 
 
-def _metric_scaling(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _metric_scaling(sig, x, rng, tol):
     basis = metrics.quotient_basis(x)
     g = metrics.induced_metric(x)
     scale = float(np.max(np.abs(g.entries)))
@@ -227,8 +226,7 @@ def _metric_scaling(sig, rng, tol):
     return res <= tol, res, {}
 
 
-def _radical(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _radical(sig, x, rng, tol):
     tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
     z = tangent @ rng.standard_normal(tangent.shape[1])
     res = float(np.max(metrics._tangency_residuals(
@@ -238,8 +236,7 @@ def _radical(sig, rng, tol):
     return ok, res, {"quotient_signature": list(g.signature)}
 
 
-def _lift_independence(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _lift_independence(sig, x, rng, tol):
     basis = metrics._quotient_columns(x)
     cv, cw = rng.standard_normal((2, basis.shape[1]))
     v = _owned(basis @ cv, sig)
@@ -252,8 +249,7 @@ def _lift_independence(sig, rng, tol):
     return res <= tol, res, {}
 
 
-def _conformal_class(sig, rng, tol):
-    x = sample_cone_point(sig, rng)
+def _conformal_class(sig, x, rng, tol):
     split = quotients.standard_split(sig)
     other = quotients.sample_split(sig, rng)
     factor, res = metrics.conformal_factor(x, split, other)
@@ -264,9 +260,9 @@ def _conformal_class(sig, rng, tol):
     return (factor > 0 and res <= tol), res, {"factor": factor}
 
 
-def _cometric_rank(sig, rng, tol):
+def _cometric_rank(sig, x, rng, tol):
     n = sig.n
-    co = metrics.cotangent_metric_qtilde(sample_cone_point(sig, rng))
+    co = metrics.cotangent_metric_qtilde(x)
     want_rank = 2 * n - 4 if n >= 3 else 0
     ok = co.rank == want_rank and co.signature[2] == 1
     res = 0.0
@@ -282,8 +278,8 @@ def _cometric_rank(sig, rng, tol):
     return ok, res, {"rank": co.rank, "signature": list(co.signature)}
 
 
-def _skew_form(sig, rng, tol):
-    x = quotients.canonicalize_ray(sample_cone_point(sig, rng)).point
+def _skew_form(sig, x, rng, tol):
+    x = quotients.canonicalize_ray(x).point
     tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
     tangent.flags.writeable = False
     coeffs = rng.standard_normal((2, tangent.shape[1]))
@@ -313,8 +309,8 @@ def _skew_form(sig, rng, tol):
 # --------------------------------------------------------------- charts
 
 
-def _kappa_roundtrip(sig, rng, tol):
-    chart = charts.make_chart(sample_cone_point(sig, rng))
+def _kappa_roundtrip(sig, x, rng, tol):
+    chart = charts.make_chart(x)
     r, y = _float_input(sig, rng)
     point = charts.kappa0(chart, r, y)
     cert = max(abs(form_eval(point.vector, point.vector)),
@@ -338,8 +334,8 @@ def _kappa_roundtrip(sig, rng, tol):
     return res <= tol, res, {}
 
 
-def _chart_domain(sig, rng, tol):
-    chart = charts.make_chart(sample_cone_point(sig, rng))
+def _chart_domain(sig, x, rng, tol):
+    chart = charts.make_chart(x)
     boundary = charts.sample_aperp_point(chart, rng)
     if charts.chart_inverse(chart, boundary) is not charts.IN_APERP:
         return False, 1.0, {"check": "boundary point not flagged"}
@@ -360,8 +356,8 @@ def _chart_domain(sig, rng, tol):
     return same, 0.0 if same else 1.0, {}
 
 
-def _aperp_partition(sig, rng, tol):
-    chart = charts.make_chart(sample_cone_point(sig, rng))
+def _aperp_partition(sig, x, rng, tol):
+    chart = charts.make_chart(x)
     b = charts.sample_aperp_point(chart, rng, apex_probability=0.3)
     cls = charts.aperp_classify(chart, b)
     res = 0.0
@@ -452,13 +448,16 @@ def _twin_agreement(sig, rng, tol):
 
 @dataclass(frozen=True)
 class SuiteDef:
-    """A suite: its trial function fn, default trial count and tolerance."""
+    """A suite: its trial function fn, default trial count and tolerance.  A
+    trial that opens with a cone point is fn(sig, x, rng, tol), x =
+    sample_cone_point(sig, rng) drawn by run_suite a block of trials at a time."""
 
     fn: object
     trials: int
     tol: float
     description: str
     per_signature: bool = True
+    opens_with_point: bool = False
 
 
 SUITES: dict[str, SuiteDef] = {
@@ -469,33 +468,46 @@ SUITES: dict[str, SuiteDef] = {
     "unitary-invariance": SuiteDef(_unitary_invariance, 100, 1e-9,
                                    "sampled pseudo-unitaries preserve the form"),
     "cone-sampler": SuiteDef(_cone_sampler, 500, 1e-10,
-                             "cone samples are isotropic with balanced blocks"),
+                             "cone samples are isotropic with balanced blocks",
+                             opens_with_point=True),
     "cross-section": SuiteDef(_cross_section, 200, 1e-9,
-                              "ray representatives land on the unit-sphere cross-section"),
+                              "ray representatives land on the unit-sphere cross-section",
+                              opens_with_point=True),
     "sphere-chart": SuiteDef(_sphere_chart, 200, 1e-12,
                              "sphere coordinates are unit and reconstruct the representative"),
     "phase-retraction": SuiteDef(_phase_retraction, 200, 1e-9,
-                                 "phase reps are pivot-positive, ties to the lowest index"),
+                                 "phase reps are pivot-positive, ties to the lowest index",
+                                 opens_with_point=True),
     "u1-action": SuiteDef(_u1_action, 200, 1e-9,
-                          "unit phases shift torus angles and fix projective classes"),
+                          "unit phases shift torus angles and fix projective classes",
+                          opens_with_point=True),
     "metric-scaling": SuiteDef(_metric_scaling, 50, 1e-9,
-                       "metric scales by lambda^2 along the ray"),
+                       "metric scales by lambda^2 along the ray",
+                       opens_with_point=True),
     "radical": SuiteDef(_radical, 50, 1e-10,
-                        "x spans the tangent radical; quotient signature (2p-1, 2q-1, 0)"),
+                        "x spans the tangent radical; quotient signature (2p-1, 2q-1, 0)",
+                        opens_with_point=True),
     "lift-independence": SuiteDef(_lift_independence, 100, 1e-10,
-                                  "metric values ignore the choice of tangent lifts"),
+                                  "metric values ignore the choice of tangent lifts",
+                                  opens_with_point=True),
     "conformal-class": SuiteDef(_conformal_class, 25, 1e-8,
-                                "two splits give the same metric up to the factor (R_a/R_b)^2"),
+                                "two splits give the same metric up to the factor (R_a/R_b)^2",
+                                opens_with_point=True),
     "cometric-rank": SuiteDef(_cometric_rank, 20, 1e-9,
-                              "quotient cometric has rank 2n-4 with a line radical"),
+                              "quotient cometric has rank 2n-4 with a line radical",
+                              opens_with_point=True),
     "skew-form": SuiteDef(_skew_form, 100, 1e-10,
-                          "e_1 + e_n = x; skew form antisymmetric, |f(x, i e_1)| = 1"),
+                          "e_1 + e_n = x; skew form antisymmetric, |f(x, i e_1)| = 1",
+                          opens_with_point=True),
     "kappa-roundtrip": SuiteDef(_kappa_roundtrip, 200, 1e-9,
-                                "kappa0 is certified; the inverse undoes it and fixes classes"),
+                                "kappa0 is certified; the inverse undoes it and fixes classes",
+                                opens_with_point=True),
     "chart-domain": SuiteDef(_chart_domain, 100, 1e-9,
-                             "boundary points are flagged InAperp, interior and near ones not"),
+                             "boundary points are flagged InAperp, interior and near ones not",
+                             opens_with_point=True),
     "aperp-partition": SuiteDef(_aperp_partition, 100, 1e-9,
-                                "boundary classes split into apex and normalized generic data"),
+                                "boundary classes split into apex and normalized generic data",
+                                opens_with_point=True),
     "field-axioms": SuiteDef(_field_axioms, 300, 0.0,
                              "Gaussian rationals satisfy exact field identities",
                              per_signature=False),
@@ -521,7 +533,8 @@ def run_suite(name: str, signature: Signature | None = None,
 
     Trial k draws make_rng(seed, p, q, k)'s stream from one generator per
     signature, re-keyed per trial: no trial may keep rng after it returns.
-    A trial that raises a QuadricError fails with residual inf; the others run.
+    A trial that raises a QuadricError, its opening cone point's included,
+    fails with residual inf; the others run.
     Trials outside 1..MAX_TRIALS are a ValueError: no report is ok unchecked.
     """
     if name not in SUITES:
@@ -541,9 +554,12 @@ def run_suite(name: str, signature: Signature | None = None,
         passes = failures = 0
         worst = 0.0
         counterexample = None
-        for k, rng in enumerate(_trial_streams(seed, (sig.p, sig.q), n_trials)):
+        streams = (_trial_points(sig, seed, n_trials) if defn.opens_with_point
+                   else ((rng, None) for rng in _trial_streams(seed, (sig.p, sig.q), n_trials)))
+        for k, (rng, draw) in enumerate(streams):
             try:
-                ok, residual, detail = defn.fn(sig, rng, threshold)
+                args = (rng,) if draw is None else (draw(), rng)
+                ok, residual, detail = defn.fn(sig, *args, threshold)
             except QuadricError as exc:
                 ok, residual, detail = False, float("inf"), _error(exc)
             worst = max(worst, residual)

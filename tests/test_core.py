@@ -32,6 +32,7 @@ from coneq import (
     verify_isometry,
 )
 from coneq import core
+from coneq.errors import certify
 from coneq.core import (
     _gram,
     _norm,
@@ -402,7 +403,7 @@ class TestTrialKeys:
 
         def flipped(seed, prefix, start, stop):
             out = keys(seed, prefix, start, stop)
-            if start == 1 + block * core._KEY_BLOCK:
+            if start == max(1, block * core._KEY_BLOCK):
                 out[0][1] ^= 1 << 17
             return out
 
@@ -537,6 +538,87 @@ class TestKeptModulusPass:
             warnings.simplefilter("error")
             top = vec(SIG22, 1, bad, 0, 1)._modulus_pass()[1]
         assert not top < math.inf
+
+
+def _same_point(got, want):
+    """Bit for bit: components, isotropy residual and the kept |x_j| pass and
+    block sums."""
+    assert got.components.tobytes() == want.components.tobytes()
+    assert got.isotropy_residual == want.isotropy_residual
+    (mods, top), (want_mods, want_top) = got.vector._moduli, want.vector._moduli
+    assert mods.tobytes() == want_mods.tobytes() and top == want_top
+    assert not mods.flags.writeable and not got.components.flags.writeable
+    assert got.vector._sums == want.vector._sums
+
+
+def _position(rng):
+    """A Philox generator's whole state, as plain values."""
+    state = rng.bit_generator.state
+    return ([v.tolist() for v in state["state"].values()], state["buffer"].tolist(),
+            state["buffer_pos"], state["has_uint32"], state["uinteger"])
+
+
+class _ShrinkingGenerator(np.random.Generator):
+    """Philox, with the first `shrink` normals after each re-key 1e-7 times
+    Philox's: the sampler's first block norm falls below 1e-6."""
+
+    shrink = 0
+
+    def standard_normal(self, size=None):
+        out = super().standard_normal(size)
+        if self.shrink and size is not None:
+            k = min(self.shrink, out.size)
+            out[:k] *= 1e-7
+            self.shrink -= k
+        return out
+
+
+class TestConePointBlocks:
+    """core._cone_points draws a block of trials' cone points at once:
+    sample_cone_point on each trial's stream, bit for bit, rng left where the
+    sampler leaves it."""
+
+    @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
+    def test_block_points_are_the_samplers(self, sig):
+        for seed, n in ((2**64 + 1, 1), (sig.n, core._KEY_BLOCK + 1)):
+            for k, (rng, draw) in enumerate(core._trial_points(sig, seed, n)):
+                want_rng = make_rng(seed, sig.p, sig.q, k)
+                _same_point(draw(), sample_cone_point(sig, want_rng))
+                assert _position(rng) == _position(want_rng)
+            assert k == n - 1
+
+    @pytest.mark.parametrize("sig", [SIG11, Signature(2, 3), Signature(5, 4)], ids=str)
+    def test_a_rejected_block_is_drawn_again(self, sig, monkeypatch):
+        keys = _trial_keys(0, (sig.p, sig.q), 0, 4)
+        rekey = core._rekey
+
+        def shrink_after(rng, key):
+            rng.shrink = 2 * sig.p if key == keys[2] else 0
+            return rekey(rng, key)
+
+        monkeypatch.setattr(core, "_rekey", shrink_after)
+        rng = _ShrinkingGenerator(np.random.Philox(0))
+        got = [(draw(), _position(rng)) for draw in core._cone_points(sig, rng, keys)]
+        for k, key in enumerate(keys):
+            want_rng = shrink_after(_ShrinkingGenerator(np.random.Philox(0)), key)
+            want = sample_cone_point(sig, want_rng)
+            _same_point(got[k][0], want)
+            assert got[k][1] == _position(want_rng)
+            # Only trial 2 draws its first block twice.
+            fresh = sample_cone_point(sig, rekey(np.random.Generator(np.random.Philox(0)), key))
+            assert (fresh.components.tobytes() == want.components.tobytes()) == (k != 2)
+
+    def test_a_failed_certificate_raises_in_its_draw(self, monkeypatch):
+        # The constructor certifies each row from its kept sums when it is
+        # drawn, so the error is the trial's and the next row still comes.
+        monkeypatch.setattr(core, "certify", lambda residual, threshold, *a:
+                            certify(residual, -1.0, *a))
+        draws = core._cone_points(SIG22, make_rng(0), _trial_keys(0, (2, 2), 0, 2))
+        with pytest.raises(NotIsotropicError) as err:
+            next(draws)()
+        assert err.value.threshold == -1.0
+        with pytest.raises(NotIsotropicError):
+            next(draws)()
 
 
 class TestSamplersTakeAStream:

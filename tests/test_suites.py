@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from coneq import (
     make_rng,
     run_many,
     run_suite,
+    sample_cone_point,
     suite_names,
     suites,
 )
@@ -25,6 +27,7 @@ from coneq.suites import SuiteDef
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
+ALL_SIGNATURES = [Signature(p, q) for p in range(1, 6) for q in range(1, 6)]
 
 
 def test_registry_is_well_formed():
@@ -137,15 +140,18 @@ def test_every_suite_passes_at_reduced_trials():
 
 @pytest.mark.parametrize("name", suite_names())
 def test_one_generator_per_trial(name, monkeypatch):
-    # Trial k enters with make_rng(3, 2, 2, k)'s fresh state, and its
+    # Trial k enters with make_rng(3, 2, 2, k)'s fresh state, or, when it opens
+    # with a cone point, that point and the state sample_cone_point leaves; its
     # samplers draw from that stream: no make_rng is called once trials start.
     defn = SUITES[name]
-    entered, built = [], []
+    entered, points, built = [], [], []
     make_rng = core.make_rng
 
-    def trial(sig, rng, tol):
+    def trial(sig, *args):
+        *x, rng, tol = args
         entered.append(rng.bit_generator.state)
-        return defn.fn(sig, rng, tol)
+        points.extend(x)
+        return defn.fn(sig, *args)
 
     def counting(seed, *path):
         if entered:
@@ -154,25 +160,32 @@ def test_one_generator_per_trial(name, monkeypatch):
 
     for module in (core, charts, suites):
         monkeypatch.setattr(module, "make_rng", counting, raising=False)
-    monkeypatch.setitem(SUITES, name, SuiteDef(trial, defn.trials, defn.tol,
-                                               defn.description, defn.per_signature))
+    monkeypatch.setitem(SUITES, name, dataclasses.replace(defn, fn=trial))
     rep = run_suite(name, SIG22, trials=4, seed=3)[0]
     assert rep.ok
     assert built == []
     assert len(entered) == 4
+    assert len(points) == (4 if defn.opens_with_point else 0)
     for k, state in enumerate(entered):
-        np.testing.assert_equal(state, make_rng(3, 2, 2, k).bit_generator.state)
+        want = make_rng(3, 2, 2, k)
+        if defn.opens_with_point:
+            x = core.sample_cone_point(SIG22, want)
+            assert points[k].components.tobytes() == x.components.tobytes()
+        np.testing.assert_equal(state, want.bit_generator.state)
 
 
 def _reference_report(name, sig, seed, trials):
     """run_suite's report, timing aside, from a plain loop that builds
-    make_rng(seed, p, q, k) for each trial."""
+    make_rng(seed, p, q, k) for each trial and draws an opening cone point
+    from it by sample_cone_point, one object at a time."""
     defn = SUITES[name]
     passes = failures = 0
     worst, counterexample = 0.0, None
     for k in range(trials):
         try:
-            ok, residual, detail = defn.fn(sig, make_rng(seed, sig.p, sig.q, k), defn.tol)
+            rng = make_rng(seed, sig.p, sig.q, k)
+            x = [sample_cone_point(sig, rng)] if defn.opens_with_point else []
+            ok, residual, detail = defn.fn(sig, *x, rng, defn.tol)
         except QuadricError as exc:
             ok, residual = False, float("inf")
             detail = {"error": type(exc).__name__, "message": str(exc)}
@@ -187,12 +200,21 @@ def _reference_report(name, sig, seed, trials):
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 + 1])
-@pytest.mark.parametrize("sig", [SIG22, Signature(3, 3)], ids=str)
+@pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
 def test_reports_equal_a_make_rng_loop(sig, seed):
     for name in suite_names():
         got = run_suite(name, sig, trials=5, seed=seed)[0].to_json()
         del got["elapsed_seconds"]
         assert got == _reference_report(name, sig, seed, 5), name
+
+
+@pytest.mark.parametrize("name", [name for name, defn in SUITES.items() if defn.opens_with_point])
+def test_reports_equal_a_make_rng_loop_across_a_key_block(name):
+    # Trial 1024 opens the second block of keys and of cone points.
+    trials = core._KEY_BLOCK + 1
+    got = run_suite(name, SIG11, trials=trials, seed=3)[0].to_json()
+    del got["elapsed_seconds"]
+    assert got == _reference_report(name, SIG11, 3, trials)
 
 
 def test_more_than_two_to_the_32_trials_is_rejected_before_any_runs(monkeypatch):
@@ -208,11 +230,15 @@ def _conj(v):
     return CVector(v.components.conj(), v.signature)
 
 
-def _unbalanced(sample):
-    """The sampler draws the negative block at 1.5 times unit norm."""
-    def mutant(sig, rng):
-        c = sample(sig, rng).components
+def _unbalanced(kernel):
+    """The block sampler draws the negative block at 1.5 times unit norm."""
+    def unbalanced(draw, sig):
+        c = draw().components
         return ConePoint(CVector(np.r_[c[:sig.p], 1.5 * c[sig.p:]], sig))
+
+    def mutant(sig, rng, keys):
+        for draw in kernel(sig, rng, keys):
+            yield functools.partial(unbalanced, draw, sig)
     return mutant
 
 
@@ -242,7 +268,7 @@ MUTANTS = {
                         lambda f: lambda u, v: f(v, u)),  # linear in the second slot
     "unitary-invariance": (SIG22, core.GroupElement, "apply",
                            lambda apply: lambda self, v: apply(self, _conj(v))),
-    "cone-sampler": (SIG22, suites, "sample_cone_point", _unbalanced),
+    "cone-sampler": (SIG22, core, "_cone_points", _unbalanced),
     "cross-section": (SIG22, quotients, "canonicalize_ray",  # no pass-through
                       lambda f: lambda x, split=None: f(getattr(x, "point", x), split)),
     "sphere-chart": (SIG22, quotients.RayRep, "sphere_minus",
@@ -310,7 +336,8 @@ def test_skew_form_best_is_skew_form_over_the_unit_frame(sig, seed):
     # One tangency certificate for the frame [x, ix, 2iu, m_j, i m_j], then
     # Im f(x, y^) per unit column: skew_form's value on each, bit for bit.
     for k in range(4):
-        _, _, detail = suites._skew_form(sig, make_rng(seed, k), 1e-10)
+        rng = make_rng(seed, k)
+        _, _, detail = suites._skew_form(sig, core.sample_cone_point(sig, rng), rng, 1e-10)
         x = quotients.canonicalize_ray(core.sample_cone_point(sig, make_rng(seed, k))).point
         tangent = np.column_stack([x.components, metrics._quotient_columns(x)])
         want = max(abs(metrics.skew_form(x, x.vector, y * (1.0 / y.norm())))
