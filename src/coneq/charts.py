@@ -164,25 +164,99 @@ def _frame_target(sig: Signature, ux: float) -> np.ndarray:
     return target
 
 
+def _frame_deviation(sig: Signature, against: np.ndarray, ux: float):
+    """The largest deviation of the chart identities, each relative to its
+    norm product, of the frame [u, m_2, ...] = against[..., 1:] whose column
+    0 is x: one (n, n) frame, or the last two axes of a stack of them."""
+    # np.linalg.norm(against, axis=-2) and core._gram(against[..., 1:], against).
+    conj = against.conj()
+    norms = np.sqrt(np.add.reduce((conj * against).real, axis=-2))
+    gram = against[..., 1:].mT @ (sig.eta[:, None] * conj)
+    deviation = (np.abs(gram - _frame_target(sig, ux))
+                 / (norms[..., 1:, None] * norms[..., None, :]))
+    return deviation.max(axis=(-2, -1))
+
+
 def _certify_frame(x: ConePoint, against: np.ndarray) -> None:
-    """The chart identities of the frame [u, m_2, ...] = against[:, 1:] at x,
-    each deviation relative to its norm product, else UnsupportedChartError.
-    x (against[:, 0]) and u enter as core._pow2_scaled gives them, f(u, x)
-    against the product of their factors: no pairing or norm over- or underflows."""
-    sig = x.signature
+    """The chart identities of the frame [u, m_2, ...] = against[:, 1:] at x
+    (_frame_deviation), else UnsupportedChartError.  x (against[:, 0]) and u
+    enter as core._pow2_scaled gives them, f(u, x) against the product of
+    their factors: no pairing or norm over- or underflows."""
     sx = _pow2_scale(x.vector._modulus_pass()[1])
     # max|u_j| by Python's abs, the same hypot as np.abs but faster at small n.
     us, su = _pow2_scaled(against[:, 1], max(map(abs, against[:, 1].tolist())))
     if su != 1.0:
         against = against.copy()
         against[:, 1] = us
-    # np.linalg.norm(against, axis=0) and core._gram(against[:, 1:], against).
-    conj = against.conj()
-    norms = np.sqrt(np.add.reduce((conj * against).real, axis=0))
-    gram = against[:, 1:].T @ (sig.eta[:, None] * conj)
-    deviation = np.abs(gram - _frame_target(sig, sx * su)) / (norms[1:, None] * norms)
-    certify(float(deviation.max()), DEFAULT_TOL, UnsupportedChartError,
-            "chart identities fail by {residual:.3e}")
+    certify(float(_frame_deviation(x.signature, against, sx * su)), DEFAULT_TOL,
+            UnsupportedChartError, "chart identities fail by {residual:.3e}")
+
+
+def _default_frames(sig: Signature, x: np.ndarray, mods: np.ndarray,
+                    tops: np.ndarray) -> list:
+    """Per row of x, a C-contiguous (N, n) block of cone points' components
+    with their moduli and max|x_j|: None, or the {"unit": core._unit(x),
+    "witt": _frame_block(x, None)} that the row's ConePoint would keep, bit
+    for bit.  Each step is theirs, run over all rows at once: the same
+    elementwise ufuncs on the same strides, np.vecdot for the dots and a
+    stacked matmul for the transvection's pairing.  The partner's scalars
+    (_partner) stay per row in Python, whose complex division is not numpy's.
+    Rows are certified by _frame_deviation.  A row that fails it, whose
+    ||x||^2, max|x_j| or max|u_j| is outside the range where the object path
+    scales nothing, or whose partner pairing degenerates is None: it is
+    left to _frame_block, which raises where it must."""
+    n, p, eta = sig.n, sig.p, sig.eta
+    rows = np.arange(len(x))
+    # A declined row may overflow or divide by zero; its values are not used.
+    with np.errstate(all="ignore"):
+        sums = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
+        norms = np.sqrt(sums)
+        scales = np.ldexp(1.0, np.minimum(-np.frexp(norms)[1], 1023))
+        xh = (x.view(np.float64) * scales[:, None]).view(np.complex128)
+        piv = mods.argmax(axis=1)
+        scale_list, norm_list = scales.tolist(), norms.tolist()
+        kept = ((1e-290 <= sums) & (sums < np.inf) & (1e-153 < tops) & (tops < 1e150)).tolist()
+        scalars = [(0j, 0j, 0j)] * len(x)
+        for i, (e, cj, s, x_norm) in enumerate(zip(eta[piv].tolist(), xh[rows, piv].tolist(),
+                                                   scale_list, norm_list)):
+            pairing_h = complex(e * cj.real + 0.0, 0.0 - e * cj.imag)
+            if not kept[i] or abs(pairing := pairing_h / s) <= 1e-12 * x_norm:
+                kept[i] = False
+                continue
+            scalars[i] = (0.5 * complex(e, 0.0) / pairing_h.conjugate(),
+                          1.0 / pairing, 1.0 / pairing_h)
+        coefs, to_u, to_uh = np.array(scalars).T[:, :, None]
+        w = np.zeros((len(x), n), dtype=np.complex128)
+        w[rows, piv] = 1.0
+        w = w - xh * coefs
+        u, uh = w * to_u, w * to_uh
+        u_tops = np.abs(u).max(axis=1)
+        block = np.zeros((len(x), n, n), dtype=np.complex128)
+        block[:, :, 0], block[:, :, 1] = x, u
+        for lo, k, col in ((0, p, 2), (p, sig.q, p + 1)):
+            if k == 1:
+                continue
+            # _reflection_complement on every row: the whole reflection, then
+            # its columns other than the pivot's.
+            a = xh[:, lo:lo + k]
+            amods = np.abs(a)
+            j = amods.argmax(axis=1)
+            v = a / amods[rows, j][:, None]
+            vj = v[rows, j]
+            v[rows, j] = vj + vj * np.sqrt(np.vecdot(v, v).real)
+            refl = np.eye(k) - v[:, :, None] * v.conj()[:, None, :] * (
+                2.0 / np.vecdot(v, v).real)[:, None, None]
+            others = np.arange(k - 1) + (np.arange(k - 1) >= j[:, None])
+            block[:, lo:lo + k, col:col + k - 1] = np.take_along_axis(refl, others[:, None, :], 2)
+        mids = block[:, :, 2:]
+        pairings = np.matmul(mids.mT, (eta * uh.conj())[:, :, None])
+        mids -= xh[:, :, None] * pairings.mT
+        kept = (np.array(kept) & (1e-153 < u_tops) & (u_tops < 1e150)
+                & (_frame_deviation(sig, block, 1.0) <= DEFAULT_TOL))
+    xh.flags.writeable = uh.flags.writeable = block.flags.writeable = False
+    return [{"unit": (xh_i, s, x_norm), "witt": (cols, uh_i)} if keep else None
+            for keep, xh_i, s, x_norm, cols, uh_i in zip(kept.tolist(), xh, scale_list,
+                                                         norm_list, block[:, :, 1:], uh)]
 
 
 def extend_to_witt_basis(x: ConePoint) -> list[CVector]:

@@ -123,21 +123,23 @@ def _trial_streams(seed: int, prefix: tuple[int, ...], n: int):
             yield _rekey(rng, key)
 
 
-def _trial_points(sig: Signature, seed: int, n: int):
+def _trial_points(sig: Signature, seed: int, n: int, frames=None):
     """Yield (rng, draw) n >= 1 times, rng as _trial_streams(seed, (p, q), n) yields
     it: draw() is sample_cone_point(sig, rng) on trial k's fresh stream, bit for
     bit, and leaves rng where that call leaves it.  _cone_points draws a key
-    block's points at once."""
+    block's points at once, and keeps frames' data on them if given."""
     rng = make_rng(seed, sig.p, sig.q, 0)
     for keys in _trial_key_blocks(rng, seed, (sig.p, sig.q), n):
-        for draw in _cone_points(sig, rng, keys):
+        for draw in _cone_points(sig, rng, keys, frames):
             yield rng, draw
 
 
-def _cone_points(sig: Signature, rng: np.random.Generator, keys: list):
+def _cone_points(sig: Signature, rng: np.random.Generator, keys: list, frames=None):
     """Yield one draw per Philox key, in order: draw() is sample_cone_point(sig, rng)
     on the key's fresh stream, bit for bit, with rng left where the sampler
-    leaves it.  Call each draw before taking the next.
+    leaves it.  Call each draw before taking the next.  frames(sig, x, |x_j|,
+    max|x_j|), given the block's rows, returns per row None or the data to keep
+    on the row's ConePoint._derived (charts._default_frames: its chart frame).
 
     Each key's draws come first, as the sampler makes them: standard_normal(2n + 1)
     then uniform(0, 2 pi).  Then the unit blocks, scale, phase, |x_j| and the
@@ -171,6 +173,7 @@ def _cone_points(sig: Signature, rng: np.random.Generator, keys: list):
         tops = mods.max(axis=1)
     x.flags.writeable = mods.flags.writeable = False
     kept = ((np.minimum(*norms) >= 1e-6) & (1e-153 < tops) & (tops < 1e150)).tolist()
+    derived = frames(sig, x, mods, tops) if frames else [None] * len(keys)
     for i, (key, top) in enumerate(zip(keys, tops.tolist())):
         _rekey(rng, key)
         if not kept[i]:
@@ -180,7 +183,15 @@ def _cone_points(sig: Signature, rng: np.random.Generator, keys: list):
         rng.uniform(0, 2 * np.pi)
         vec = _owned(x[i], sig)
         vec.__dict__.update(_moduli=(mods[i], top), _sums=(plus[i], minus[i], 1.0))
-        yield partial(ConePoint, vec, 1e-12)
+        yield partial(_kept_point, vec, derived[i])
+
+
+def _kept_point(vec: CVector, derived: dict | None) -> ConePoint:
+    """ConePoint(vec, 1e-12), certified, with derived kept in its _derived."""
+    x = ConePoint(vec, 1e-12)
+    if derived:
+        x._derived.update(derived)
+    return x
 
 
 _THREAD = threading.local()

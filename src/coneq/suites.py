@@ -10,6 +10,8 @@ own numbers and the samplers, which take the Generator in place of an int
 seed.  A trial that opens with a cone point is trial(sig, x, rng, tol):
 run_suite draws x = sample_cone_point(sig, rng) for a block of trials at
 once, bit for bit, and the trial goes on from where the sampler leaves rng.
+A trial that opens with a chart also finds make_chart(x)'s frame kept on x,
+built for the block at once by charts._default_frames, bit for bit.
 Reports are therefore reproducible byte for byte (timing aside).
 """
 
@@ -449,15 +451,18 @@ def _twin_agreement(sig, rng, tol):
 @dataclass(frozen=True)
 class SuiteDef:
     """A suite: its trial function fn, default trial count and tolerance.  A
-    trial that opens with a cone point is fn(sig, x, rng, tol), x =
-    sample_cone_point(sig, rng) drawn by run_suite a block of trials at a time."""
+    trial that opens_with "point" is fn(sig, x, rng, tol), x =
+    sample_cone_point(sig, rng) drawn by run_suite a block of trials at a
+    time; one that opens_with "chart" also finds x's default chart frame
+    kept on x, built for the block by charts._default_frames, bit for bit
+    make_chart(x)'s, so make_chart and the metrics' quotient frame read it."""
 
     fn: object
     trials: int
     tol: float
     description: str
     per_signature: bool = True
-    opens_with_point: bool = False
+    opens_with: str | None = None
 
 
 SUITES: dict[str, SuiteDef] = {
@@ -469,45 +474,45 @@ SUITES: dict[str, SuiteDef] = {
                                    "sampled pseudo-unitaries preserve the form"),
     "cone-sampler": SuiteDef(_cone_sampler, 500, 1e-10,
                              "cone samples are isotropic with balanced blocks",
-                             opens_with_point=True),
+                             opens_with="point"),
     "cross-section": SuiteDef(_cross_section, 200, 1e-9,
                               "ray representatives land on the unit-sphere cross-section",
-                              opens_with_point=True),
+                              opens_with="point"),
     "sphere-chart": SuiteDef(_sphere_chart, 200, 1e-12,
                              "sphere coordinates are unit and reconstruct the representative"),
     "phase-retraction": SuiteDef(_phase_retraction, 200, 1e-9,
                                  "phase reps are pivot-positive, ties to the lowest index",
-                                 opens_with_point=True),
+                                 opens_with="point"),
     "u1-action": SuiteDef(_u1_action, 200, 1e-9,
                           "unit phases shift torus angles and fix projective classes",
-                          opens_with_point=True),
+                          opens_with="point"),
     "metric-scaling": SuiteDef(_metric_scaling, 50, 1e-9,
                        "metric scales by lambda^2 along the ray",
-                       opens_with_point=True),
+                       opens_with="chart"),
     "radical": SuiteDef(_radical, 50, 1e-10,
                         "x spans the tangent radical; quotient signature (2p-1, 2q-1, 0)",
-                        opens_with_point=True),
+                        opens_with="chart"),
     "lift-independence": SuiteDef(_lift_independence, 100, 1e-10,
                                   "metric values ignore the choice of tangent lifts",
-                                  opens_with_point=True),
+                                  opens_with="chart"),
     "conformal-class": SuiteDef(_conformal_class, 25, 1e-8,
                                 "two splits give the same metric up to the factor (R_a/R_b)^2",
-                                opens_with_point=True),
+                                opens_with="point"),
     "cometric-rank": SuiteDef(_cometric_rank, 20, 1e-9,
                               "quotient cometric has rank 2n-4 with a line radical",
-                              opens_with_point=True),
+                              opens_with="chart"),
     "skew-form": SuiteDef(_skew_form, 100, 1e-10,
                           "e_1 + e_n = x; skew form antisymmetric, |f(x, i e_1)| = 1",
-                          opens_with_point=True),
+                          opens_with="point"),
     "kappa-roundtrip": SuiteDef(_kappa_roundtrip, 200, 1e-9,
                                 "kappa0 is certified; the inverse undoes it and fixes classes",
-                                opens_with_point=True),
+                                opens_with="chart"),
     "chart-domain": SuiteDef(_chart_domain, 100, 1e-9,
                              "boundary points are flagged InAperp, interior and near ones not",
-                             opens_with_point=True),
+                             opens_with="chart"),
     "aperp-partition": SuiteDef(_aperp_partition, 100, 1e-9,
                                 "boundary classes split into apex and normalized generic data",
-                                opens_with_point=True),
+                                opens_with="chart"),
     "field-axioms": SuiteDef(_field_axioms, 300, 0.0,
                              "Gaussian rationals satisfy exact field identities",
                              per_signature=False),
@@ -554,7 +559,8 @@ def run_suite(name: str, signature: Signature | None = None,
         passes = failures = 0
         worst = 0.0
         counterexample = None
-        streams = (_trial_points(sig, seed, n_trials) if defn.opens_with_point
+        frames = charts._default_frames if defn.opens_with == "chart" else None
+        streams = (_trial_points(sig, seed, n_trials, frames) if defn.opens_with
                    else ((rng, None) for rng in _trial_streams(seed, (sig.p, sig.q), n_trials)))
         for k, (rng, draw) in enumerate(streams):
             try:

@@ -5,6 +5,8 @@ import pytest
 
 from coneq import (
     IN_APERP,
+    charts,
+    core,
     ChartFrame,
     ConePoint,
     CVector,
@@ -34,6 +36,7 @@ from coneq.core import _pow2_scale
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
+ALL_SIGNATURES = [Signature(p, q) for p in range(1, 6) for q in range(1, 6)]
 
 
 def vec(sig, *values):
@@ -288,6 +291,77 @@ class TestFrameMatchesReference:
             assert np.shares_memory(v.components, chart._columns)
             with pytest.raises(ValueError):
                 v.components[0] = 0.0
+
+
+def _frame_rows(vectors):
+    """charts._default_frames's inputs for a list of vectors: the stacked
+    components, their moduli and max|x_j| per row."""
+    x = np.array([v.components for v in vectors])
+    mods = np.abs(x)
+    return x, mods, mods.max(axis=1)
+
+
+class TestFrameBlocks:
+    """charts._default_frames builds a block of rows' default chart frames
+    at once: per kept row core._unit(x) and _frame_block(x, None) on a fresh
+    ConePoint, bit for bit; a row it leaves (None) is built on the object path."""
+
+    @staticmethod
+    def assert_object_frame(kept, vector):
+        x = ConePoint(vector)
+        cols, uh = charts._frame_block(x, None)
+        xh, s, x_norm = core._unit(x)
+        (got_cols, got_uh), (got_xh, got_s, got_norm) = kept["witt"], kept["unit"]
+        assert got_cols.shape == cols.shape and got_cols.tobytes() == cols.tobytes()
+        assert got_uh.tobytes() == uh.tobytes() and got_xh.tobytes() == xh.tobytes()
+        assert (type(got_s), type(got_norm)) == (float, float)
+        assert (got_s, got_norm) == (s, x_norm)
+        assert not (got_cols.flags.writeable or got_uh.flags.writeable
+                    or got_xh.flags.writeable)
+
+    @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
+    def test_block_frames_are_the_object_paths(self, sig):
+        # The rows run_suite gives it, a block of one and a block of 1,024
+        # then one; every row is kept and read as make_chart's frame.
+        for seed, n in ((2**64 + 1, 1), (sig.n, core._KEY_BLOCK + 1)):
+            for _, draw in core._trial_points(sig, seed, n, charts._default_frames):
+                x = draw()
+                assert set(x._derived) == {"unit", "witt"}
+                self.assert_object_frame(x._derived, x.vector)
+                assert make_chart(x)._columns is x._derived["witt"][0]
+
+    @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
+    def test_signed_zeros(self, sig):
+        # Real and imaginary rows, with exact zeros in the other part.
+        vectors = []
+        for seed in range(4):
+            rng = make_rng(seed, 13)
+            a, b = rng.standard_normal(sig.p), rng.standard_normal(sig.q)
+            real = np.concatenate([a / np.linalg.norm(a), -b / np.linalg.norm(b)])
+            x = sample_cone_point(sig, seed).vector
+            vectors += [x, 1j * x, CVector(real.astype(complex), sig), CVector(real * 1j, sig)]
+        for kept, v in zip(charts._default_frames(sig, *_frame_rows(vectors)), vectors):
+            self.assert_object_frame(kept, v)
+
+    @pytest.mark.parametrize("sig", [SIG22, Signature(2, 3), Signature(5, 5)], ids=str)
+    def test_rows_out_of_range_or_uncertified_are_left_to_the_object_path(self, sig):
+        vectors = [sample_cone_point(sig, seed).vector for seed in range(6)]
+        # ||x||^2 below 1e-290, max|x_j| below 1e-153 and above 1e150: the
+        # object path builds these frames on its scale rule.
+        for k, lam in ((1, 1e-150), (2, 2.0**-600), (3, 1e151)):
+            vectors[k] = lam * vectors[k]
+        # Isotropic to about 1e-6 only: the chart identities fail.
+        off = vectors[4].components.copy()
+        off[0] += 1e-5 * abs(off[0])
+        vectors[4] = CVector(off, sig)
+        frames = charts._default_frames(sig, *_frame_rows(vectors))
+        assert [k for k, kept in enumerate(frames) if kept is None] == [1, 2, 3, 4]
+        for k in (0, 5):
+            self.assert_object_frame(frames[k], vectors[k])
+        for k in (1, 2, 3):
+            assert make_chart(ConePoint(vectors[k]))._columns.shape == (sig.n, sig.n - 1)
+        with pytest.raises(UnsupportedChartError):
+            make_chart(ConePoint(vectors[4], tol=1e-4))
 
 
 def _reference_kappa0(chart, r, y_coords):

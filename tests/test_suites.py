@@ -28,6 +28,8 @@ from coneq.suites import SuiteDef
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
 ALL_SIGNATURES = [Signature(p, q) for p in range(1, 6) for q in range(1, 6)]
+CHART_SUITES = ["metric-scaling", "radical", "lift-independence", "cometric-rank",
+                "kappa-roundtrip", "chart-domain", "aperp-partition"]
 
 
 def test_registry_is_well_formed():
@@ -165,10 +167,10 @@ def test_one_generator_per_trial(name, monkeypatch):
     assert rep.ok
     assert built == []
     assert len(entered) == 4
-    assert len(points) == (4 if defn.opens_with_point else 0)
+    assert len(points) == (4 if defn.opens_with else 0)
     for k, state in enumerate(entered):
         want = make_rng(3, 2, 2, k)
-        if defn.opens_with_point:
+        if defn.opens_with:
             x = core.sample_cone_point(SIG22, want)
             assert points[k].components.tobytes() == x.components.tobytes()
         np.testing.assert_equal(state, want.bit_generator.state)
@@ -184,7 +186,7 @@ def _reference_report(name, sig, seed, trials):
     for k in range(trials):
         try:
             rng = make_rng(seed, sig.p, sig.q, k)
-            x = [sample_cone_point(sig, rng)] if defn.opens_with_point else []
+            x = [sample_cone_point(sig, rng)] if defn.opens_with else []
             ok, residual, detail = defn.fn(sig, *x, rng, defn.tol)
         except QuadricError as exc:
             ok, residual = False, float("inf")
@@ -208,13 +210,35 @@ def test_reports_equal_a_make_rng_loop(sig, seed):
         assert got == _reference_report(name, sig, seed, 5), name
 
 
-@pytest.mark.parametrize("name", [name for name, defn in SUITES.items() if defn.opens_with_point])
-def test_reports_equal_a_make_rng_loop_across_a_key_block(name):
-    # Trial 1024 opens the second block of keys and of cone points.
+@pytest.mark.parametrize("name, sig", [
+    *(pytest.param(name, SIG11, id=name) for name, defn in SUITES.items() if defn.opens_with),
+    # Chart frames with middles: a reflection in each block and the transvection.
+    *(pytest.param(name, Signature(2, 3), id=f"{name}-(2,3)") for name in CHART_SUITES)])
+def test_reports_equal_a_make_rng_loop_across_a_key_block(name, sig):
+    # Trial 1024 opens the second block of keys, of cone points and of frames.
     trials = core._KEY_BLOCK + 1
-    got = run_suite(name, SIG11, trials=trials, seed=3)[0].to_json()
+    got = run_suite(name, sig, trials=trials, seed=3)[0].to_json()
     del got["elapsed_seconds"]
-    assert got == _reference_report(name, SIG11, 3, trials)
+    assert got == _reference_report(name, sig, 3, trials)
+
+
+@pytest.mark.parametrize("sig", [Signature(1, 2), SIG22], ids=str)
+@pytest.mark.parametrize("name", CHART_SUITES)
+def test_chart_suites_build_no_frame_on_the_object_path(name, sig, monkeypatch):
+    # Reports are the same bits whether or not the block kernel ran, so only
+    # a count shows that each trial read the frame kept on its opening point.
+    assert SUITES[name].opens_with == "chart"
+    calls = []
+    builder = charts._frame_block
+
+    def counting(x, v_hint):
+        calls.append(x)
+        return builder(x, v_hint)
+
+    monkeypatch.setattr(charts, "_frame_block", counting)
+    rep = run_suite(name, sig, seed=0)[0]
+    assert rep.ok and rep.trials == SUITES[name].trials
+    assert calls == []
 
 
 def test_more_than_two_to_the_32_trials_is_rejected_before_any_runs(monkeypatch):
@@ -236,8 +260,8 @@ def _unbalanced(kernel):
         c = draw().components
         return ConePoint(CVector(np.r_[c[:sig.p], 1.5 * c[sig.p:]], sig))
 
-    def mutant(sig, rng, keys):
-        for draw in kernel(sig, rng, keys):
+    def mutant(sig, rng, keys, frames=None):
+        for draw in kernel(sig, rng, keys, frames):
             yield functools.partial(unbalanced, draw, sig)
     return mutant
 
