@@ -34,6 +34,7 @@ from .core import (
     _pow2_scaled,
     _stream,
     _sum_sq,
+    _sum_sq_rows,
     _unit,
     form_eval,
 )
@@ -193,9 +194,10 @@ def _certify_frame(x: ConePoint, against: np.ndarray) -> None:
 
 
 def _default_frames(sig: Signature, x: np.ndarray, mods: np.ndarray,
-                    tops: np.ndarray) -> list:
+                    tops: np.ndarray, sums=None) -> list:
     """Per row of x, a C-contiguous (N, n) block of cone points' components
-    with their moduli and max|x_j|: None, or the {"unit": core._unit(x),
+    with their moduli and max|x_j| (the block sums go unused: ||x||^2 is
+    summed whole, as _norm sums it): None, or the {"unit": core._unit(x),
     "witt": _frame_block(x, None)} that the row's ConePoint would keep, bit
     for bit.  Each step is theirs, run over all rows at once: the same
     elementwise ufuncs on the same strides, np.vecdot for the dots and a
@@ -209,13 +211,13 @@ def _default_frames(sig: Signature, x: np.ndarray, mods: np.ndarray,
     rows = np.arange(len(x))
     # A declined row may overflow or divide by zero; its values are not used.
     with np.errstate(all="ignore"):
-        sums = np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag)
-        norms = np.sqrt(sums)
+        sq = _sum_sq_rows(x)
+        norms = np.sqrt(sq)
         scales = np.ldexp(1.0, np.minimum(-np.frexp(norms)[1], 1023))
         xh = (x.view(np.float64) * scales[:, None]).view(np.complex128)
         piv = mods.argmax(axis=1)
         scale_list, norm_list = scales.tolist(), norms.tolist()
-        kept = ((1e-290 <= sums) & (sums < np.inf) & (1e-153 < tops) & (tops < 1e150)).tolist()
+        kept = ((1e-290 <= sq) & (sq < np.inf) & (1e-153 < tops) & (tops < 1e150)).tolist()
         scalars = [(0j, 0j, 0j)] * len(x)
         for i, (e, cj, s, x_norm) in enumerate(zip(eta[piv].tolist(), xh[rows, piv].tolist(),
                                                    scale_list, norm_list)):

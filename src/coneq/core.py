@@ -64,6 +64,7 @@ _INIT_A, _MULT_A, _MIX_L, _MIX_R = 0x43B0D7E5, 0x931E8875, 0xCA01F9DD, 0x4973F71
 _HASH_B = tuple(0x8B51F9DD * pow(0x58F38DED, i, 2**32) % 2**32  # INIT_B MULT_B^i
                 for i in range(5))
 _KEY_BLOCK = 1024
+_KERNEL_ROWS = 3  # the fewest trials a block kernel runs on (BENCH_40.json "crossover")
 
 
 def _output_hash(pool) -> tuple:
@@ -123,30 +124,37 @@ def _trial_streams(seed: int, prefix: tuple[int, ...], n: int):
             yield _rekey(rng, key)
 
 
-def _trial_points(sig: Signature, seed: int, n: int, frames=None):
+def _trial_points(sig: Signature, seed: int, n: int, derive=None):
     """Yield (rng, draw) n >= 1 times, rng as _trial_streams(seed, (p, q), n) yields
     it: draw() is sample_cone_point(sig, rng) on trial k's fresh stream, bit for
     bit, and leaves rng where that call leaves it.  _cone_points draws a key
-    block's points at once, and keeps frames' data on them if given."""
+    block's points at once, and keeps derive's data on them if given; a block
+    of fewer than _KERNEL_ROWS trials, where the kernels' set-up costs more
+    than they save (BENCH_40.json), is drawn by sample_cone_point itself."""
     rng = make_rng(seed, sig.p, sig.q, 0)
     for keys in _trial_key_blocks(rng, seed, (sig.p, sig.q), n):
-        for draw in _cone_points(sig, rng, keys, frames):
+        if len(keys) < _KERNEL_ROWS:
+            for key in keys:
+                yield _rekey(rng, key), partial(sample_cone_point, sig, rng)
+            continue
+        for draw in _cone_points(sig, rng, keys, derive):
             yield rng, draw
 
 
-def _cone_points(sig: Signature, rng: np.random.Generator, keys: list, frames=None):
+def _cone_points(sig: Signature, rng: np.random.Generator, keys: list, derive=None):
     """Yield one draw per Philox key, in order: draw() is sample_cone_point(sig, rng)
     on the key's fresh stream, bit for bit, with rng left where the sampler
-    leaves it.  Call each draw before taking the next.  frames(sig, x, |x_j|,
-    max|x_j|), given the block's rows, returns per row None or the data to keep
-    on the row's ConePoint._derived (charts._default_frames: its chart frame).
+    leaves it.  Call each draw before taking the next.  derive(sig, x, |x_j|,
+    max|x_j|, (S+, S-)), given the block's rows and kept block sums, returns per
+    row None, or the data to keep on the row's ConePoint._derived or a callable
+    that builds it when the row is drawn (charts._default_frames: its chart
+    frame; quotients._default_reps: its ray and phase representatives).
 
     Each key's draws come first, as the sampler makes them: standard_normal(2n + 1)
     then uniform(0, 2 pi).  Then the unit blocks, scale, phase, |x_j| and the
     isotropy block sums run once over all rows, each row meeting the sampler's
-    own operations: the same elementwise ufuncs, and one strided ddot per part
-    and row (np.vecdot on the .real and .imag views, as ndarray.dot and np.vdot
-    take them in _sum_sq).  A row's ConePoint is built with its _moduli and
+    own operations: the same elementwise ufuncs, and _sum_sq_rows for each
+    block's sum of squares.  A row's ConePoint is built with its _moduli and
     _sums kept, so its constructor certifies it from them.  Before a row's draw
     rng is re-keyed and the row's draws replayed, which costs what saving and
     restoring its state would and keeps no state per row.  A row whose block
@@ -162,35 +170,44 @@ def _cone_points(sig: Signature, rng: np.random.Generator, keys: list, frames=No
         blocks, norms = [], []
         for lo, k in ((0, p), (2 * p, sig.q)):
             z = draws[:, lo:lo + k] + 1j * draws[:, lo + k:lo + 2 * k]
-            norms.append(np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)))
+            norms.append(np.sqrt(_sum_sq_rows(z)))
             blocks.append(z / norms[-1][:, None])
         c = np.exp(0.75 * draws[:, -1]) * np.exp(1j * turns)
         x = c[:, None] * np.concatenate(blocks, axis=1)
         mods = np.abs(x)
-        xp, xm = x[:, :p], x[:, p:]
-        plus = (np.vecdot(xp.real, xp.real) + np.vecdot(xp.imag, xp.imag)).tolist()
-        minus = (np.vecdot(xm.real, xm.real) + np.vecdot(xm.imag, xm.imag)).tolist()
+        sums = _sum_sq_rows(x[:, :p]), _sum_sq_rows(x[:, p:])
         tops = mods.max(axis=1)
     x.flags.writeable = mods.flags.writeable = False
     kept = ((np.minimum(*norms) >= 1e-6) & (1e-153 < tops) & (tops < 1e150)).tolist()
-    derived = frames(sig, x, mods, tops) if frames else [None] * len(keys)
-    for i, (key, top) in enumerate(zip(keys, tops.tolist())):
+    derived = derive(sig, x, mods, tops, sums) if derive else [None] * len(keys)
+    rows = zip(keys, tops.tolist(), sums[0].tolist(), sums[1].tolist())
+    for i, (key, top, plus, minus) in enumerate(rows):
         _rekey(rng, key)
         if not kept[i]:
             yield partial(sample_cone_point, sig, rng)
             continue
         rng.standard_normal(size)
         rng.uniform(0, 2 * np.pi)
-        vec = _owned(x[i], sig)
-        vec.__dict__.update(_moduli=(mods[i], top), _sums=(plus[i], minus[i], 1.0))
-        yield partial(_kept_point, vec, derived[i])
+        yield partial(_kept_point, _kept_vector(sig, x[i], mods[i], top, plus, minus), derived[i])
 
 
-def _kept_point(vec: CVector, derived: dict | None) -> ConePoint:
-    """ConePoint(vec, 1e-12), certified, with derived kept in its _derived."""
+def _kept_vector(sig: Signature, comps: np.ndarray, mods: np.ndarray, top: float,
+                 plus: float, minus: float) -> CVector:
+    """CVector on comps, a row of a read-only block, with its modulus pass (mods,
+    top) and block sums (plus, minus, 1.0) kept, as a vector whose top is in
+    _pow2_scale's unit range keeps them."""
+    vec = object.__new__(CVector)
+    vec.__dict__.update(components=comps, signature=sig, _moduli=(mods, top),
+                        _sums=(plus, minus, 1.0))
+    return vec
+
+
+def _kept_point(vec: CVector, derived) -> ConePoint:
+    """ConePoint(vec, 1e-12), certified, with derived kept in its _derived: a
+    dict, or a callable that builds it."""
     x = ConePoint(vec, 1e-12)
     if derived:
-        x._derived.update(derived)
+        x._derived.update(derived() if callable(derived) else derived)
     return x
 
 
@@ -337,6 +354,14 @@ def _sum_sq(a: np.ndarray, dot=np.ndarray.dot) -> float:
         re, im = a.real, a.imag
         return float(dot(re, re)) + float(dot(im, im))
     return float(dot(a, a))
+
+
+def _sum_sq_rows(z: np.ndarray) -> np.ndarray:
+    """_sum_sq of each row of a complex (N, k) block, re.re + im.im by np.vecdot on
+    the strided .real and .imag views, bit for bit as _sum_sq's ndarray.dot and
+    np.vdot take them.  That holds only on these views: on contiguous copies of
+    the parts vecdot sums in another order, and some rows move their last bits."""
+    return np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag)
 
 
 def _norm(a: np.ndarray, top: float = math.inf) -> np.float64:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -24,11 +24,13 @@ from .core import (
     Signature,
     _as_vector,
     _check_same_signature,
+    _kept_vector,
     _norm,
     _owned,
     _pow2_balance,
     _pow2_scaled,
     _pseudo_unitarity_residual,
+    _sum_sq_rows,
     basis_vector,
     sample_pseudo_unitary,
 )
@@ -313,6 +315,69 @@ def _proj_rep(ray: RayRep) -> ProjRep:
     phase = comps[j] / abs(comps[j])
     point = ConePoint(ray.point.vector * np.conj(phase))
     return ProjRep(point, ray.split, j)
+
+
+def _default_reps(sig: Signature, x: np.ndarray, mods: np.ndarray, tops: np.ndarray,
+                  sums: tuple, frames=None) -> list:
+    """Per row of x, a block of cone points' components with their moduli,
+    max|x_j| and kept block sums (S+, S-): None, or a callable that returns the
+    {"ray": canonicalize_ray(x)} the row's ConePoint would keep, bit for bit,
+    its point keeping canonicalize_phase(x) ("proj") and, given frames
+    (charts._default_frames), its default chart frame.  R is _ray_scale's, off
+    the kept sums; the scaling, moduli, block sums (core._sum_sq_rows), pivot
+    and rotation run once over all rows.  The phase c_j / |c_j| is numpy's
+    complex division, as on the object path, by np.hypot: the scalar abs
+    there, which np.abs on an array is not.  Each point and representative is
+    built, and certified by its constructor, when the callable is called.  A
+    row outside the range where the object path scales nothing (min S below
+    1e-290, max|x_j| of x or a representative outside (1e-153, 1e150)), or
+    that would fail a certificate, is None: left to the object path."""
+    plus, minus = sums
+    # A declined row may divide by zero or overflow; its values are not used.
+    with np.errstate(all="ignore"):
+        norms = np.sqrt(plus), np.sqrt(minus)
+        sum_sq = norms[0] * norms[0] + norms[1] * norms[1]  # not plus + minus
+        r = np.sqrt(sum_sq / 2.0)
+        kept = ((np.minimum(plus, minus) >= 1e-290) & (1e-153 < tops) & (tops < 1e150)
+                & (r > DEFAULT_TOL * np.sqrt(sum_sq)))
+        xr = x * (1.0 / r).astype(np.complex128)[:, None]
+        ray, ray_ok, (ray_mods, ray_tops, ray_plus, ray_minus) = _rep_rows(sig, xr)
+        pivots = (ray_mods >= ray_tops[:, None] * (1.0 - PIVOT_TIE_TOL)).argmax(axis=1)
+        c = xr[np.arange(len(x)), pivots]
+        proj, proj_ok, _ = _rep_rows(sig, xr * np.conj(c / np.hypot(c.real, c.imag))[:, None])
+        plus_norm, minus_norm = np.sqrt(ray_plus), np.sqrt(ray_minus)
+        kept &= (ray_ok & proj_ok & (np.abs(plus_norm - 1.0) <= 1e-9)
+                 & (np.abs(minus_norm - 1.0) <= 1e-9))
+    block = (sig, standard_split(sig), ray, proj, plus_norm.tolist(), minus_norm.tolist(),
+             pivots.tolist(), frames(sig, xr, ray_mods, ray_tops) if frames else None)
+    return [partial(_kept_reps, block, i) if keep else None
+            for i, keep in enumerate(kept.tolist())]
+
+
+def _rep_rows(sig: Signature, z: np.ndarray) -> tuple:
+    """(kept, ok, (|z_j|, max|z_j|, S+, S-)) for a fresh block z of points, made
+    read-only: kept = (z, |z_j|, max|z_j|, S+, S-), the last three as lists, what
+    core._kept_vector keeps per row; ok where max|z_j| is in _pow2_scale's unit
+    range and the isotropy residual |S+ - S-| / (S+ + S-) is within DEFAULT_TOL,
+    so that ConePoint accepts the row."""
+    mods = np.abs(z)
+    tops = mods.max(axis=1)
+    plus, minus = _sum_sq_rows(z[:, :sig.p]), _sum_sq_rows(z[:, sig.p:])
+    ok = (1e-153 < tops) & (tops < 1e150) & (np.abs(plus - minus) / (plus + minus) <= DEFAULT_TOL)
+    z.flags.writeable = mods.flags.writeable = False
+    return (z, mods, tops.tolist(), plus.tolist(), minus.tolist()), ok, (mods, tops, plus, minus)
+
+
+def _kept_reps(block: tuple, i: int) -> dict:
+    """Row i of a _default_reps block as {"ray": RayRep}, its points built and
+    certified by ConePoint from their kept moduli and sums."""
+    sig, split, ray, proj, plus_norm, minus_norm, pivots, frames = block
+    point, rotated = (ConePoint(_kept_vector(sig, z[i], mods[i], top[i], plus[i], minus[i]))
+                      for z, mods, top, plus, minus in (ray, proj))
+    point._derived["proj"] = ProjRep(rotated, split, pivots[i])
+    if frames and frames[i]:
+        point._derived.update(frames[i])
+    return {"ray": RayRep(point, split, plus_norm[i], minus_norm[i])}
 
 
 def proj_equivalent(x, y, tol: float = DEFAULT_TOL, split: Split | None = None) -> bool:

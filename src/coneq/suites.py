@@ -11,7 +11,10 @@ seed.  A trial that opens with a cone point is trial(sig, x, rng, tol):
 run_suite draws x = sample_cone_point(sig, rng) for a block of trials at
 once, bit for bit, and the trial goes on from where the sampler leaves rng.
 A trial that opens with a chart also finds make_chart(x)'s frame kept on x,
-built for the block at once by charts._default_frames, bit for bit.
+built for the block at once by charts._default_frames, bit for bit; one
+that opens with the quotients finds canonicalize_ray(x) and, on its point,
+canonicalize_phase(x), built by quotients._default_reps.  A block of fewer
+than core._KERNEL_ROWS trials is drawn and built per call instead.
 Reports are therefore reproducible byte for byte (timing aside).
 """
 
@@ -20,7 +23,7 @@ from __future__ import annotations
 import time
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import numpy as np
 
@@ -455,7 +458,11 @@ class SuiteDef:
     sample_cone_point(sig, rng) drawn by run_suite a block of trials at a
     time; one that opens_with "chart" also finds x's default chart frame
     kept on x, built for the block by charts._default_frames, bit for bit
-    make_chart(x)'s, so make_chart and the metrics' quotient frame read it."""
+    make_chart(x)'s, so make_chart and the metrics' quotient frame read it.
+    One that opens_with "ray" finds canonicalize_ray(x) kept on x and
+    canonicalize_phase(x) on its point, built for the block by
+    quotients._default_reps, bit for bit; "ray-chart" adds the ray point's
+    default chart frame (charts._default_frames on the ray rows)."""
 
     fn: object
     trials: int
@@ -477,15 +484,15 @@ SUITES: dict[str, SuiteDef] = {
                              opens_with="point"),
     "cross-section": SuiteDef(_cross_section, 200, 1e-9,
                               "ray representatives land on the unit-sphere cross-section",
-                              opens_with="point"),
+                              opens_with="ray"),
     "sphere-chart": SuiteDef(_sphere_chart, 200, 1e-12,
                              "sphere coordinates are unit and reconstruct the representative"),
     "phase-retraction": SuiteDef(_phase_retraction, 200, 1e-9,
                                  "phase reps are pivot-positive, ties to the lowest index",
-                                 opens_with="point"),
+                                 opens_with="ray"),
     "u1-action": SuiteDef(_u1_action, 200, 1e-9,
                           "unit phases shift torus angles and fix projective classes",
-                          opens_with="point"),
+                          opens_with="ray"),
     "metric-scaling": SuiteDef(_metric_scaling, 50, 1e-9,
                        "metric scales by lambda^2 along the ray",
                        opens_with="chart"),
@@ -497,13 +504,13 @@ SUITES: dict[str, SuiteDef] = {
                                   opens_with="chart"),
     "conformal-class": SuiteDef(_conformal_class, 25, 1e-8,
                                 "two splits give the same metric up to the factor (R_a/R_b)^2",
-                                opens_with="point"),
+                                opens_with="ray-chart"),
     "cometric-rank": SuiteDef(_cometric_rank, 20, 1e-9,
                               "quotient cometric has rank 2n-4 with a line radical",
                               opens_with="chart"),
     "skew-form": SuiteDef(_skew_form, 100, 1e-10,
                           "e_1 + e_n = x; skew form antisymmetric, |f(x, i e_1)| = 1",
-                          opens_with="point"),
+                          opens_with="ray-chart"),
     "kappa-roundtrip": SuiteDef(_kappa_roundtrip, 200, 1e-9,
                                 "kappa0 is certified; the inverse undoes it and fixes classes",
                                 opens_with="chart"),
@@ -553,14 +560,17 @@ def run_suite(name: str, signature: Signature | None = None,
         sigs = [signature or Signature(1, 1)]
     else:
         sigs = [signature] if signature is not None else list(DEFAULT_SIGNATURES)
+    # What each opens_with value keeps on a block's opening points ("point": nothing).
+    derive = {"chart": charts._default_frames, "ray": quotients._default_reps,
+              "ray-chart": partial(quotients._default_reps, frames=charts._default_frames),
+              }.get(defn.opens_with)
     reports = []
     for sig in sigs:
         start = time.perf_counter()
         passes = failures = 0
         worst = 0.0
         counterexample = None
-        frames = charts._default_frames if defn.opens_with == "chart" else None
-        streams = (_trial_points(sig, seed, n_trials, frames) if defn.opens_with
+        streams = (_trial_points(sig, seed, n_trials, derive) if defn.opens_with
                    else ((rng, None) for rng in _trial_streams(seed, (sig.p, sig.q), n_trials)))
         for k, (rng, draw) in enumerate(streams):
             try:

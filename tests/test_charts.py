@@ -321,14 +321,22 @@ class TestFrameBlocks:
 
     @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
     def test_block_frames_are_the_object_paths(self, sig):
-        # The rows run_suite gives it, a block of one and a block of 1,024
-        # then one; every row is kept and read as make_chart's frame.
-        for seed, n in ((2**64 + 1, 1), (sig.n, core._KEY_BLOCK + 1)):
-            for _, draw in core._trial_points(sig, seed, n, charts._default_frames):
-                x = draw()
-                assert set(x._derived) == {"unit", "witt"}
-                self.assert_object_frame(x._derived, x.vector)
-                assert make_chart(x)._columns is x._derived["witt"][0]
+        # The rows run_suite gives it, a block of 1,024 then one: every row of
+        # the first is kept and read as make_chart's frame, and the last, below
+        # the crossover, is left to the object path.  Then the kernel itself
+        # on a one-row block.
+        for k, (_, draw) in enumerate(core._trial_points(sig, sig.n, core._KEY_BLOCK + 1,
+                                                         charts._default_frames)):
+            x = draw()
+            if k == core._KEY_BLOCK:
+                assert x._derived == {}
+                continue
+            assert set(x._derived) == {"unit", "witt"}
+            self.assert_object_frame(x._derived, x.vector)
+            assert make_chart(x)._columns is x._derived["witt"][0]
+        x = sample_cone_point(sig, make_rng(2**64 + 1, sig.p, sig.q, 0)).vector
+        (kept,) = charts._default_frames(sig, *_frame_rows([x]))
+        self.assert_object_frame(kept, x)
 
     @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
     def test_signed_zeros(self, sig):

@@ -580,12 +580,39 @@ class TestConePointBlocks:
 
     @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
     def test_block_points_are_the_samplers(self, sig):
+        # A block of 1,024 rows then one, which _trial_points leaves to the
+        # sampler, and the kernel itself on a one-row block.
         for seed, n in ((2**64 + 1, 1), (sig.n, core._KEY_BLOCK + 1)):
             for k, (rng, draw) in enumerate(core._trial_points(sig, seed, n)):
                 want_rng = make_rng(seed, sig.p, sig.q, k)
                 _same_point(draw(), sample_cone_point(sig, want_rng))
                 assert _position(rng) == _position(want_rng)
             assert k == n - 1
+        rng = make_rng(0)
+        draw = next(core._cone_points(sig, rng, _trial_keys(2**64 + 1, (sig.p, sig.q), 1, 2)))
+        want_rng = make_rng(2**64 + 1, sig.p, sig.q, 1)
+        _same_point(draw(), sample_cone_point(sig, want_rng))
+        assert _position(rng) == _position(want_rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, core._KEY_BLOCK + 2])
+    def test_blocks_below_the_crossover_are_drawn_by_the_sampler(self, n, monkeypatch):
+        # A block of fewer than _KERNEL_ROWS trials runs no kernel and derives
+        # nothing: its points are sample_cone_point's own, on each trial's stream.
+        blocks = []
+
+        def derive(sig, x, *rows):
+            blocks.append(len(x))
+            return [{"seen": True}] * len(x)
+
+        sizes = [len(keys) for keys in core._trial_key_blocks(make_rng(5, 2, 2, 0), 5, (2, 2), n)]
+        for k, (rng, draw) in enumerate(core._trial_points(SIG22, 5, n, derive)):
+            x = draw()
+            want_rng = make_rng(5, 2, 2, k)
+            _same_point(x, sample_cone_point(SIG22, want_rng))
+            assert _position(rng) == _position(want_rng)
+            assert x._derived == ({"seen": True} if sizes[k // core._KEY_BLOCK]
+                                  >= core._KERNEL_ROWS else {})
+        assert blocks == [size for size in sizes if size >= core._KERNEL_ROWS]
 
     @pytest.mark.parametrize("sig", [SIG11, Signature(2, 3), Signature(5, 4)], ids=str)
     def test_a_rejected_block_is_drawn_again(self, sig, monkeypatch):

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import gc
 import itertools
 import math
@@ -9,10 +10,14 @@ import numpy as np
 import pytest
 
 from coneq import (
+    charts,
+    core,
+    quotients,
     ConePoint,
     CVector,
     DegenerateInputError,
     NotIsometryError,
+    NotIsotropicError,
     ProjRep,
     RayRep,
     Signature,
@@ -35,6 +40,7 @@ from coneq.core import _gram
 
 SIG11 = Signature(1, 1)
 SIG22 = Signature(2, 2)
+ALL_SIGNATURES = [Signature(p, q) for p in range(1, 6) for q in range(1, 6)]
 
 
 def vec(sig, *values):
@@ -524,6 +530,144 @@ class TestKeptRepresentatives:
             assert [r() for r in refs] == [None, None, None]
         finally:
             gc.enable()
+
+
+def _rep_rows(vectors):
+    """quotients._default_reps's inputs for a list of vectors: the stacked
+    components, their moduli, max|x_j| per row and the block sums (S+, S-),
+    each summed by core._sum_sq as a cone point's certificate sums it."""
+    x = np.array([v.components for v in vectors])
+    mods = np.abs(x)
+    p = vectors[0].signature.p
+    sums = tuple(np.array([core._sum_sq(v.components[part]) for v in vectors])
+                 for part in (slice(None, p), slice(p, None)))
+    return x, mods, mods.max(axis=1), sums
+
+
+class TestRayBlocks:
+    """quotients._default_reps builds a block of rows' ray and phase
+    representatives at once: per kept row canonicalize_ray and
+    canonicalize_phase of a fresh ConePoint, bit for bit, each point certified
+    by its constructor when the row is drawn; a row it leaves (None) is
+    canonicalized on the object path."""
+
+    @staticmethod
+    def assert_object_reps(ray, vector):
+        want = canonicalize_ray(ConePoint(vector))
+        want_proj, proj = canonicalize_phase(want), ray.point._derived["proj"]
+        assert ray.split is want.split is proj.split is standard_split(vector.signature)
+        assert (type(ray.plus_norm), type(ray.minus_norm)) == (float, float)
+        assert (ray.plus_norm, ray.minus_norm) == (want.plus_norm, want.minus_norm)
+        assert type(proj.pivot_index) is int and proj.pivot_index == want_proj.pivot_index
+        for got, exp in ((ray.point, want.point), (proj.point, want_proj.point)):
+            assert got.components.tobytes() == exp.components.tobytes()
+            assert got.isotropy_residual == exp.isotropy_residual
+            (mods, top), (want_mods, want_top) = (
+                point.vector.__dict__["_moduli"] for point in (got, exp))
+            assert mods.tobytes() == want_mods.tobytes()
+            assert type(top) is float and top == want_top
+            assert got.vector.__dict__["_sums"] == exp.vector.__dict__["_sums"]
+            assert not (got.components.flags.writeable or mods.flags.writeable)
+
+    @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
+    def test_block_reps_are_the_object_paths(self, sig):
+        # The rows run_suite gives it, a block of 1,024 then one: every row of
+        # the first is kept and read by both canonicalizations, and the last,
+        # below the crossover, is left to the object path.  Then the kernel
+        # itself on a one-row block.
+        for k, (_, draw) in enumerate(core._trial_points(sig, sig.n, core._KEY_BLOCK + 1,
+                                                         quotients._default_reps)):
+            x = draw()
+            if k == core._KEY_BLOCK:
+                assert x._derived == {}
+                continue
+            assert set(x._derived) == {"ray"}
+            ray = x._derived["ray"]
+            self.assert_object_reps(ray, x.vector)
+            assert set(ray.point._derived) == {"proj"}
+            assert canonicalize_ray(x) is ray
+            assert canonicalize_phase(x) is ray.point._derived["proj"]
+        x = sample_cone_point(sig, make_rng(2**64 + 1, sig.p, sig.q, 0)).vector
+        (kept,) = quotients._default_reps(sig, *_rep_rows([x]))
+        self.assert_object_reps(kept()["ray"], x)
+
+    @pytest.mark.parametrize("sig", ALL_SIGNATURES, ids=str)
+    def test_signed_zeros(self, sig):
+        # Real and imaginary rows, with exact zeros in the other part.
+        vectors = []
+        for seed in range(4):
+            rng = make_rng(seed, 13)
+            a, b = rng.standard_normal(sig.p), rng.standard_normal(sig.q)
+            real = np.concatenate([a / np.linalg.norm(a), -b / np.linalg.norm(b)])
+            x = sample_cone_point(sig, seed).vector
+            vectors += [x, 1j * x, CVector(real.astype(complex), sig), CVector(real * 1j, sig)]
+        for kept, v in zip(quotients._default_reps(sig, *_rep_rows(vectors)), vectors):
+            self.assert_object_reps(kept()["ray"], v)
+
+    @pytest.mark.parametrize("sig", [Signature(2, 3), Signature(3, 3), Signature(4, 5)], ids=str)
+    def test_pivot_ties_go_to_the_lowest_index(self, sig):
+        # The top modulus twice: |x_0| = |x_1| exactly, |x_1| = |x_p| exactly
+        # across the blocks (x_0 below them), and |x_1| above |x_0| by 1e-13 of
+        # it, inside PIVOT_TIE_TOL.  The pivot is the lowest index within the
+        # tolerance of the top modulus: 0, 1 and 0.
+        p, q = sig.p, sig.q
+        rng = make_rng(0, 17)
+        phases = lambda k: np.exp(2j * np.pi * rng.uniform(size=k))
+        vectors, pivots = [], []
+        for tie, pivot in (("equal", 0), ("across", 1), ("near", 0)) * 4:
+            c = complex(phases(1)[0])
+            plus = 0.3 * phases(p)
+            if tie == "across":
+                plus[1] = c
+                minus = np.r_[-c.conjugate(), phases(q - 1) * np.sqrt(0.09 * (p - 1) / (q - 1))]
+            else:
+                plus[:2] = c * (1.0 - 1e-13 if tie == "near" else 1.0), 1j * c
+                minus = phases(q) * np.sqrt(np.vdot(plus, plus).real / q)
+            vectors.append(CVector(np.r_[plus, minus], sig))
+            pivots.append(pivot)
+        for kept, v, pivot in zip(quotients._default_reps(sig, *_rep_rows(vectors)),
+                                  vectors, pivots):
+            ray = kept()["ray"]
+            self.assert_object_reps(ray, v)
+            assert ray.point._derived["proj"].pivot_index == pivot
+
+    @pytest.mark.parametrize("sig", [SIG22, Signature(2, 3), Signature(5, 5)], ids=str)
+    def test_rows_out_of_range_or_uncertified_are_left_to_the_object_path(self, sig):
+        vectors = [sample_cone_point(sig, seed).vector for seed in range(6)]
+        # A block sum below 1e-290, max|x_j| below 1e-153 and above 1e150:
+        # the object path canonicalizes these on its scale rule.
+        for k, lam in ((1, 1e-150), (2, 2.0**-600), (3, 1e151)):
+            vectors[k] = lam * vectors[k]
+        # Isotropic to about 1e-6 only: the ray representative's certificate fails.
+        off = vectors[4].components.copy()
+        off[0] += 1e-5 * abs(off[0])
+        vectors[4] = CVector(off, sig)
+        reps = quotients._default_reps(sig, *_rep_rows(vectors))
+        assert [k for k, kept in enumerate(reps) if kept is None] == [1, 2, 3, 4]
+        for k in (0, 5):
+            self.assert_object_reps(reps[k]()["ray"], vectors[k])
+        for k in (1, 2, 3):
+            assert canonicalize_phase(ConePoint(vectors[k])).components.shape == (sig.n,)
+        with pytest.raises(NotIsotropicError):
+            canonicalize_ray(ConePoint(vectors[4], tol=1e-4))
+
+    @pytest.mark.parametrize("sig", [SIG11, Signature(1, 3), Signature(2, 3), Signature(5, 5)],
+                             ids=str)
+    def test_frames_on_the_ray_points_are_make_charts(self, sig):
+        # Given the frame kernel, each kept ray point keeps make_chart's frame
+        # too, bit for bit _frame_block's on a fresh ray point.
+        frames = functools.partial(quotients._default_reps, frames=charts._default_frames)
+        for _, draw in core._trial_points(sig, 3, 50, frames):
+            x = draw()
+            point = x._derived["ray"].point
+            assert set(point._derived) == {"proj", "unit", "witt"}
+            self.assert_object_reps(x._derived["ray"], x.vector)
+            fresh = canonicalize_ray(ConePoint(x.vector)).point
+            cols, uh = charts._frame_block(fresh, None)
+            got_cols, got_uh = point._derived["witt"]
+            assert got_cols.tobytes() == cols.tobytes() and got_uh.tobytes() == uh.tobytes()
+            assert point._derived["unit"][1:] == core._unit(fresh)[1:]
+            assert charts.make_chart(point)._columns is got_cols
 
 
 class TestTorusCoords:

@@ -30,6 +30,8 @@ SIG22 = Signature(2, 2)
 ALL_SIGNATURES = [Signature(p, q) for p in range(1, 6) for q in range(1, 6)]
 CHART_SUITES = ["metric-scaling", "radical", "lift-independence", "cometric-rank",
                 "kappa-roundtrip", "chart-domain", "aperp-partition"]
+RAY_SUITES = ["cross-section", "phase-retraction", "u1-action", "conformal-class",
+              "skew-form"]
 
 
 def test_registry_is_well_formed():
@@ -212,10 +214,13 @@ def test_reports_equal_a_make_rng_loop(sig, seed):
 
 @pytest.mark.parametrize("name, sig", [
     *(pytest.param(name, SIG11, id=name) for name, defn in SUITES.items() if defn.opens_with),
-    # Chart frames with middles: a reflection in each block and the transvection.
-    *(pytest.param(name, Signature(2, 3), id=f"{name}-(2,3)") for name in CHART_SUITES)])
+    # Chart frames with middles: a reflection in each block and the transvection;
+    # ray and phase representatives off a pivot in either block.
+    *(pytest.param(name, Signature(2, 3), id=f"{name}-(2,3)")
+      for name in CHART_SUITES + RAY_SUITES)])
 def test_reports_equal_a_make_rng_loop_across_a_key_block(name, sig):
-    # Trial 1024 opens the second block of keys, of cone points and of frames.
+    # Trial 1024 opens the second block of keys, of cone points, of frames and
+    # of representatives; it is a block of one, drawn on the object path.
     trials = core._KEY_BLOCK + 1
     got = run_suite(name, sig, trials=trials, seed=3)[0].to_json()
     del got["elapsed_seconds"]
@@ -241,6 +246,44 @@ def test_chart_suites_build_no_frame_on_the_object_path(name, sig, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("sig", [SIG11, Signature(2, 3)], ids=str)
+@pytest.mark.parametrize("name", RAY_SUITES)
+def test_ray_suites_canonicalize_no_opening_point_on_the_object_path(name, sig, monkeypatch):
+    # As for the chart suites, only a count shows that each trial read the
+    # representatives kept on its opening point: no _ray_rep call under the
+    # standard split or _proj_rep call on it or its ray point, nor a default
+    # _frame_block call on the ray point, and for skew-form, whose only frame
+    # is there, no _frame_block call at all.
+    defn = SUITES[name]
+    assert defn.opens_with in ("ray", "ray-chart")
+    opening, calls = [], []
+
+    def trial(sig, x, rng, tol):
+        opening.append(x)
+        return defn.fn(sig, x, rng, tol)
+
+    def counting(owner, attr, default):
+        fn = getattr(owner, attr)
+
+        def wrapper(point, *args):
+            calls.append((attr, point if default(*args) else None))
+            return fn(point, *args)
+        monkeypatch.setattr(owner, attr, wrapper)
+
+    monkeypatch.setitem(SUITES, name, dataclasses.replace(defn, fn=trial))
+    counting(quotients, "_ray_rep", lambda split: split is quotients.standard_split(sig))
+    counting(quotients, "_proj_rep", lambda: True)
+    counting(charts, "_frame_block", lambda v_hint: v_hint is None)
+    rep = run_suite(name, sig, seed=0)[0]
+    assert rep.ok and rep.trials == defn.trials == len(opening)
+    kept = {id(x) for x in opening} | {id(x._derived["ray"].point) for x in opening}
+    # _proj_rep takes the ray representative, whose point is the kept one.
+    points = [(attr, getattr(point, "point", point)) for attr, point in calls]
+    assert [call for call in points if id(call[1]) in kept] == []
+    if name == "skew-form":
+        assert [attr for attr, _ in calls if attr == "_frame_block"] == []
+
+
 def test_more_than_two_to_the_32_trials_is_rejected_before_any_runs(monkeypatch):
     calls = []
     monkeypatch.setitem(SUITES, "counted", SuiteDef(
@@ -260,8 +303,8 @@ def _unbalanced(kernel):
         c = draw().components
         return ConePoint(CVector(np.r_[c[:sig.p], 1.5 * c[sig.p:]], sig))
 
-    def mutant(sig, rng, keys, frames=None):
-        for draw in kernel(sig, rng, keys, frames):
+    def mutant(sig, rng, keys, *args):
+        for draw in kernel(sig, rng, keys, *args):
             yield functools.partial(unbalanced, draw, sig)
     return mutant
 
